@@ -18,8 +18,8 @@ from .engine import (AnswerSet, atom_candidates, enumerate_answers, homomorphism
 from .errors import (DiverseCQError, EngineCompatibilityError, InputError,
                      LimitExceededError, LoadError, QueryParseError, UniverseError)
 from .optimize import (BRUTE_FORCE_CAP, DiverseResult, ProvenancePlan, TropicalPlan,
-                       brute_force_diversify, cqnext_naive, cqnext_provenance,
-                       cqnext_tropical, greedy_combined, greedy_diversify)
+                       brute_force_diversify, cqnext_naive, greedy_by_objective,
+                       greedy_combined, greedy_diversify)
 from .query import (Atom, ConjunctiveQuery, FreeConnexDecomposition, TDNode,
                     TreeDecomposition, Variable, assign_atoms,
                     extended_gyo_decomposition, free_connex_subtree, gyo_join_tree,
@@ -44,11 +44,10 @@ __all__ = [
     "TreeLeafDistance", "TropicalPlan", "UltraNode", "UltrametricTree",
     "UltrametricViolation", "UniverseError", "Variable", "VolumeAssignment",
     "WEITZMAN_CAP", "WeightedMeasure", "assign_atoms", "atom_candidates",
-    "brute_force_diversify", "cqnext_naive", "cqnext_provenance", "cqnext_tropical",
-    "delta_min", "delta_sum", "elem_volume", "elem_weighted", "enumerate_answers",
-    "extended_gyo_decomposition", "format_weight", "fraction_text",
-    "free_connex_subtree", "greedy_combined", "greedy_diversify", "gyo_join_tree",
-    "hamming",
+    "brute_force_diversify", "cqnext_naive", "delta_min", "delta_sum", "elem_volume",
+    "elem_weighted", "enumerate_answers", "extended_gyo_decomposition", "format_weight",
+    "fraction_text", "free_connex_subtree", "greedy_by_objective", "greedy_combined",
+    "greedy_diversify", "gyo_join_tree", "hamming",
     "homomorphisms", "intern", "intern_number", "iter_answers", "load_database",
     "mc_ball_union_volume", "multiattribute_from_volume", "parse_cq", "pos_volume",
     "pos_weighted", "provenance_map", "provenance_volume", "td_from_json",

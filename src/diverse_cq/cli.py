@@ -24,8 +24,8 @@ from .baselines import (ExplicitMatrixDistance, HammingDistance, TreeLeafDistanc
                         weitzman_ultrametric, ultrametric_to_volume)
 from .engine import enumerate_answers, iter_answers, yannakakis_answers
 from .errors import DiverseCQError, InputError
-from .optimize import (BRUTE_FORCE_CAP, brute_force_diversify, greedy_combined,
-                       greedy_diversify)
+from .optimize import (BRUTE_FORCE_CAP, ENGINES, brute_force_diversify,
+                       greedy_by_objective, greedy_combined, greedy_diversify)
 from .query import ConjunctiveQuery, parse_cq, td_from_json
 from .relcore import Database, Fact, Schema, fraction_text, intern, load_database
 from .volume import (EuclideanBallVolume, MULTI_ATTRIBUTE_CAP, MultiAttributeWeights,
@@ -251,6 +251,7 @@ def cmd_diversify(args, argv: list[str]) -> int:
         payload["engine"] = args.engine
         result = phases.run("diversify", lambda: greedy_combined(
             q, db, args.k, volume=vol, engine=args.engine, td=td))
+        payload["engine_used"] = result.engine
         payload["optimal"] = False
     else:
         vol = phases.run("volume", lambda: _build_volume(args, q, db, inputs))
@@ -293,20 +294,6 @@ def _load_distance(args, answers, inputs: dict):
             raise InputError("matrix distances apply to single-column answers only")
         return _MatrixAnswerDistance(matrix)
     raise InputError(f"unknown distance {spec!r}; expected hamming or matrix:<file>")
-
-
-def _greedy_by_objective(items, k, objective):
-    chosen: list = []
-    for _ in range(min(k, len(items))):
-        best_t, best_val = None, None
-        for t in items:
-            if t in chosen:
-                continue
-            val = objective(chosen + [t])
-            if best_val is None or val > best_val:
-                best_t, best_val = t, val
-        chosen.append(best_t)
-    return chosen
 
 
 def _sum_submodularity_witness(answers, dist):
@@ -370,12 +357,13 @@ def cmd_compare(args, argv: list[str]) -> int:
 
     def build_methods():
         methods["volume"] = pick(list(greedy_diversify(answers, k, vol).selected))
-        methods["sum"] = pick(_greedy_by_objective(answers, k, lambda s: delta_sum(s, dist)))
-        methods["min"] = pick(_greedy_by_objective(answers, k, lambda s: delta_min(s, dist)))
-        w_greedy = _greedy_by_objective(
+        methods["sum"] = pick(greedy_by_objective(
+            answers, k, lambda s: delta_sum(s, dist)).selected)
+        methods["min"] = pick(greedy_by_objective(
+            answers, k, lambda s: delta_min(s, dist)).selected)
+        methods["weitzman"] = pick(greedy_by_objective(
             answers, min(k, args.max_weitzman),
-            lambda s: weitzman(s, dist, cap=args.max_weitzman))
-        methods["weitzman"] = pick(w_greedy)
+            lambda s: weitzman(s, dist, cap=args.max_weitzman)).selected)
 
     phases.run("compare", build_methods)
 
@@ -633,7 +621,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("-k", type=int, required=True)
     p.add_argument("--mode", choices=["greedy", "exact", "greedy-combined"],
                    default="greedy")
-    p.add_argument("--engine", choices=["auto", "naive", "tropical", "provenance"],
+    p.add_argument("--engine", choices=ENGINES,
                    default="auto", help="next-answer oracle for greedy-combined")
     p.add_argument("--lazy", action="store_true",
                    help="lazy gain re-evaluation (same selection, fewer evaluations)")

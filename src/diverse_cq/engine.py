@@ -11,8 +11,8 @@ from dataclasses import dataclass
 from typing import Iterator, Mapping
 
 from .errors import InputError, LimitExceededError
-from .query import Atom, ConjunctiveQuery, TreeDecomposition, assign_atoms, \
-    validate_tree_decomposition
+from .query import (Atom, ConjunctiveQuery, TreeDecomposition, assign_atoms,
+                    validate_tree_decomposition, _preorder)
 from .relcore import Database, Fact
 
 PROVENANCE_EXTENSION_LIMIT = 10 ** 7
@@ -154,14 +154,7 @@ def yannakakis_answers(q: ConjunctiveQuery, td: TreeDecomposition, db: Database)
     if violation is not None:
         raise InputError(f"invalid tree decomposition: {violation.kind}: {violation.detail}")
     td = assign_atoms(q, td)
-    kids = td.children()
-    root = td.root_id
-    order: list[int] = []
-    stack = [root]
-    while stack:
-        u = stack.pop()
-        order.append(u)
-        stack.extend(kids[u])
+    order, kids = _preorder(td.parents)
     tables: dict[int, tuple[tuple, list[tuple]]] = {
         ident: _node_rows(q, db, td, ident) for ident in order}
 

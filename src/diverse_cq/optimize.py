@@ -6,6 +6,8 @@ incremental rankers avoid materialization altogether: a max-plus pass
 for positional volumes over full acyclic queries, and a provenance
 weighting for free-connex queries with projections.  Both reduce
 "which answer gains the most" to one dynamic program over a join tree.
+Every greedy selection here runs through one round loop, `_greedy`,
+which asks a step for the next best answer and commits it.
 """
 
 from __future__ import annotations
@@ -21,29 +23,66 @@ from .engine import atom_candidates, enumerate_answers
 from .errors import EngineCompatibilityError, InputError, LimitExceededError
 from .query import (ConjunctiveQuery, TreeDecomposition, assign_atoms,
                     extended_gyo_decomposition, free_connex_subtree, gyo_join_tree,
-                    validate_tree_decomposition, _gyo_reduce)
+                    validate_tree_decomposition, _gyo_reduce, _preorder, _reroot)
 from .relcore import Database, Fact
 from .volume import VolumeAssignment, provenance_volume
 
 BRUTE_FORCE_CAP = 10 ** 7
 POSITIONAL_VOLUMES = ("pos", "pos-w")
+ENGINES = ("auto", "naive", "tropical", "provenance")
 
 
 @dataclass(frozen=True)
 class DiverseResult:
-    """Selected answers in pick order with their marginal gains."""
+    """Selected answers in pick order with their marginal gains.
+
+    `engine` names the next-answer engine that `greedy_combined` ran;
+    it is None for every other selection and when no round ran.
+    """
 
     selected: tuple[Fact, ...]
     gains: tuple
     total: object
+    engine: str | None = None
 
     def __len__(self):
         return len(self.selected)
 
 
-def _make_result(selected: Sequence[Fact], gains: Sequence) -> DiverseResult:
-    total = sum(gains, Fraction(0)) if gains else Fraction(0)
-    return DiverseResult(tuple(selected), tuple(gains), total)
+def _make_result(selected: Sequence[Fact], gains: Sequence,
+                 engine: str | None = None) -> DiverseResult:
+    return DiverseResult(tuple(selected), tuple(gains), sum(gains, Fraction(0)), engine)
+
+
+def _argmax(candidates: Iterable, score: Callable):
+    """(candidate, score) with the highest score, the first candidate
+    winning ties; None when there is no candidate."""
+    best = None
+    for c in candidates:
+        s = score(c)
+        if best is None or s > best[1]:
+            best = (c, s)
+    return best
+
+
+def _greedy(k: int, best: Callable, commit: Callable = lambda answer: None):
+    """The one greedy round loop behind every selection in this module.
+
+    Each round asks the step `best(picks)` for the next (answer, gain),
+    or None when it has nothing left to give, and hands the answer to
+    `commit` so the step can update its state.  Stops after `k` picks.
+    Returns the picks and their gains in pick order.
+    """
+    picks: list = []
+    gains: list = []
+    while len(picks) < k:
+        hit = best(picks)
+        if hit is None:
+            break
+        picks.append(hit[0])
+        gains.append(hit[1])
+        commit(hit[0])
+    return picks, gains
 
 
 def _sequential_gains(chosen: Sequence[Fact], v: VolumeAssignment) -> list:
@@ -84,66 +123,84 @@ def greedy_diversify(answers: Iterable[Fact], k: int, v: VolumeAssignment,
                      lazy: bool = False) -> DiverseResult:
     """Greedy argmax of the marginal gain, smallest answer on ties.
 
-    With `lazy` the stored gains are treated as upper bounds (valid by
-    submodularity) and only re-evaluated when popped; the selection is
-    identical to the plain scan, round for round.
+    Always makes min(k, n) picks, zero gains included.  With `lazy` the
+    stored gains are treated as upper bounds (valid by submodularity) and
+    only re-evaluated when popped; the selection is identical to the plain
+    scan, round for round.  A volume that is not discrete (the Euclidean
+    estimate) runs `greedy_by_objective` on its diversity.
     """
     items = sorted(set(answers))
     m = min(k, len(items))
     if m <= 0:
         return _make_result((), ())
-
     if not v.is_discrete:
-        chosen: list[Fact] = []
-        left = list(items)
-        gains = []
-        have = 0.0
-        for _ in range(m):
-            best_i, best_val = None, None
-            for i, t in enumerate(left):
-                val = v.diversity(chosen + [t])
-                if best_val is None or val > best_val:
-                    best_i, best_val = i, val
-            chosen.append(left.pop(best_i))
-            gains.append(best_val - have)
-            have = best_val
-        return DiverseResult(tuple(chosen), tuple(gains), have)
+        return greedy_by_objective(items, m, v.diversity)
 
+    # Steps work on indices into `items`, so no answer is hashed per candidate.
+    of = v.measure.of
     balls = [v.ball(t) for t in items]
     covered: set = set()
-    chosen = []
-    gains = []
+    remaining = list(range(len(items)))
     if lazy:
-        heap = [(-v.measure.of(balls[i]), i, 0) for i in range(len(items))]
+        heap = [(-of(balls[i]), i, 0) for i in remaining]
         heapq.heapify(heap)
-        while len(chosen) < m and heap:
-            neg, i, stamp = heapq.heappop(heap)
-            if stamp != len(chosen):
-                fresh = v.measure.of(balls[i] - covered)
-                heapq.heappush(heap, (-fresh, i, len(chosen)))
-                continue
-            chosen.append(items[i])
-            gains.append(-neg)
-            covered |= balls[i]
+
+        def best(picks):
+            while heap:
+                neg, i, stamp = heapq.heappop(heap)
+                if stamp == len(picks):
+                    return i, -neg
+                heapq.heappush(heap, (-of(balls[i] - covered), i, len(picks)))
+            return None
     else:
-        remaining = list(range(len(items)))
-        for _ in range(m):
-            best_i, best_gain = None, None
-            for i in remaining:
-                g = v.measure.of(balls[i] - covered)
-                if best_gain is None or g > best_gain:
-                    best_i, best_gain = i, g
-            remaining.remove(best_i)
-            chosen.append(items[best_i])
-            gains.append(best_gain)
-            covered |= balls[best_i]
+        def best(picks):
+            return _argmax(remaining, lambda i: of(balls[i] - covered))
+
+    def commit(i):
+        covered.update(balls[i])
+        remaining.remove(i)
+
+    picks, gains = _greedy(m, best, commit)
     if any(b > a for a, b in zip(gains, gains[1:])):  # pragma: no cover
         raise AssertionError("greedy gains increased; objective is not submodular")
-    return _make_result(chosen, gains)
+    return _make_result([items[i] for i in picks], gains)
+
+
+def greedy_by_objective(answers: Iterable, k: int, objective: Callable) -> DiverseResult:
+    """Greedy on a set function, smallest answer on ties.
+
+    Each round adds the answer maximizing `objective(picks + [answer])`;
+    the argmax is on the objective itself, not on a difference of two
+    evaluations.  `gains` are the differences between consecutive
+    rounds and `total` is the objective of the final selection as
+    evaluated in its round.  Makes min(k, n) picks and assumes no
+    monotonicity, so it serves the Euclidean estimate and the
+    sum/min/Weitzman baselines alike.
+    """
+    remaining = sorted(set(answers))
+    picks, values = _greedy(
+        min(k, len(remaining)),
+        lambda picks: _argmax(remaining, lambda t: objective(picks + [t])),
+        remaining.remove)
+    gains = [now - before for before, now in zip([0] + values, values)]
+    return DiverseResult(tuple(picks), tuple(gains), values[-1] if values else Fraction(0))
 
 
 # ---------------------------------------------------------------------------
 # Next-answer oracles
+
+
+def _naive_best(answers: Sequence[Fact], v: VolumeAssignment, picks: list[Fact]):
+    """The materializing step: argmax of the marginal gain over `answers`.
+
+    Picked answers stay candidates (their marginal is 0), and ties break
+    to the earliest answer.
+    """
+    if v.is_discrete:
+        covered = v.covered(picks)
+        return _argmax(answers, lambda t: v.marginal_given_covered(covered, t))
+    base = v.diversity(picks)
+    return _argmax(answers, lambda t: v.diversity(picks + [t]) - base)
 
 
 def cqnext_naive(q: ConjunctiveQuery, db: Database, selected: Iterable[Fact],
@@ -154,48 +211,12 @@ def cqnext_naive(q: ConjunctiveQuery, db: Database, selected: Iterable[Fact],
     (their marginal is 0); ties break to the smallest value sequence.
     This is the oracle the incremental rankers are checked against.
     """
-    answers = enumerate_answers(q, db).ordered()
-    if not answers:
-        return None
-    sel = list(selected)
-    if v.is_discrete:
-        covered = v.covered(sel)
-        best_t, best_g = None, None
-        for t in answers:
-            g = v.marginal_given_covered(covered, t)
-            if best_g is None or g > best_g:
-                best_t, best_g = t, g
-    else:
-        base = v.diversity(sel)
-        best_t, best_g = None, None
-        for t in answers:
-            g = v.diversity(sel + [t]) - base
-            if best_g is None or g > best_g:
-                best_t, best_g = t, g
-    return best_t, best_g
-
-
-def _reroot_parents(parents: list[int], new_root: int) -> list[int]:
-    adj: dict[int, set[int]] = {i: set() for i in range(len(parents))}
-    for i, p in enumerate(parents):
-        if p >= 0:
-            adj[i].add(p)
-            adj[p].add(i)
-    out = [-1] * len(parents)
-    seen = {new_root}
-    queue = [new_root]
-    while queue:
-        u = queue.pop(0)
-        for w in sorted(adj[u]):
-            if w not in seen:
-                seen.add(w)
-                out[w] = u
-                queue.append(w)
-    return out
+    return _naive_best(enumerate_answers(q, db).ordered(), v, list(selected))
 
 
 def _max_plus_tree(cols: Sequence[tuple], rows: Sequence[Sequence[tuple]],
-                   annot: Sequence[Sequence[Fraction]], parents: Sequence[int]):
+                   annot: Sequence[Sequence[Fraction]],
+                   parents: Sequence[int | None]):
     """Maximize the sum of row annotations over a join-consistent choice.
 
     One row is picked per node; a child row must agree with its parent
@@ -205,22 +226,9 @@ def _max_plus_tree(cols: Sequence[tuple], rows: Sequence[Sequence[tuple]],
     stored optimum is replaced only by a strictly better one.
     """
     n = len(cols)
-    children: dict[int, list[int]] = {i: [] for i in range(n)}
-    roots = []
-    for i, p in enumerate(parents):
-        if p < 0:
-            roots.append(i)
-        else:
-            children[p].append(i)
-    order = []
-    stack = list(roots)
-    while stack:
-        u = stack.pop()
-        order.append(u)
-        stack.extend(children[u])
-
+    order, children = _preorder(parents)
     pos = [{c: j for j, c in enumerate(cs)} for cs in cols]
-    key_cols = [tuple(c for c in cols[i] if parents[i] >= 0 and c in pos[parents[i]])
+    key_cols = [tuple(c for c in cols[i] if parents[i] is not None and c in pos[parents[i]])
                 for i in range(n)]
     table: list[dict] = [{} for _ in range(n)]
     for u in reversed(order):
@@ -246,21 +254,20 @@ def _max_plus_tree(cols: Sequence[tuple], rows: Sequence[Sequence[tuple]],
 
     total = Fraction(0)
     assignment: dict = {}
-    stack = []
-    for r in roots:
-        got = table[r].get(())
-        if got is None:
-            return None
-        total += got[0]
-        stack.append((r, got[1]))
-    while stack:
-        u, idx = stack.pop()
-        row = rows[u][idx]
-        for j, c in enumerate(cols[u]):
-            assignment[c] = row[j]
-        for c in children[u]:
-            key = tuple(row[pos[u][x]] for x in key_cols[c])
-            stack.append((c, table[c][key][1]))
+    picked: list = [None] * n
+    for u in order:
+        p = parents[u]
+        if p is None:
+            got = table[u].get(())
+            if got is None:
+                return None
+            total += got[0]
+        else:
+            prow = rows[p][picked[p]]
+            got = table[u][tuple(prow[pos[p][x]] for x in key_cols[u])]
+        picked[u] = got[1]
+        for c, val in zip(cols[u], rows[u][got[1]]):
+            assignment[c] = val
     return total, assignment
 
 
@@ -286,26 +293,20 @@ class TropicalPlan:
     max-plus pass over the join tree.
     """
 
-    def __init__(self, q: ConjunctiveQuery, db: Database, volume: VolumeAssignment,
-                 td: TreeDecomposition | None = None):
+    def __init__(self, q: ConjunctiveQuery, db: Database, volume: VolumeAssignment):
         if volume.name not in POSITIONAL_VOLUMES:
             raise EngineCompatibilityError(
                 f"value ranking supports positional volumes only, not {volume.name!r}")
         if not q.is_full:
             raise EngineCompatibilityError(
                 "value ranking needs a full query (every body variable in the head)")
-        if td is not None:
-            violation = validate_tree_decomposition(q, td)
-            if violation is not None:
-                raise InputError(
-                    f"invalid tree decomposition: {violation.kind}: {violation.detail}")
         tree = gyo_join_tree(q)
         if tree is None:
             raise EngineCompatibilityError("value ranking needs an acyclic query")
         self.q = q
         self.volume = volume
         self._weight = _weight_lookup(volume)
-        self._parents = [n.parent if n.parent is not None else -1 for n in tree.nodes]
+        self._parents = [n.parent for n in tree.nodes]
         self._cols = [tuple(sorted(a.vars)) for a in q.atoms]
         self._facts = [_atom_rows(db, a) for a in q.atoms]
         self._rows = []
@@ -347,11 +348,6 @@ class TropicalPlan:
         if check != total:  # pragma: no cover - per-position charging is exact
             raise AssertionError(f"ranked marginal {total} but the volume says {check}")
         return answer, total
-
-
-def cqnext_tropical(q: ConjunctiveQuery, db: Database, selected: Iterable[Fact],
-                    volume: VolumeAssignment, td: TreeDecomposition | None = None):
-    return TropicalPlan(q, db, volume, td).next(selected)
 
 
 class _PlanSnag(Exception):
@@ -456,18 +452,8 @@ class ProvenancePlan:
         root = next((j for j, a in enumerate(atoms) if set(out) <= set(a.vars)), None)
         if root is None:
             raise _PlanSnag("no component atom covers the head interface")
-        parents = _reroot_parents(parents, root)
-        children: dict[int, list[int]] = {j: [] for j in range(len(atoms))}
-        for j, p in enumerate(parents):
-            if p >= 0:
-                children[p].append(j)
-        order = [root]
-        stack = [root]
-        while stack:
-            u = stack.pop()
-            for c in children[u]:
-                order.append(c)
-                stack.append(c)
+        parents = _reroot(parents, root)
+        order, children = _preorder(parents)
 
         msg: dict[int, dict] = {}
         for u in reversed(order):
@@ -547,45 +533,8 @@ class ProvenancePlan:
         return frozenset(region)
 
 
-def cqnext_provenance(q: ConjunctiveQuery, db: Database, selected: Iterable[Fact],
-                      td: TreeDecomposition | None = None,
-                      weight_of: Callable | None = None):
-    plan = ProvenancePlan(q, db, td=td, weight_of=weight_of)
-    return plan.next(plan.covered_by(selected))
-
-
 # ---------------------------------------------------------------------------
 # End-to-end greedy
-
-
-def _greedy_over_materialized(q, db, k, volume):
-    answers = enumerate_answers(q, db).ordered()
-    selected: list[Fact] = []
-    gains = []
-    covered = volume.covered(()) if volume.is_discrete else None
-    for _ in range(k):
-        if not answers:
-            break
-        if volume.is_discrete:
-            best_t, best_g = None, None
-            for t in answers:
-                g = volume.marginal_given_covered(covered, t)
-                if best_g is None or g > best_g:
-                    best_t, best_g = t, g
-        else:
-            base = volume.diversity(selected)
-            best_t, best_g = None, None
-            for t in answers:
-                g = volume.diversity(selected + [t]) - base
-                if best_g is None or g > best_g:
-                    best_t, best_g = t, g
-        if best_t in selected:
-            break
-        selected.append(best_t)
-        gains.append(best_g)
-        if volume.is_discrete:
-            covered = covered | volume.ball(best_t)
-    return _make_result(selected, gains)
 
 
 def greedy_combined(q: ConjunctiveQuery, db: Database, k: int,
@@ -596,40 +545,43 @@ def greedy_combined(q: ConjunctiveQuery, db: Database, k: int,
     `engine` picks the oracle: "naive" materializes the answers,
     "tropical" ranks positional volumes incrementally, "provenance"
     ranks the witness-fact volume incrementally, and "auto" tries the
-    matching incremental ranker before falling back to naive.  Rounds
-    stop early once the oracle hands back an already selected answer,
-    which happens exactly when no answer adds volume.
+    matching incremental ranker before falling back to naive.  A given
+    `td` is validated for every engine; only the provenance ranker
+    plans over it.  Rounds stop at the first round whose best gain is 0,
+    which is exactly when no answer adds volume.  The result's `engine`
+    names the engine that ran.
     """
+    if engine not in ENGINES:
+        raise InputError(f"unknown engine {engine!r}")
+    if td is not None:
+        violation = validate_tree_decomposition(q, td)
+        if violation is not None:
+            raise InputError(
+                f"invalid tree decomposition: {violation.kind}: {violation.detail}")
     if k <= 0:
         return _make_result((), ())
-    if engine not in ("auto", "naive", "tropical", "provenance"):
-        raise InputError(f"unknown engine {engine!r}")
+
+    def run(name: str, best: Callable, commit: Callable = lambda answer: None):
+        def gainful(picks):
+            hit = best(picks)
+            return hit if hit is not None and hit[1] > 0 else None
+        return _make_result(*_greedy(k, gainful, commit), engine=name)
 
     if engine in ("auto", "provenance") and (volume is None or volume.name == "provenance"):
-        weight = None
-        if volume is not None:
-            weight = _weight_lookup(volume)
+        weight = None if volume is None else _weight_lookup(volume)
         try:
             plan = ProvenancePlan(q, db, td=td, weight_of=weight)
         except EngineCompatibilityError:
             if engine == "provenance":
                 raise
-            plan = None
-        if plan is not None:
-            selected: list[Fact] = []
-            gains = []
+        else:
             covered: frozenset = frozenset()
-            for _ in range(k):
-                hit = plan.next(covered)
-                if hit is None:
-                    break
-                t, g = hit
-                if t in selected:
-                    break
-                selected.append(t)
-                gains.append(g)
-                covered = covered | plan.provenance_of(t)
-            return _make_result(selected, gains)
+
+            def absorb(answer):
+                nonlocal covered
+                covered = covered | plan.provenance_of(answer)
+
+            return run("provenance", lambda picks: plan.next(covered), absorb)
     if engine == "provenance":
         raise EngineCompatibilityError(
             "the provenance engine ranks the witness-fact volume; "
@@ -638,24 +590,12 @@ def greedy_combined(q: ConjunctiveQuery, db: Database, k: int,
     if engine in ("auto", "tropical") and volume is not None \
             and volume.name in POSITIONAL_VOLUMES:
         try:
-            plan = TropicalPlan(q, db, volume, td=td)
+            ranker = TropicalPlan(q, db, volume)
         except EngineCompatibilityError:
             if engine == "tropical":
                 raise
-            plan = None
-        if plan is not None:
-            selected = []
-            gains = []
-            for _ in range(k):
-                hit = plan.next(selected)
-                if hit is None:
-                    break
-                t, g = hit
-                if t in selected:
-                    break
-                selected.append(t)
-                gains.append(g)
-            return _make_result(selected, gains)
+        else:
+            return run("tropical", ranker.next)
     if engine == "tropical":
         name = "none" if volume is None else repr(volume.name)
         raise EngineCompatibilityError(
@@ -663,4 +603,5 @@ def greedy_combined(q: ConjunctiveQuery, db: Database, k: int,
 
     if volume is None:
         volume = provenance_volume(q, db)
-    return _greedy_over_materialized(q, db, k, volume)
+    answers = enumerate_answers(q, db).ordered()
+    return run("naive", lambda picks: _naive_best(answers, volume, picks))

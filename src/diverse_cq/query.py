@@ -218,6 +218,38 @@ def parse_cq(text: str, schema=None) -> ConjunctiveQuery:
 # Tree decompositions
 
 
+def _preorder(parents: Sequence[int | None]) -> tuple[list[int], list[list[int]]]:
+    """Walk a forest given by parent indices (None at a root).
+
+    Returns the nodes in preorder, roots and siblings in index order,
+    and each node's children in index order.  A node on a cycle is
+    never reached, so a short order also reveals cycles.
+    """
+    children: list[list[int]] = [[] for _ in parents]
+    roots = []
+    for i, p in enumerate(parents):
+        (roots if p is None else children[p]).append(i)
+    order = []
+    stack = roots[::-1]
+    while stack:
+        u = stack.pop()
+        order.append(u)
+        stack.extend(reversed(children[u]))
+    return order, children
+
+
+def _reroot(parents: Sequence[int | None], new_root: int) -> list[int | None]:
+    """Parent indices of the same tree with its edges oriented away from
+    `new_root`: only the edges on the path up to the old root turn."""
+    out = list(parents)
+    below, u = None, new_root
+    while u is not None:
+        up = parents[u]
+        out[u] = below
+        below, u = u, up
+    return out
+
+
 @dataclass(frozen=True)
 class TDNode:
     ident: int
@@ -245,28 +277,17 @@ class TreeDecomposition:
         if len(roots) != 1:
             raise InputError(f"expected exactly one root, found {len(roots)}")
         # Reachability from the root doubles as a cycle check.
-        seen = set()
-        stack = [roots[0]]
-        kids = self.children()
-        while stack:
-            u = stack.pop()
-            seen.add(u)
-            stack.extend(kids[u])
-        if len(seen) != len(self.nodes):
+        if len(_preorder(self.parents)[0]) != len(self.nodes):
             raise InputError("tree decomposition edges contain a cycle or disconnect")
 
     @property
     def root_id(self) -> int:
         return next(n.ident for n in self.nodes if n.parent is None)
 
-    def children(self) -> dict[int, list[int]]:
-        kids: dict[int, list[int]] = {n.ident: [] for n in self.nodes}
-        for n in self.nodes:
-            if n.parent is not None:
-                kids[n.parent].append(n.ident)
-        for lst in kids.values():
-            lst.sort()
-        return kids
+    @property
+    def parents(self) -> list[int | None]:
+        """Parent index of every node, None at the root."""
+        return [n.parent for n in self.nodes]
 
     def key(self, ident: int) -> frozenset:
         """Bag intersection with the parent bag (empty at the root)."""
@@ -275,43 +296,11 @@ class TreeDecomposition:
             return frozenset()
         return node.bag & self.nodes[node.parent].bag
 
-    def subtree_ids(self, ident: int) -> list[int]:
-        kids = self.children()
-        out = []
-        stack = [ident]
-        while stack:
-            u = stack.pop()
-            out.append(u)
-            stack.extend(kids[u])
-        return sorted(out)
-
-    def subtree_vars(self, ident: int) -> frozenset:
-        vs: set = set()
-        for u in self.subtree_ids(ident):
-            vs |= self.nodes[u].bag
-        return frozenset(vs)
-
     def rerooted(self, new_root: int) -> "TreeDecomposition":
         """Same tree with parent pointers oriented away from `new_root`."""
-        adj: dict[int, set[int]] = {n.ident: set() for n in self.nodes}
-        for n in self.nodes:
-            if n.parent is not None:
-                adj[n.ident].add(n.parent)
-                adj[n.parent].add(n.ident)
-        parent: dict[int, int | None] = {new_root: None}
-        order = [new_root]
-        seen = {new_root}
-        queue = [new_root]
-        while queue:
-            u = queue.pop(0)
-            for v in sorted(adj[u]):
-                if v not in seen:
-                    seen.add(v)
-                    parent[v] = u
-                    queue.append(v)
-                    order.append(v)
+        parents = _reroot(self.parents, new_root)
         nodes = tuple(
-            TDNode(n.ident, n.bag, parent[n.ident], n.atoms) for n in self.nodes)
+            TDNode(n.ident, n.bag, parents[n.ident], n.atoms) for n in self.nodes)
         return TreeDecomposition(nodes, self.width)
 
 
@@ -335,25 +324,17 @@ def validate_tree_decomposition(q: ConjunctiveQuery, td: TreeDecomposition) -> T
         need = frozenset(atom.vars)
         if not any(need <= n.bag for n in td.nodes):
             return TDViolation("coverage", f"atom {i} ({atom.text()}) is covered by no bag")
-    adj: dict[int, set[int]] = {n.ident: set() for n in td.nodes}
-    for n in td.nodes:
-        if n.parent is not None:
-            adj[n.ident].add(n.parent)
-            adj[n.parent].add(n.ident)
+    # Bags holding v are connected exactly when they share one topmost bag.
+    order, _ = _preorder(td.parents)
     for v in sorted(qvars):
-        holders = {n.ident for n in td.nodes if v in n.bag}
-        if not holders:
+        top: dict[int, int] = {}
+        for u in order:
+            if v in td.nodes[u].bag:
+                top[u] = top.get(td.nodes[u].parent, u)
+        if not top:
             continue
-        start = min(holders)
-        seen = {start}
-        stack = [start]
-        while stack:
-            u = stack.pop()
-            for w in adj[u]:
-                if w in holders and w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        missing = holders - seen
+        start = min(top)
+        missing = [u for u in top if top[u] != top[start]]
         if missing:
             return TDViolation(
                 "connectedness",
@@ -362,7 +343,7 @@ def validate_tree_decomposition(q: ConjunctiveQuery, td: TreeDecomposition) -> T
     return None
 
 
-def _gyo_reduce(edges: Sequence[frozenset]) -> list[int] | None:
+def _gyo_reduce(edges: Sequence[frozenset]) -> list[int | None] | None:
     """GYO ear removal over hyperedges; returns parent indices or None.
 
     An edge is an ear when all vertices shared with other remaining
@@ -371,7 +352,7 @@ def _gyo_reduce(edges: Sequence[frozenset]) -> list[int] | None:
     lowest-index witness is removed first.
     """
     n = len(edges)
-    parent = [-1] * n
+    parent: list[int | None] = [None] * n
     active = set(range(n))
     while len(active) > 1:
         removed = None
@@ -398,8 +379,7 @@ def gyo_join_tree(q: ConjunctiveQuery) -> TreeDecomposition | None:
     if parent is None:
         return None
     nodes = tuple(
-        TDNode(i, edges[i], parent[i] if parent[i] >= 0 else None, (i,))
-        for i in range(len(edges)))
+        TDNode(i, edges[i], parent[i], (i,)) for i in range(len(edges)))
     return TreeDecomposition(nodes, Fraction(1))
 
 
@@ -412,50 +392,23 @@ class FreeConnexDecomposition:
 
     def hanging_components(self) -> list[list[int]]:
         """Connected groups of non-connex nodes, each hanging off the connex part."""
-        outside = [n.ident for n in self.td.nodes if n.ident not in self.connex]
-        adj: dict[int, set[int]] = {i: set() for i in outside}
-        for n in self.td.nodes:
-            if n.ident in self.connex or n.parent is None:
-                continue
-            if n.parent not in self.connex:
-                adj[n.ident].add(n.parent)
-                adj[n.parent].add(n.ident)
-        comps = []
-        seen: set[int] = set()
-        for start in sorted(outside):
-            if start in seen:
-                continue
-            comp = [start]
-            seen.add(start)
-            stack = [start]
-            while stack:
-                u = stack.pop()
-                for w in adj[u]:
-                    if w not in seen:
-                        seen.add(w)
-                        comp.append(w)
-                        stack.append(w)
-            comps.append(sorted(comp))
-        return comps
+        comps: dict[int, list[int]] = {}
+        top: dict[int, int] = {}
+        for u in _preorder(self.td.parents)[0]:
+            if u not in self.connex:
+                top[u] = top.get(self.td.nodes[u].parent, u)
+                comps.setdefault(top[u], []).append(u)
+        return sorted(sorted(c) for c in comps.values())
 
 
 def _connex_from_root(td: TreeDecomposition, headset: frozenset) -> frozenset | None:
     """Maximal root-containing subtree with bags inside the head set."""
-    root = td.root_id
-    if not td.nodes[root].bag <= headset:
-        return None
-    kids = td.children()
-    ids = {root}
-    stack = [root]
-    union = set(td.nodes[root].bag)
-    while stack:
-        u = stack.pop()
-        for c in kids[u]:
-            if td.nodes[c].bag <= headset:
-                ids.add(c)
-                union |= td.nodes[c].bag
-                stack.append(c)
-    if frozenset(union) == headset:
+    ids: set[int] = set()
+    for u in _preorder(td.parents)[0]:
+        node = td.nodes[u]
+        if node.bag <= headset and (node.parent is None or node.parent in ids):
+            ids.add(u)
+    if td.root_id in ids and frozenset().union(*(td.nodes[u].bag for u in ids)) == headset:
         return frozenset(ids)
     return None
 
@@ -500,9 +453,7 @@ def extended_gyo_decomposition(q: ConjunctiveQuery) -> FreeConnexDecomposition |
         return None
     m = len(q.atoms)
     nodes = tuple(
-        TDNode(i, edges[i], parent[i] if parent[i] >= 0 else None,
-               (i,) if i < m else ())
-        for i in range(len(edges)))
+        TDNode(i, edges[i], parent[i], (i,) if i < m else ()) for i in range(len(edges)))
     td3 = TreeDecomposition(nodes, Fraction(1)).rerooted(m)
     ids = _connex_from_root(td3, headset)
     if ids is None:  # pragma: no cover - root bag equals the head set

@@ -159,6 +159,24 @@ def test_diversify_combined_auto(capsys, work):
     assert doc["payload"]["selected"][0] == ["a", "a"]
 
 
+def test_diversify_combined_reports_engine_used(capsys, work):
+    base = ["diversify", "--data", str(work / "d1"), "--query", IDENT, "-k", "2",
+            "--mode", "greedy-combined"]
+    for volume, used in ((None, "provenance"), ("pos", "tropical"), ("elem", "naive")):
+        doc = report(capsys, base + (["--volume", volume] if volume else []))
+        assert doc["payload"]["engine"] == "auto"
+        assert doc["payload"]["engine_used"] == used
+
+
+def test_diversify_combined_bad_td_exit_2(capsys, work, tmp_path):
+    bad = tmp_path / "td.json"
+    bad.write_text(json.dumps({"nodes": [{"id": 0, "bag": ["x"], "parent": None}]}))
+    code, _, err = run(capsys, ["diversify", "--data", str(work / "d1"), "--query", IDENT,
+                                "-k", "2", "--mode", "greedy-combined", "--td", str(bad)])
+    assert code == 2
+    assert "invalid tree decomposition" in err
+
+
 def test_diversify_bad_flags_exit_2(capsys, work):
     base = ["diversify", "--data", str(work / "d1"), "--query", IDENT, "-k", "1"]
     assert run(capsys, base + ["--volume", "warp"])[0] == 2

@@ -2,12 +2,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diverse_cq import (EngineCompatibilityError, EuclideanBallVolume, InputError,
                         LimitExceededError, ProvenancePlan, TropicalPlan,
                         VolumeAssignment, WeightedMeasure, brute_force_diversify,
-                        cqnext_naive, cqnext_provenance, cqnext_tropical, elem_volume,
-                        enumerate_answers, greedy_combined, greedy_diversify,
+                        cqnext_naive, elem_volume, elem_weighted, enumerate_answers,
+                        greedy_by_objective, greedy_combined, greedy_diversify,
                         gyo_join_tree, intern, parse_cq, pos_volume, pos_weighted,
                         provenance_map, provenance_volume, td_from_json)
 
@@ -63,6 +65,36 @@ def test_lazy_greedy_is_bit_identical():
         assert plain.gains == lazy.gains
 
 
+@st.composite
+def fact_sets_and_volumes(draw):
+    arity = draw(st.integers(1, 3))
+    rows = draw(st.lists(st.tuples(*[st.sampled_from("abcd")] * arity), max_size=12))
+    facts = [mk("T", *row) for row in rows]
+    weights = st.fractions(min_value=0, max_value=5, max_denominator=3)
+    kind = draw(st.sampled_from(["elem", "pos", "elem-w", "pos-w"]))
+    if kind == "elem":
+        v = elem_volume()
+    elif kind == "pos":
+        v = pos_volume()
+    elif kind == "elem-w":
+        v = elem_weighted(draw(st.dictionaries(
+            st.sampled_from("abcd").map(intern), weights)), draw(weights))
+    else:
+        v = pos_weighted(draw(st.dictionaries(
+            st.tuples(st.sampled_from("abcd").map(intern), st.integers(1, 3)), weights)),
+            draw(weights))
+    return facts, v, draw(st.integers(0, 6))
+
+
+@settings(max_examples=200, deadline=None)
+@given(fact_sets_and_volumes())
+def test_set_function_greedy_matches_volume_greedy(case):
+    facts, v, k = case
+    by_diversity = greedy_by_objective(facts, k, v.diversity)
+    assert by_diversity == greedy_diversify(facts, k, v)
+    assert by_diversity == greedy_diversify(facts, k, v, lazy=True)
+
+
 def test_greedy_on_continuous_volume():
     v = EuclideanBallVolume(0.5)
     pts = [mk("P", "0.0"), mk("P", "0.1"), mk("P", "5.0")]
@@ -87,6 +119,62 @@ def test_naive_tie_break_prefers_small_values(d2):
     ans, gain = cqnext_naive(q, d2, [], pos_volume())
     assert tuple(v.text() for v in ans.values) == ("a", "a")
     assert gain == 2
+
+
+class _MeasureStandIn:
+    """Exposes only `kind` and `of`, as the benchmark's counting measure does."""
+
+    def __init__(self, inner):
+        self.kind = inner.kind
+        self.inner = inner
+        self.calls = 0
+
+    def of(self, region):
+        self.calls += 1
+        return self.inner.of(region)
+
+
+class _EuclidStandIn:
+    """Exposes only `is_discrete`, `name` and `diversity`."""
+
+    is_discrete = False
+
+    def __init__(self, inner):
+        self.name = inner.name
+        self.inner = inner
+
+    def diversity(self, s):
+        return self.inner.diversity(s)
+
+
+def test_benchmark_stand_ins_and_plan_api(d1, d3):
+    facts = random_fact_set(random.Random(8), 9)
+    k = 4
+    base = provenance_volume(parse_cq("Q(x,y) <- R(x,y)."), d1)
+    for v, answers in ((pos_volume(), facts), (base, sorted(base.universe))):
+        calls = {}
+        for lazy in (False, True):
+            counting = _MeasureStandIn(v.measure)
+            stand_in = VolumeAssignment(v.name, v.ball_fn, counting, universe=v.universe)
+            res = greedy_diversify(answers, k, stand_in, lazy=lazy)
+            assert res == greedy_diversify(answers, k, v, lazy=lazy)
+            calls[lazy] = counting.calls
+        n, m = len(answers), min(k, len(answers))
+        assert calls[False] == sum(n - r for r in range(m))  # one `of` per candidate
+        assert calls[True] <= calls[False]
+
+    points = [mk("P", "0", "0"), mk("P", "1", "0"), mk("P", "4", "1"), mk("P", "2", "3")]
+    ball = EuclideanBallVolume(1.0, samples=2000)
+    res = greedy_diversify(points, 3, _EuclidStandIn(ball))
+    assert res == greedy_diversify(points, 3, ball)
+    assert res.total == ball.diversity(res.selected)
+
+    q = parse_cq("Q(x,y) <- R(x,y).")
+    ans, gain = TropicalPlan(q, d1, pos_volume()).next([])
+    assert gain == 2
+    plan = ProvenancePlan(parse_cq("Q(x) <- R(x,y)."), d3)
+    ans, gain = plan.next(frozenset())
+    assert gain == 2 and plan.covered_by([ans]) == plan.provenance_of(ans)
 
 
 # Tropical ranking ------------------------------------------------------------
@@ -137,7 +225,7 @@ def test_tropical_matches_naive_round_by_round():
 
 def test_tropical_wrapper(d2):
     q = parse_cq("Q(x,y) <- R(x,y).")
-    got = cqnext_tropical(q, d2, [], pos_volume())
+    got = TropicalPlan(q, d2, pos_volume()).next([])
     assert got is not None and got[1] == 2
 
 
@@ -206,7 +294,8 @@ def test_provenance_plan_accepts_wide_user_decomposition():
 def test_provenance_wrapper_weighting(d3):
     q = parse_cq("Q(x) <- R(x,y).")
     heavy = {mk("R", "a", "b"): Fraction(10)}
-    got = cqnext_provenance(q, d3, [], weight_of=lambda f: heavy.get(f, Fraction(1)))
+    plan = ProvenancePlan(q, d3, weight_of=lambda f: heavy.get(f, Fraction(1)))
+    got = plan.next(frozenset())
     ans, gain = got
     assert ans == mk("Q", "a")
     assert gain == 11  # both facts support the single answer
@@ -235,6 +324,24 @@ def test_combined_explicit_engine_mismatches_raise(d1, q1):
         greedy_combined(q1, d1, 2, engine="provenance")  # self-join
     with pytest.raises(InputError):
         greedy_combined(q1, d1, 2, engine="warp")
+
+
+def test_combined_stops_at_first_zero_gain(d1):
+    q = parse_cq("Q(x,y) <- R(x,y).")
+    for engine in ("naive", "auto"):
+        res = greedy_combined(q, d1, 3, volume=elem_volume(), engine=engine)
+        assert res.selected == (mk("Q", "a", "b"),)
+        assert res.gains == (2,)
+        assert res.engine == "naive"
+
+
+def test_combined_rejects_invalid_td_for_every_engine(d1):
+    q = parse_cq("Q(x,y) <- R(x,y).")
+    bad = td_from_json({"nodes": [{"id": 0, "bag": ["x"], "parent": None}]})
+    for engine, v in (("naive", elem_volume()), ("auto", elem_volume()),
+                      ("tropical", pos_volume()), ("provenance", None)):
+        with pytest.raises(InputError, match="invalid tree decomposition"):
+            greedy_combined(q, d1, 2, volume=v, engine=engine, td=bad)
 
 
 def test_combined_k_zero(d1, q1):
