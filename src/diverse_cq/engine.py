@@ -1,18 +1,28 @@
-"""Query evaluation: naive backtracking join, Yannakakis, provenance.
+"""Query evaluation: the acyclic enumerator, backtracking, provenance.
 
-The naive engine is the semantics oracle everything else is checked
-against.  It orders atoms by ascending relation size, probes column
-indexes for bound variables, and deduplicates head projections.
+Acyclic queries are evaluated over a width-1 tree decomposition, the
+GYO join tree unless `yannakakis_answers` is given one.  A bottom-up
+semijoin pass keeps the rows of every node that extend into its
+subtrees; one preorder walk from the root then probes a hash index on
+each node's parent key.  Rooted at the connex subtree of a free-connex
+head, the walk is linear in input plus output.
+
+Cyclic bodies fall back to the backtracking join, which is also the
+semantics oracle every other path is tested against.  It orders atoms
+by ascending relation size, probes column indexes for bound variables,
+and deduplicates head projections.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Mapping
+from operator import itemgetter
+from typing import Callable, Iterator, Mapping
 
 from .errors import InputError, LimitExceededError
 from .query import (Atom, ConjunctiveQuery, TreeDecomposition, assign_atoms,
-                    validate_tree_decomposition, _preorder)
+                    gyo_join_tree, validate_tree_decomposition, _connex_rooting,
+                    _preorder)
 from .relcore import Database, Fact
 
 PROVENANCE_EXTENSION_LIMIT = 10 ** 7
@@ -40,12 +50,8 @@ def atom_candidates(db: Database, atom: Atom, bindings: Mapping) -> Iterator[Fac
     Applies the atom's column-equality filters (from repeated variables)
     and probes the index on the first bound position when one exists.
     """
-    probe = None
-    for p, v in enumerate(atom.vars):
-        if v in bindings:
-            probe = (p, bindings[v])
-            break
-    pool = (db.lookup(atom.relation, probe[0], probe[1]) if probe
+    bound = [(p, bindings[v]) for p, v in enumerate(atom.vars) if v in bindings]
+    pool = (db.lookup(atom.relation, *bound[0]) if bound
             else db.relation(atom.relation))
     for f in pool:
         ok = True
@@ -55,9 +61,8 @@ def atom_candidates(db: Database, atom: Atom, bindings: Mapping) -> Iterator[Fac
                 break
         if not ok:
             continue
-        for p, v in enumerate(atom.vars):
-            bound = bindings.get(v)
-            if bound is not None and bound != f.values[p]:
+        for p, val in bound:
+            if val != f.values[p]:
                 ok = False
                 break
         if ok:
@@ -107,7 +112,15 @@ def homomorphisms(q: ConjunctiveQuery, db: Database, initial: Mapping | None = N
 
 
 def iter_answers(q: ConjunctiveQuery, db: Database) -> Iterator[Fact]:
-    """Distinct answers in discovery order (no global materialization)."""
+    """Distinct answers in discovery order (no global materialization).
+
+    Acyclic bodies run the semijoin-reduced walk over their GYO join
+    tree; cyclic bodies fall back to the backtracking join.
+    """
+    tree = gyo_join_tree(q)
+    if tree is not None:
+        yield from _tree_answers(q, tree, db)
+        return
     seen = set()
     for bindings, _ in homomorphisms(q, db):
         ans = Fact(q.head_name, tuple(bindings[v] for v in q.head_vars))
@@ -117,96 +130,138 @@ def iter_answers(q: ConjunctiveQuery, db: Database) -> Iterator[Fact]:
 
 
 def enumerate_answers(q: ConjunctiveQuery, db: Database) -> AnswerSet:
-    """Full answer set under set semantics via backtracking join."""
+    """Full answer set under set semantics."""
     return AnswerSet(q, frozenset(iter_answers(q, db)))
+
+
+def yannakakis_answers(q: ConjunctiveQuery, td: TreeDecomposition, db: Database) -> AnswerSet:
+    """Evaluate an acyclic query over a given width-1 decomposition.
+
+    Runs the same walk as `enumerate_answers`, over `td` instead of the
+    GYO join tree; every bag must lie inside some atom.
+    """
+    violation = validate_tree_decomposition(q, td)
+    if violation is not None:
+        raise InputError(f"invalid tree decomposition: {violation.kind}: {violation.detail}")
+    return AnswerSet(q, frozenset(_tree_answers(q, td, db)))
 
 
 def _node_rows(q: ConjunctiveQuery, db: Database, td: TreeDecomposition,
                ident: int) -> tuple[tuple, list[tuple]]:
-    """Materialize one bag as (sorted bag vars, rows of value tuples)."""
+    """One bag as (bag vars, distinct rows in relation order).
+
+    The rows are a covering atom's facts projected onto the bag, kept
+    when every other atom assigned to the node holds on them.  The bag
+    vars follow the covering atom's order, so a bag equal to the atom
+    takes the facts' value tuples as they are.
+    """
     node = td.nodes[ident]
-    bag = tuple(sorted(node.bag))
     cover = next((a for a in q.atoms if node.bag <= frozenset(a.vars)), None)
     if cover is None:
         raise InputError(
             f"node {ident}: bag is inside no atom; width-1 evaluation requires that")
-    pos = {v: p for p, v in enumerate(cover.vars)}
-    rows = {tuple(f.values[pos[v]] for v in bag)
-            for f in atom_candidates(db, cover, {})}
+    bag = tuple(v for v in cover.vars if v in node.bag)
+    facts = atom_candidates(db, cover, {})
+    if bag == cover.vars:
+        rows = [f.values for f in facts]
+    else:
+        pos = [cover.vars.index(v) for v in bag]
+        rows = list(dict.fromkeys(tuple(f.values[p] for p in pos) for f in facts))
     for i in node.atoms:
         atom = q.atoms[i]
         if atom is cover:
             continue
         apos = [bag.index(v) for v in atom.vars]
-        allowed = {tuple(f.values) for f in atom_candidates(db, atom, {})}
-        rows = {r for r in rows if tuple(r[p] for p in apos) in allowed}
-    return bag, sorted(rows)
+        allowed = {f.values for f in atom_candidates(db, atom, {})}
+        rows = [r for r in rows if tuple(r[p] for p in apos) in allowed]
+    return bag, rows
 
 
-def yannakakis_answers(q: ConjunctiveQuery, td: TreeDecomposition, db: Database) -> AnswerSet:
-    """Evaluate an acyclic query over a width-1 decomposition.
+def _picker(positions: list[int]) -> Callable:
+    """Row -> its values at `positions`, as a hashable key: a tuple, or
+    the bare value for a single position."""
+    return itemgetter(*positions) if positions else (lambda row: ())
 
-    Classic three phases: bottom-up semijoin reduction, top-down
-    reduction, then an in-order join of the reduced bags projected onto
-    the head.  Matches enumerate_answers on every acyclic input.
+
+def _semijoin(bag: tuple, rows: list[tuple], other_bag: tuple,
+              other_rows: list[tuple]) -> list[tuple]:
+    """The rows that agree with some other row on the shared variables."""
+    shared = [v for v in bag if v in other_bag]
+    mine = _picker([bag.index(v) for v in shared])
+    theirs = _picker([other_bag.index(v) for v in shared])
+    have = set(map(theirs, other_rows))
+    return [r for r in rows if mine(r) in have]
+
+
+def _tree_answers(q: ConjunctiveQuery, td: TreeDecomposition,
+                  db: Database) -> Iterator[Fact]:
+    """Distinct answers of `q` over a valid width-1 decomposition.
+
+    The tree is rooted at a node whose connex subtree covers the head,
+    when one exists.  A bottom-up semijoin pass leaves every node with
+    the rows that extend into all of its subtrees.  The walk then runs
+    in preorder from the root, probing a hash index on each node's
+    parent key, and skips every subtree that binds no new head variable:
+    each row the walk reaches extends into those subtrees, so no
+    top-down pass is needed.  For a free-connex head the walked nodes
+    bind head variables only, each walk is a distinct answer, and the
+    enumeration is linear in input plus output; otherwise answers are
+    deduplicated.
     """
-    violation = validate_tree_decomposition(q, td)
-    if violation is not None:
-        raise InputError(f"invalid tree decomposition: {violation.kind}: {violation.detail}")
     td = assign_atoms(q, td)
-    order, kids = _preorder(td.parents)
-    tables: dict[int, tuple[tuple, list[tuple]]] = {
-        ident: _node_rows(q, db, td, ident) for ident in order}
-
-    def project(vars_from: tuple, rows, vars_to) -> set:
-        idx = [vars_from.index(v) for v in vars_to]
-        return {tuple(r[p] for p in idx) for r in rows}
-
-    # Bottom-up: parents keep rows whose key joins every child.
+    bags, rows = {}, {}
+    for u in _preorder(td.parents)[0]:
+        bags[u], rows[u] = _node_rows(q, db, td, u)
+    headset = frozenset(q.head_vars)
+    fc = _connex_rooting(td, headset)
+    if fc is not None:
+        td = fc.td
+    parents = td.parents
+    order, kids = _preorder(parents)
+    below: dict[int, frozenset] = {}  # head variables bound in u's subtree
     for u in reversed(order):
-        bag_u, rows_u = tables[u]
+        below[u] = headset.intersection(bags[u]).union(*(below[c] for c in kids[u]))
         for c in kids[u]:
-            bag_c, rows_c = tables[c]
-            key = tuple(sorted(td.key(c)))
-            have = project(bag_c, rows_c, key)
-            keep_idx = [bag_u.index(v) for v in key]
-            rows_u = [r for r in rows_u if tuple(r[p] for p in keep_idx) in have]
-        tables[u] = (bag_u, rows_u)
-    # Top-down: children keep rows whose key appears in the parent.
+            rows[u] = _semijoin(bags[u], rows[u], bags[c], rows[c])
+
+    # One step per walked node, in preorder: a hash index from the values
+    # of the variables shared with the parent to the node's rows, and the
+    # slots its fresh variables fill.
+    walked: set = set()
+    slot: dict = {}
+    steps = []
     for u in order:
-        bag_u, rows_u = tables[u]
-        for c in kids[u]:
-            bag_c, rows_c = tables[c]
-            key = tuple(sorted(td.key(c)))
-            have = project(bag_u, rows_u, key)
-            keep_idx = [bag_c.index(v) for v in key]
-            rows_c = [r for r in rows_c if tuple(r[p] for p in keep_idx) in have]
-            tables[c] = (bag_c, rows_c)
+        p = parents[u]
+        shared = set() if p is None else set(bags[p])
+        if p is not None and (p not in walked or not below[u] - shared):
+            continue
+        walked.add(u)
+        bag = bags[u]
+        key = [i for i, v in enumerate(bag) if v in shared]
+        index: dict = {}
+        for r, k in zip(rows[u], map(_picker(key), rows[u])):
+            index.setdefault(k, []).append(r)
+        fresh = [(slot.setdefault(v, len(slot)), i)
+                 for i, v in enumerate(bag) if v not in shared]
+        steps.append((index, _picker([slot[bag[i]] for i in key]), fresh))
+    head = [slot[v] for v in q.head_vars]
+    values: list = [None] * len(slot)
+    seen: set = set()
 
-    answers: set[Fact] = set()
-    head = q.head_vars
-    assignment: dict = {}
-
-    def walk(idx: int):
-        if idx == len(order):
-            answers.add(Fact(q.head_name, tuple(assignment[v] for v in head)))
+    def walk(depth: int):
+        if depth == len(steps):
+            ans = Fact(q.head_name, [values[s] for s in head])
+            if ans not in seen:
+                seen.add(ans)
+                yield ans
             return
-        ident = order[idx]
-        bag, rows = tables[ident]
-        bound = [(p, assignment[v]) for p, v in enumerate(bag) if v in assignment]
-        fresh = [v for v in bag if v not in assignment]
-        for r in rows:
-            if any(r[p] != val for p, val in bound):
-                continue
-            for v in fresh:
-                assignment[v] = r[bag.index(v)]
-            walk(idx + 1)
-        for v in fresh:
-            assignment.pop(v, None)
+        index, probe, fresh = steps[depth]
+        for row in index.get(probe(values), ()):
+            for s, p in fresh:
+                values[s] = row[p]
+            yield from walk(depth + 1)
 
-    # Re-walk in tree order so shared variables are bound before use.
-    walk(0)
-    return AnswerSet(q, frozenset(answers))
+    yield from walk(0)
 
 
 def provenance_map(q: ConjunctiveQuery, db: Database, answers,

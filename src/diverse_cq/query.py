@@ -425,7 +425,13 @@ def free_connex_subtree(q: ConjunctiveQuery, td: TreeDecomposition) -> FreeConne
     violation = validate_tree_decomposition(q, td)
     if violation is not None:
         raise InputError(f"invalid tree decomposition: {violation.kind}: {violation.detail}")
-    headset = frozenset(q.head_vars)
+    fc = _connex_rooting(td, frozenset(q.head_vars))
+    return fc if fc is not None else extended_gyo_decomposition(q)
+
+
+def _connex_rooting(td: TreeDecomposition, headset: frozenset) -> FreeConnexDecomposition | None:
+    """`td` as given, else its first re-rooting, with a connex subtree
+    from the root whose bags union to exactly `headset`; None if none."""
     ids = _connex_from_root(td, headset)
     if ids is not None:
         return FreeConnexDecomposition(td, ids)
@@ -436,7 +442,7 @@ def free_connex_subtree(q: ConjunctiveQuery, td: TreeDecomposition) -> FreeConne
         ids = _connex_from_root(td2, headset)
         if ids is not None:
             return FreeConnexDecomposition(td2, ids)
-    return extended_gyo_decomposition(q)
+    return None
 
 
 def extended_gyo_decomposition(q: ConjunctiveQuery) -> FreeConnexDecomposition | None:

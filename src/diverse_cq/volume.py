@@ -19,7 +19,8 @@ from typing import Callable, Hashable, Iterable, Mapping
 
 import numpy as np
 
-from .errors import InputError, LimitExceededError, UniverseError
+from .errors import (EngineCompatibilityError, InputError, LimitExceededError,
+                     UniverseError)
 from .relcore import Database, Fact, fraction_text
 
 MULTI_ATTRIBUTE_CAP = 16
@@ -129,17 +130,26 @@ def pos_weighted(weights: Mapping, default=Fraction(1)) -> VolumeAssignment:
         measure)
 
 
-def provenance_volume(q, db: Database, limit: int | None = None) -> VolumeAssignment:
+def provenance_volume(q, db: Database) -> VolumeAssignment:
     """Ball of an answer = all database facts appearing in any witness.
 
     Materializes the answer set and its provenance once; the universe is
     exactly the query's answers, and asking for anything else is an error.
+    When the provenance ranker plans the query (self-join-free and
+    free-connex), each ball is read off its witness tables; otherwise
+    every homomorphism is enumerated, up to the extension cap of
+    `provenance_map`.
     """
-    from . import engine  # local import to avoid a cycle
+    from . import engine  # local imports to avoid a cycle
+    from .optimize import ProvenancePlan
 
-    answers = engine.enumerate_answers(q, db)
-    kwargs = {} if limit is None else {"limit": limit}
-    prov = engine.provenance_map(q, db, answers.answers, **kwargs)
+    answers = engine.enumerate_answers(q, db).answers
+    try:
+        plan = ProvenancePlan(q, db)
+    except EngineCompatibilityError:
+        prov = engine.provenance_map(q, db, answers)
+    else:
+        prov = {t: plan.provenance_of(t) for t in answers}
 
     def ball(t: Fact) -> frozenset:
         try:
@@ -147,8 +157,7 @@ def provenance_volume(q, db: Database, limit: int | None = None) -> VolumeAssign
         except KeyError:
             raise UniverseError(f"{t!r} is not an answer of the query") from None
 
-    return VolumeAssignment("provenance", ball, CountMeasure(),
-                            universe=frozenset(answers.answers))
+    return VolumeAssignment("provenance", ball, CountMeasure(), universe=answers)
 
 
 # ---------------------------------------------------------------------------

@@ -90,6 +90,36 @@ def test_eval_reads_query_from_file(capsys, work):
     assert "query" in doc["inputs"]
 
 
+def write_td(path, nodes) -> str:
+    path.write_text(json.dumps({"nodes": [
+        {"id": i, "bag": bag, "parent": parent} for i, (bag, parent) in enumerate(nodes)]}))
+    return str(path)
+
+
+def test_eval_td_gives_the_same_dump_on_a_projected_query(capsys, tmp_path):
+    data = tmp_path / "rs"
+    data.mkdir()
+    (data / "schema.txt").write_text("R/2\nS/2\n")
+    (data / "R.csv").write_text("a,b\na,c\nb,c\nc,c\nd,d\n")
+    (data / "S.csv").write_text("b,a\nc,a\nc,b\n")
+    base = ["eval", "--data", str(data), "--query", "Q(x) <- R(x,y), S(y,z).", "--dump"]
+    plain = report(capsys, base)["payload"]
+    assert plain["answers"] == [["a"], ["b"], ["c"]]
+    for nodes in ([(["y", "z"], None), (["x", "y"], 0)],
+                  [(["x", "y"], None), (["y", "z"], 0)],
+                  [(["x", "y"], None), (["y"], 0), (["y", "z"], 1)]):
+        td = write_td(tmp_path / "td.json", nodes)
+        assert report(capsys, base + ["--td", td])["payload"] == plain
+
+
+def test_eval_td_bag_inside_no_atom_exit_2(capsys, work, tmp_path):
+    td = write_td(tmp_path / "td.json", [(["x", "y", "z"], None)])
+    code, out, err = run(capsys, ["eval", "--data", str(work / "d1"), "--query", Q1,
+                                  "--td", td])
+    assert code == 2 and out == ""
+    assert err == "error: node 0: bag is inside no atom; width-1 evaluation requires that\n"
+
+
 def test_malformed_query_exits_2_with_position(capsys, work):
     code, _, err = run(capsys, ["eval", "--data", str(work / "d1"),
                                 "--query", "Q1(x <- R(x)."])

@@ -1,10 +1,14 @@
+import functools
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from diverse_cq import (InputError, LimitExceededError, enumerate_answers,
-                        gyo_join_tree, homomorphisms, iter_answers, parse_cq,
-                        provenance_map, yannakakis_answers)
+from diverse_cq import engine
+from diverse_cq import (ConjunctiveQuery, Fact, InputError, LimitExceededError, LoadError,
+                        enumerate_answers, gyo_join_tree, homomorphisms, iter_answers,
+                        parse_cq, provenance_map, provenance_volume, yannakakis_answers)
 
 from conftest import db_of, mk, random_database, random_tree_query
 
@@ -43,6 +47,12 @@ def test_homomorphism_limit():
         list(homomorphisms(q, db, limit=5))
 
 
+def oracle_answers(q, db) -> frozenset:
+    """Answers by the backtracking join, the semantics oracle."""
+    return frozenset(Fact(q.head_name, tuple(b[v] for v in q.head_vars))
+                     for b, _ in homomorphisms(q, db))
+
+
 def test_yannakakis_matches_enumeration_on_random_instances():
     rng = random.Random(97)
     for _ in range(60):
@@ -51,7 +61,69 @@ def test_yannakakis_matches_enumeration_on_random_instances():
         td = gyo_join_tree(q)
         base = enumerate_answers(q, db)
         semi = yannakakis_answers(q, td, db)
-        assert base.answers == semi.answers, q.to_text()
+        assert base.answers == semi.answers == oracle_answers(q, db), q.to_text()
+
+
+@st.composite
+def projected_instances(draw):
+    """Random acyclic bodies (self-joins and repeated variables included)
+    with the head projected onto a random list of body variables: empty,
+    free-connex or not, with repeats."""
+    rng = draw(st.randoms(use_true_random=False))
+    full, rels = random_tree_query(rng, max_atoms=4, allow_self_join=True)
+    names = sorted({v.name for a in full.atoms for v in a.source_vars})
+    head = draw(st.lists(st.sampled_from(names), max_size=len(names) + 1))
+    q = ConjunctiveQuery.build(
+        "Q", head, [(a.relation, [v.name for v in a.source_vars]) for a in full.atoms])
+    return q, random_database(rng, rels, density=draw(st.floats(0.3, 0.8)))
+
+
+# The smallest head that is not free-connex: the join variable is projected out.
+NOT_FREE_CONNEX = (parse_cq("Q(x,z) <- R(x,y), S(y,z)."),
+                   db_of({"R": 2, "S": 2},
+                         [mk("R", "a", "b"), mk("R", "a", "c"), mk("R", "b", "c"),
+                          mk("S", "b", "a"), mk("S", "c", "a"), mk("S", "c", "b")]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(projected_instances())
+@example(NOT_FREE_CONNEX)
+def test_enumeration_matches_backtracking_on_projected_heads(case):
+    q, db = case
+    assert enumerate_answers(q, db).answers == oracle_answers(q, db)
+    assert set(iter_answers(q, db)) == oracle_answers(q, db)
+
+
+@settings(max_examples=150, deadline=None)
+@given(projected_instances())
+@example(NOT_FREE_CONNEX)
+def test_yannakakis_agrees_over_every_rerooting(case):
+    q, db = case
+    td = gyo_join_tree(q)
+    expected = oracle_answers(q, db)
+    for node in td.nodes:
+        assert yannakakis_answers(q, td.rerooted(node.ident), db).answers == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(projected_instances())
+@example(NOT_FREE_CONNEX)
+def test_provenance_volume_balls_match_exhaustive_map(case):
+    q, db = case
+    answers = oracle_answers(q, db)
+    v = provenance_volume(q, db)
+    assert v.universe == answers
+    exhaustive = provenance_map(q, db, answers)
+    for t in answers:
+        assert v.ball(t) == exhaustive[t]
+
+
+def test_acyclic_query_over_undeclared_relation_is_a_load_error(d1):
+    q = parse_cq("Q(x) <- R(x,y), S(y,z).")
+    with pytest.raises(LoadError, match="unknown relation 'S'"):
+        enumerate_answers(q, d1)
+    with pytest.raises(LoadError, match="unknown relation 'S'"):
+        provenance_volume(q, d1)
 
 
 def test_yannakakis_rejects_foreign_decomposition(d1, q1):
@@ -80,3 +152,11 @@ def test_provenance_respects_extension_limit(d1, q1):
     ans = enumerate_answers(q1, d1)
     with pytest.raises(LimitExceededError):
         provenance_map(q1, d1, ans.answers, limit=2)
+
+
+def test_provenance_volume_fallback_keeps_the_extension_cap(d1, q1, monkeypatch):
+    # q1 is a self-join, so its balls come from the exhaustive provenance_map.
+    monkeypatch.setattr(engine, "provenance_map",
+                        functools.partial(engine.provenance_map, limit=2))
+    with pytest.raises(LimitExceededError):
+        provenance_volume(q1, d1)
