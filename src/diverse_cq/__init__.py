@@ -14,7 +14,7 @@ from .baselines import (ExplicitMatrixDistance, HammingDistance, TreeLeafDistanc
                         delta_min, delta_sum, hamming, ultrametric_to_volume,
                         ultrametric_tree_from_matrix, weitzman, weitzman_ultrametric)
 from .engine import (AnswerSet, atom_candidates, enumerate_answers, homomorphisms,
-                     iter_answers, provenance_map, yannakakis_answers)
+                     iter_answers, provenance_map)
 from .errors import (DiverseCQError, EngineCompatibilityError, InputError,
                      LimitExceededError, LoadError, QueryParseError, UniverseError)
 from .optimize import (BRUTE_FORCE_CAP, DiverseResult, ProvenancePlan, TropicalPlan,
@@ -53,5 +53,5 @@ __all__ = [
     "pos_weighted", "provenance_map", "provenance_volume", "td_from_json",
     "ultrametric_to_volume", "ultrametric_tree_from_matrix",
     "validate_tree_decomposition", "volume_from_multiattribute", "weitzman",
-    "weitzman_ultrametric", "yannakakis_answers",
+    "weitzman_ultrametric",
 ]

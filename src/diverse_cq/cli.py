@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import random
 import sys
 import time
@@ -22,7 +21,7 @@ from pathlib import Path
 from .baselines import (ExplicitMatrixDistance, HammingDistance, TreeLeafDistance,
                         UltrametricTree, WEITZMAN_CAP, delta_min, delta_sum, weitzman,
                         weitzman_ultrametric, ultrametric_to_volume)
-from .engine import enumerate_answers, iter_answers, yannakakis_answers
+from .engine import enumerate_answers, iter_answers
 from .errors import DiverseCQError, InputError
 from .optimize import (BRUTE_FORCE_CAP, ENGINES, brute_force_diversify,
                        greedy_by_objective, greedy_combined, greedy_diversify)
@@ -35,17 +34,6 @@ from .volume import (EuclideanBallVolume, MULTI_ATTRIBUTE_CAP, MultiAttributeWei
 
 VOLUME_CHOICES = "elem|pos|elem-w|pos-w|provenance|ball:r=<r>"
 CONVERT_CHECK_LIMIT = 10
-
-
-def _threads() -> int:
-    raw = os.environ.get("DIVERSE_CQ_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise InputError(f"DIVERSE_CQ_THREADS must be an integer, got {raw!r}") from None
-    if n < 1:
-        raise InputError(f"DIVERSE_CQ_THREADS must be at least 1, got {n}")
-    return n
 
 
 def _digest(path: Path) -> str:
@@ -82,7 +70,6 @@ def _emit(command: str, argv: list[str], seed: int, inputs: dict, timings: dict,
         "command": command,
         "argv": argv,
         "seed": seed,
-        "threads": _threads(),
         "inputs": inputs,
         "timings": timings,
         "payload": payload,
@@ -123,10 +110,10 @@ def _load_query(args, db: Database | None, inputs: dict) -> ConjunctiveQuery:
 
 
 def _load_td(args, inputs: dict):
-    if not getattr(args, "td", None):
+    if not args.td:
         return None
     path = Path(args.td)
-    td = td_from_json(path, width=getattr(args, "td_width", 1))
+    td = td_from_json(path)
     inputs["td"] = _digest(path)
     return td
 
@@ -212,12 +199,6 @@ def _build_volume(args, q, db, inputs: dict):
     raise InputError(f"unknown volume {spec!r}; expected one of {VOLUME_CHOICES}")
 
 
-def _materialize(q, td, db):
-    if td is not None:
-        return yannakakis_answers(q, td, db)
-    return enumerate_answers(q, db)
-
-
 # ---------------------------------------------------------------------------
 # Commands
 
@@ -227,23 +208,24 @@ def cmd_eval(args, argv: list[str]) -> int:
     phases = _Phases()
     db = phases.run("load", lambda: _load_db(args, inputs))
     q = _load_query(args, db, inputs)
-    td = _load_td(args, inputs)
-    answers = phases.run("evaluate", lambda: _materialize(q, td, db))
-    payload = {"query": q.to_text(), "count": len(answers)}
+    answers = phases.run("evaluate", lambda: enumerate_answers(q, db))
+    payload = {"query": q.to_text(), "count": len(answers), "load": db.load_report}
     if args.dump:
         payload["answers"] = [_fact_values(f) for f in answers.ordered()]
     return _emit("eval", argv, args.seed, inputs, phases.timings, payload)
 
 
 def cmd_diversify(args, argv: list[str]) -> int:
+    if args.td and args.mode != "greedy-combined":
+        raise InputError("--td is read by --mode greedy-combined only")
     inputs: dict = {}
     phases = _Phases()
     db = phases.run("load", lambda: _load_db(args, inputs))
     q = _load_query(args, db, inputs)
-    td = _load_td(args, inputs)
     payload = {"mode": args.mode, "k": args.k}
 
     if args.mode == "greedy-combined":
+        td = _load_td(args, inputs)
         vol = None
         if args.volume and args.volume != "provenance":
             vol = _build_volume(args, q, db, inputs)
@@ -256,7 +238,7 @@ def cmd_diversify(args, argv: list[str]) -> int:
     else:
         vol = phases.run("volume", lambda: _build_volume(args, q, db, inputs))
         payload["volume"] = args.volume
-        answers = phases.run("evaluate", lambda: _materialize(q, td, db))
+        answers = phases.run("evaluate", lambda: enumerate_answers(q, db))
         if args.mode == "exact":
             result = phases.run("diversify", lambda: brute_force_diversify(
                 answers.answers, args.k, vol, max_subsets=args.max_subsets))
@@ -329,9 +311,8 @@ def cmd_compare(args, argv: list[str]) -> int:
     phases = _Phases()
     db = phases.run("load", lambda: _load_db(args, inputs))
     q = _load_query(args, db, inputs)
-    td = _load_td(args, inputs)
     vol = _build_volume(args, q, db, inputs)
-    answers = phases.run("evaluate", lambda: _materialize(q, td, db)).ordered()
+    answers = phases.run("evaluate", lambda: enumerate_answers(q, db)).ordered()
     dist = _load_distance(args, answers, inputs)
     k = args.k
 
@@ -595,14 +576,12 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Diverse answer selection for conjunctive queries.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0,
-                        help="seed for all randomized steps (default 0)")
+    seed = argparse.ArgumentParser(add_help=False)
+    seed.add_argument("--seed", type=int, default=0,
+                      help="seed for all randomized steps (default 0)")
+    common = argparse.ArgumentParser(add_help=False, parents=[seed])
     common.add_argument("--data", help="database directory (schema.txt + <Rel>.csv)")
     common.add_argument("--query", help="query text or a file containing it")
-    common.add_argument("--td", help="tree decomposition JSON file")
-    common.add_argument("--td-width", type=float, default=1,
-                        help="declared width of --td (default 1)")
 
     vol_flags = argparse.ArgumentParser(add_help=False)
     vol_flags.add_argument("--volume", help=f"one of {VOLUME_CHOICES}")
@@ -623,6 +602,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    default="greedy")
     p.add_argument("--engine", choices=ENGINES,
                    default="auto", help="next-answer oracle for greedy-combined")
+    p.add_argument("--td", help="tree decomposition JSON file for greedy-combined")
     p.add_argument("--lazy", action="store_true",
                    help="lazy gain re-evaluation (same selection, fewer evaluations)")
     p.add_argument("--max-subsets", type=int, default=BRUTE_FORCE_CAP,
@@ -645,7 +625,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="turn --volume over the query's answers into a lambda table")
     p.set_defaults(fn=cmd_convert)
 
-    p = sub.add_parser("bench", parents=[common],
+    p = sub.add_parser("bench", parents=[seed],
                        help="time combined greedy vs. materialize-then-greedy")
     p.add_argument("--nodes", type=int, default=25)
     p.add_argument("--edges", type=int, default=300)

@@ -1,11 +1,10 @@
 """Query evaluation: the acyclic enumerator, backtracking, provenance.
 
-Acyclic queries are evaluated over a width-1 tree decomposition, the
-GYO join tree unless `yannakakis_answers` is given one.  A bottom-up
-semijoin pass keeps the rows of every node that extend into its
-subtrees; one preorder walk from the root then probes a hash index on
-each node's parent key.  Rooted at the connex subtree of a free-connex
-head, the walk is linear in input plus output.
+Acyclic queries are evaluated over their GYO join tree, one node per
+atom.  A bottom-up semijoin pass keeps the rows of every node that
+extend into its subtrees; one preorder walk from the root then probes a
+hash index on each node's parent key.  Rooted at the connex subtree of
+a free-connex head, the walk is linear in input plus output.
 
 Cyclic bodies fall back to the backtracking join, which is also the
 semantics oracle every other path is tested against.  It orders atoms
@@ -20,9 +19,8 @@ from operator import itemgetter
 from typing import Callable, Iterator, Mapping
 
 from .errors import InputError, LimitExceededError
-from .query import (Atom, ConjunctiveQuery, TreeDecomposition, assign_atoms,
-                    gyo_join_tree, validate_tree_decomposition, _connex_rooting,
-                    _preorder)
+from .query import (Atom, ConjunctiveQuery, TreeDecomposition, gyo_join_tree,
+                    _connex_rooting, _preorder)
 from .relcore import Database, Fact
 
 PROVENANCE_EXTENSION_LIMIT = 10 ** 7
@@ -134,49 +132,6 @@ def enumerate_answers(q: ConjunctiveQuery, db: Database) -> AnswerSet:
     return AnswerSet(q, frozenset(iter_answers(q, db)))
 
 
-def yannakakis_answers(q: ConjunctiveQuery, td: TreeDecomposition, db: Database) -> AnswerSet:
-    """Evaluate an acyclic query over a given width-1 decomposition.
-
-    Runs the same walk as `enumerate_answers`, over `td` instead of the
-    GYO join tree; every bag must lie inside some atom.
-    """
-    violation = validate_tree_decomposition(q, td)
-    if violation is not None:
-        raise InputError(f"invalid tree decomposition: {violation.kind}: {violation.detail}")
-    return AnswerSet(q, frozenset(_tree_answers(q, td, db)))
-
-
-def _node_rows(q: ConjunctiveQuery, db: Database, td: TreeDecomposition,
-               ident: int) -> tuple[tuple, list[tuple]]:
-    """One bag as (bag vars, distinct rows in relation order).
-
-    The rows are a covering atom's facts projected onto the bag, kept
-    when every other atom assigned to the node holds on them.  The bag
-    vars follow the covering atom's order, so a bag equal to the atom
-    takes the facts' value tuples as they are.
-    """
-    node = td.nodes[ident]
-    cover = next((a for a in q.atoms if node.bag <= frozenset(a.vars)), None)
-    if cover is None:
-        raise InputError(
-            f"node {ident}: bag is inside no atom; width-1 evaluation requires that")
-    bag = tuple(v for v in cover.vars if v in node.bag)
-    facts = atom_candidates(db, cover, {})
-    if bag == cover.vars:
-        rows = [f.values for f in facts]
-    else:
-        pos = [cover.vars.index(v) for v in bag]
-        rows = list(dict.fromkeys(tuple(f.values[p] for p in pos) for f in facts))
-    for i in node.atoms:
-        atom = q.atoms[i]
-        if atom is cover:
-            continue
-        apos = [bag.index(v) for v in atom.vars]
-        allowed = {f.values for f in atom_candidates(db, atom, {})}
-        rows = [r for r in rows if tuple(r[p] for p in apos) in allowed]
-    return bag, rows
-
-
 def _picker(positions: list[int]) -> Callable:
     """Row -> its values at `positions`, as a hashable key: a tuple, or
     the bare value for a single position."""
@@ -195,23 +150,22 @@ def _semijoin(bag: tuple, rows: list[tuple], other_bag: tuple,
 
 def _tree_answers(q: ConjunctiveQuery, td: TreeDecomposition,
                   db: Database) -> Iterator[Fact]:
-    """Distinct answers of `q` over a valid width-1 decomposition.
+    """Distinct answers of `q` over its GYO join tree or a re-rooting of it.
 
-    The tree is rooted at a node whose connex subtree covers the head,
-    when one exists.  A bottom-up semijoin pass leaves every node with
-    the rows that extend into all of its subtrees.  The walk then runs
-    in preorder from the root, probing a hash index on each node's
-    parent key, and skips every subtree that binds no new head variable:
-    each row the walk reaches extends into those subtrees, so no
-    top-down pass is needed.  For a free-connex head the walked nodes
-    bind head variables only, each walk is a distinct answer, and the
-    enumeration is linear in input plus output; otherwise answers are
-    deduplicated.
+    Node `i` holds atom `i`: its bag is the atom's variables and its
+    rows the atom's facts.  The tree is rooted at a node whose connex
+    subtree covers the head, when one exists.  A bottom-up semijoin pass
+    leaves every node with the rows that extend into all of its
+    subtrees.  The walk then runs in preorder from the root, probing a
+    hash index on each node's parent key, and skips every subtree that
+    binds no new head variable: each row the walk reaches extends into
+    those subtrees, so no top-down pass is needed.  For a free-connex
+    head the walked nodes bind head variables only, each walk is a
+    distinct answer, and the enumeration is linear in input plus output;
+    otherwise answers are deduplicated.
     """
-    td = assign_atoms(q, td)
-    bags, rows = {}, {}
-    for u in _preorder(td.parents)[0]:
-        bags[u], rows[u] = _node_rows(q, db, td, u)
+    bags = [a.vars for a in q.atoms]
+    rows = [[f.values for f in atom_candidates(db, a, {})] for a in q.atoms]
     headset = frozenset(q.head_vars)
     fc = _connex_rooting(td, headset)
     if fc is not None:

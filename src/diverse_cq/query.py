@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
-from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -263,7 +262,6 @@ class TreeDecomposition:
     """Rooted decomposition; node ids equal their positions in `nodes`."""
 
     nodes: tuple[TDNode, ...]
-    width: Fraction = Fraction(1)
 
     def __post_init__(self):
         roots = [n.ident for n in self.nodes if n.parent is None]
@@ -289,19 +287,12 @@ class TreeDecomposition:
         """Parent index of every node, None at the root."""
         return [n.parent for n in self.nodes]
 
-    def key(self, ident: int) -> frozenset:
-        """Bag intersection with the parent bag (empty at the root)."""
-        node = self.nodes[ident]
-        if node.parent is None:
-            return frozenset()
-        return node.bag & self.nodes[node.parent].bag
-
     def rerooted(self, new_root: int) -> "TreeDecomposition":
         """Same tree with parent pointers oriented away from `new_root`."""
         parents = _reroot(self.parents, new_root)
         nodes = tuple(
             TDNode(n.ident, n.bag, parents[n.ident], n.atoms) for n in self.nodes)
-        return TreeDecomposition(nodes, self.width)
+        return TreeDecomposition(nodes)
 
 
 @dataclass(frozen=True)
@@ -380,7 +371,7 @@ def gyo_join_tree(q: ConjunctiveQuery) -> TreeDecomposition | None:
         return None
     nodes = tuple(
         TDNode(i, edges[i], parent[i], (i,)) for i in range(len(edges)))
-    return TreeDecomposition(nodes, Fraction(1))
+    return TreeDecomposition(nodes)
 
 
 @dataclass(frozen=True)
@@ -460,7 +451,7 @@ def extended_gyo_decomposition(q: ConjunctiveQuery) -> FreeConnexDecomposition |
     m = len(q.atoms)
     nodes = tuple(
         TDNode(i, edges[i], parent[i], (i,) if i < m else ()) for i in range(len(edges)))
-    td3 = TreeDecomposition(nodes, Fraction(1)).rerooted(m)
+    td3 = TreeDecomposition(nodes).rerooted(m)
     ids = _connex_from_root(td3, headset)
     if ids is None:  # pragma: no cover - root bag equals the head set
         return None
@@ -478,11 +469,19 @@ def assign_atoms(q: ConjunctiveQuery, td: TreeDecomposition) -> TreeDecompositio
         assignment[home].append(i)
     nodes = tuple(
         TDNode(n.ident, n.bag, n.parent, tuple(assignment[n.ident])) for n in td.nodes)
-    return TreeDecomposition(nodes, td.width)
+    return TreeDecomposition(nodes)
 
 
-def td_from_json(data, width: Fraction | int = 1) -> TreeDecomposition:
-    """Build a decomposition from `{"nodes": [{"id", "bag", "parent"}]}`."""
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def td_from_json(data) -> TreeDecomposition:
+    """Build a decomposition from `{"nodes": [{"id", "bag", "parent"}]}`.
+
+    `id` is an integer, `parent` an integer or null (or absent), and
+    `bag` a list of variable names; anything else is a LoadError.
+    """
     if isinstance(data, (str, Path)):
         path = Path(data)
         if not path.is_file():
@@ -491,15 +490,18 @@ def td_from_json(data, width: Fraction | int = 1) -> TreeDecomposition:
             data = json.loads(path.read_text(encoding="utf-8"))
         except json.JSONDecodeError as exc:
             raise LoadError(f"{path}: invalid JSON ({exc})") from exc
-    if not isinstance(data, dict) or "nodes" not in data:
+    if not isinstance(data, dict) or not isinstance(data.get("nodes"), list):
         raise LoadError("tree decomposition JSON must be an object with a 'nodes' list")
-    raw = data["nodes"]
-    try:
-        entries = sorted(raw, key=lambda e: e["id"])
-        nodes = tuple(
-            TDNode(e["id"], frozenset(Variable(v) for v in e["bag"]),
-                   e.get("parent"), ())
-            for e in entries)
-    except (TypeError, KeyError) as exc:
-        raise LoadError(f"malformed tree decomposition node entry: {exc}") from exc
-    return TreeDecomposition(nodes, Fraction(width))
+    nodes = []
+    for e in data["nodes"]:
+        if not isinstance(e, dict) or not {"id", "bag"} <= e.keys():
+            raise LoadError(f"tree decomposition node entry needs an id and a bag: {e!r}")
+        ident, bag, parent = e["id"], e["bag"], e.get("parent")
+        if not _is_int(ident):
+            raise LoadError(f"tree decomposition node id must be an integer, got {ident!r}")
+        if parent is not None and not _is_int(parent):
+            raise LoadError(f"node {ident}: parent must be an integer or null, got {parent!r}")
+        if not isinstance(bag, list) or not all(isinstance(v, str) for v in bag):
+            raise LoadError(f"node {ident}: bag must be a list of variable names, got {bag!r}")
+        nodes.append(TDNode(ident, frozenset(Variable(v) for v in bag), parent, ()))
+    return TreeDecomposition(tuple(sorted(nodes, key=lambda n: n.ident)))

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -90,34 +91,14 @@ def test_eval_reads_query_from_file(capsys, work):
     assert "query" in doc["inputs"]
 
 
-def write_td(path, nodes) -> str:
-    path.write_text(json.dumps({"nodes": [
-        {"id": i, "bag": bag, "parent": parent} for i, (bag, parent) in enumerate(nodes)]}))
-    return str(path)
-
-
-def test_eval_td_gives_the_same_dump_on_a_projected_query(capsys, tmp_path):
-    data = tmp_path / "rs"
+def test_eval_reports_read_and_kept_rows(capsys, tmp_path):
+    data = tmp_path / "dup"
     data.mkdir()
-    (data / "schema.txt").write_text("R/2\nS/2\n")
-    (data / "R.csv").write_text("a,b\na,c\nb,c\nc,c\nd,d\n")
-    (data / "S.csv").write_text("b,a\nc,a\nc,b\n")
-    base = ["eval", "--data", str(data), "--query", "Q(x) <- R(x,y), S(y,z).", "--dump"]
-    plain = report(capsys, base)["payload"]
-    assert plain["answers"] == [["a"], ["b"], ["c"]]
-    for nodes in ([(["y", "z"], None), (["x", "y"], 0)],
-                  [(["x", "y"], None), (["y", "z"], 0)],
-                  [(["x", "y"], None), (["y"], 0), (["y", "z"], 1)]):
-        td = write_td(tmp_path / "td.json", nodes)
-        assert report(capsys, base + ["--td", td])["payload"] == plain
-
-
-def test_eval_td_bag_inside_no_atom_exit_2(capsys, work, tmp_path):
-    td = write_td(tmp_path / "td.json", [(["x", "y", "z"], None)])
-    code, out, err = run(capsys, ["eval", "--data", str(work / "d1"), "--query", Q1,
-                                  "--td", td])
-    assert code == 2 and out == ""
-    assert err == "error: node 0: bag is inside no atom; width-1 evaluation requires that\n"
+    (data / "schema.txt").write_text("R/2\n")
+    (data / "R.csv").write_text("a,b\na,b\nb,c\n")
+    doc = report(capsys, ["eval", "--data", str(data), "--query", IDENT])
+    assert doc["payload"]["count"] == 2
+    assert doc["payload"]["load"] == {"R": {"rows_read": 3, "rows_kept": 2, "arity": 2}}
 
 
 def test_malformed_query_exits_2_with_position(capsys, work):
@@ -131,16 +112,6 @@ def test_missing_inputs_exit_2(capsys, work):
     assert run(capsys, ["eval", "--query", Q1])[0] == 2
     assert run(capsys, ["eval", "--data", str(work / "d1")])[0] == 2
     assert run(capsys, ["eval", "--data", str(work / "nope"), "--query", Q1])[0] == 2
-
-
-def test_threads_env(capsys, work, monkeypatch):
-    monkeypatch.setenv("DIVERSE_CQ_THREADS", "4")
-    doc = report(capsys, ["eval", "--data", str(work / "d1"), "--query", Q1])
-    assert doc["threads"] == 4
-    monkeypatch.setenv("DIVERSE_CQ_THREADS", "zero")
-    assert run(capsys, ["eval", "--data", str(work / "d1"), "--query", Q1])[0] == 2
-    monkeypatch.setenv("DIVERSE_CQ_THREADS", "0")
-    assert run(capsys, ["eval", "--data", str(work / "d1"), "--query", Q1])[0] == 2
 
 
 def test_diversify_exact_identity_elements(capsys, work):
@@ -205,6 +176,56 @@ def test_diversify_combined_bad_td_exit_2(capsys, work, tmp_path):
                                 "-k", "2", "--mode", "greedy-combined", "--td", str(bad)])
     assert code == 2
     assert "invalid tree decomposition" in err
+
+
+ROOT = {"id": 0, "bag": ["x", "y"], "parent": None}
+
+
+@pytest.mark.parametrize("nodes", [
+    [ROOT, {"id": 1, "bag": ["x"], "parent": "none"}],
+    [ROOT, {"id": 1, "bag": ["x"], "parent": 0.5}],
+    [ROOT, {"id": 1, "bag": ["x"], "parent": False}],
+    [{"id": 0, "bag": "xy", "parent": None}],
+    [{"id": 0, "bag": [1, 2], "parent": None}],
+    [{"id": "0", "bag": ["x", "y"], "parent": None}],
+    [{"id": True, "bag": ["x", "y"], "parent": None}],
+    [{"bag": ["x", "y"], "parent": None}],
+    [["x", "y"]],
+])
+def test_diversify_combined_malformed_td_exit_2(capsys, work, tmp_path, nodes):
+    td = tmp_path / "td.json"
+    td.write_text(json.dumps({"nodes": nodes}))
+    code, out, err = run(capsys, ["diversify", "--data", str(work / "d1"), "--query", IDENT,
+                                  "-k", "2", "--mode", "greedy-combined", "--td", str(td)])
+    assert code == 2 and out == ""
+    assert err.startswith("error: ")
+
+
+D1 = ["--data", "<d1>", "--query", IDENT]
+TD_ONLY_COMBINED = "--td is read by --mode greedy-combined only"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["eval", *D1, "--td", "td.json"], "unrecognized arguments: --td"),
+    (["compare", *D1, "-k", "1", "--volume", "elem", "--distance", "hamming",
+      "--td", "td.json"], "unrecognized arguments: --td"),
+    (["convert", "--volume-dump", *D1, "--volume", "elem", "--td", "td.json"],
+     "unrecognized arguments: --td"),
+    (["bench", "--data", "<d1>"], "unrecognized arguments: --data"),
+    (["bench", "--query", IDENT], "unrecognized arguments: --query"),
+    (["eval", *D1, "--td-width", "2"], "unrecognized arguments: --td-width"),
+    (["diversify", *D1, "-k", "1", "--mode", "greedy-combined", "--td-width", "2"],
+     "unrecognized arguments: --td-width"),
+    (["diversify", *D1, "-k", "1", "--volume", "elem", "--td", "td.json"],
+     TD_ONLY_COMBINED),
+    (["diversify", *D1, "-k", "1", "--volume", "elem", "--mode", "exact",
+      "--td", "td.json"], TD_ONLY_COMBINED),
+])
+def test_flags_no_step_reads_exit_2(capsys, work, argv, message):
+    argv = [str(work / "d1") if a == "<d1>" else a for a in argv]
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == ""
+    assert message in err
 
 
 def test_diversify_bad_flags_exit_2(capsys, work):
@@ -330,10 +351,14 @@ def test_seed_changes_bench_payload(capsys):
 
 
 def test_console_entry_point(work):
+    # The child imports the package this test imported, installed or not.
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
         [sys.executable, "-m", "diverse_cq.cli", "eval",
          "--data", str(work / "d1"), "--query", Q1],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["payload"]["count"] == 4
 

@@ -281,8 +281,7 @@ def test_provenance_plan_accepts_wide_user_decomposition():
                [mk("R", "a", "b"), mk("R", "b", "b"), mk("S", "b", "c"),
                 mk("S", "b", "d")])
     q = parse_cq("Q(x) <- R(x,z), S(z,w).")
-    wide = td_from_json({"nodes": [{"id": 0, "bag": ["x", "z", "w"], "parent": None}]},
-                        width=2)
+    wide = td_from_json({"nodes": [{"id": 0, "bag": ["x", "z", "w"], "parent": None}]})
     plan = ProvenancePlan(q, db, td=wide)
     ans, gain = plan.next(frozenset())
     v = provenance_volume(q, db)

@@ -1,6 +1,5 @@
 import json
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -87,8 +86,7 @@ def test_validate_rejects_bad_decompositions():
     nodes = [n for n in good.nodes]
     broken = TreeDecomposition(
         tuple(type(n)(n.ident, frozenset(list(n.bag)[:1]), n.parent, n.atoms)
-              for n in nodes),
-        good.width)
+              for n in nodes))
     v = validate_tree_decomposition(q, broken)
     assert v is not None and v.kind in ("coverage", "connectedness")
 
@@ -102,7 +100,6 @@ def test_td_from_json(tmp_path):
     path.write_text(json.dumps(doc))
     td = td_from_json(path)
     assert td.root_id == 0
-    assert td.width == Fraction(1)
     q = parse_cq("Q(x,y,z) <- R(x,y), S(y,z).")
     assert validate_tree_decomposition(q, td) is None
 
