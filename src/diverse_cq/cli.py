@@ -195,7 +195,8 @@ def _build_volume(args, q, db, inputs: dict):
             radius = float(Fraction(tail[2:]))
         except (ValueError, ZeroDivisionError) as exc:
             raise InputError(f"bad ball radius: {exc}") from None
-        return EuclideanBallVolume(radius, samples=args.mc_samples, seed=args.seed)
+        samples = EuclideanBallVolume.samples if args.mc_samples is None else args.mc_samples
+        return EuclideanBallVolume(radius, samples=samples, seed=args.seed)
     raise InputError(f"unknown volume {spec!r}; expected one of {VOLUME_CHOICES}")
 
 
@@ -215,9 +216,25 @@ def cmd_eval(args, argv: list[str]) -> int:
     return _emit("eval", argv, args.seed, inputs, phases.timings, payload)
 
 
+def _reject_unread_flags(args) -> None:
+    """Exit 2 on a given `diversify` flag that the mode and volume never read."""
+    combined = args.mode == "greedy-combined"
+    volume = args.volume or ""
+    for flag, value, read, reader in (
+            ("--td", args.td, combined, "--mode greedy-combined"),
+            ("--engine", args.engine, combined, "--mode greedy-combined"),
+            ("--lazy", args.lazy, args.mode == "greedy", "--mode greedy"),
+            ("--max-subsets", args.max_subsets, args.mode == "exact", "--mode exact"),
+            ("--measure", args.measure, volume in ("elem-w", "pos-w"),
+             "--volume elem-w|pos-w"),
+            ("--mc-samples", args.mc_samples, volume.startswith("ball:"),
+             "--volume ball:r=<r>")):
+        if value is not None and not read:
+            raise InputError(f"{flag} is read by {reader} only")
+
+
 def cmd_diversify(args, argv: list[str]) -> int:
-    if args.td and args.mode != "greedy-combined":
-        raise InputError("--td is read by --mode greedy-combined only")
+    _reject_unread_flags(args)
     inputs: dict = {}
     phases = _Phases()
     db = phases.run("load", lambda: _load_db(args, inputs))
@@ -229,23 +246,28 @@ def cmd_diversify(args, argv: list[str]) -> int:
         vol = None
         if args.volume and args.volume != "provenance":
             vol = _build_volume(args, q, db, inputs)
+        engine = args.engine or "auto"
         payload["volume"] = args.volume or "provenance"
-        payload["engine"] = args.engine
+        payload["engine"] = engine
         result = phases.run("diversify", lambda: greedy_combined(
-            q, db, args.k, volume=vol, engine=args.engine, td=td))
+            q, db, args.k, volume=vol, engine=engine, td=td))
         payload["engine_used"] = result.engine
         payload["optimal"] = False
     else:
         vol = phases.run("volume", lambda: _build_volume(args, q, db, inputs))
         payload["volume"] = args.volume
-        answers = phases.run("evaluate", lambda: enumerate_answers(q, db))
+        if args.volume == "provenance":
+            answers = vol.universe  # the volume evaluated the query already
+        else:
+            answers = phases.run("evaluate", lambda: enumerate_answers(q, db).answers)
         if args.mode == "exact":
+            cap = BRUTE_FORCE_CAP if args.max_subsets is None else args.max_subsets
             result = phases.run("diversify", lambda: brute_force_diversify(
-                answers.answers, args.k, vol, max_subsets=args.max_subsets))
+                answers, args.k, vol, max_subsets=cap))
             payload["optimal"] = True
         else:
             result = phases.run("diversify", lambda: greedy_diversify(
-                answers.answers, args.k, vol, lazy=args.lazy))
+                answers, args.k, vol, lazy=bool(args.lazy)))
             payload["optimal"] = False
 
     payload["selected"] = [_fact_values(f) for f in result.selected]
@@ -587,8 +609,8 @@ def _build_parser() -> argparse.ArgumentParser:
     vol_flags.add_argument("--volume", help=f"one of {VOLUME_CHOICES}")
     vol_flags.add_argument("--measure",
                            help="weighted:<file>[:default=<w>] for elem-w/pos-w")
-    vol_flags.add_argument("--mc-samples", type=int, default=200_000,
-                           help="Monte-Carlo samples for ball volumes")
+    vol_flags.add_argument("--mc-samples", type=int,
+                           help="Monte-Carlo samples for ball volumes (default 200000)")
 
     p = sub.add_parser("eval", parents=[common],
                        help="evaluate a query and report the answer count")
@@ -601,12 +623,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=["greedy", "exact", "greedy-combined"],
                    default="greedy")
     p.add_argument("--engine", choices=ENGINES,
-                   default="auto", help="next-answer oracle for greedy-combined")
+                   help="next-answer oracle for greedy-combined (default auto)")
     p.add_argument("--td", help="tree decomposition JSON file for greedy-combined")
-    p.add_argument("--lazy", action="store_true",
-                   help="lazy gain re-evaluation (same selection, fewer evaluations)")
-    p.add_argument("--max-subsets", type=int, default=BRUTE_FORCE_CAP,
-                   help="exact-mode subset cap")
+    p.add_argument("--lazy", action="store_true", default=None,
+                   help="lazy gain re-evaluation for greedy (same selection, "
+                        "fewer evaluations)")
+    p.add_argument("--max-subsets", type=int,
+                   help=f"exact-mode subset cap (default {BRUTE_FORCE_CAP})")
     p.set_defaults(fn=cmd_diversify)
 
     p = sub.add_parser("compare", parents=[common, vol_flags],

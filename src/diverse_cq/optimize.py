@@ -2,12 +2,15 @@
 
 Greedy selection over a materialized answer set carries the usual
 (1 - 1/e) guarantee for monotone submodular objectives.  The two
-incremental rankers avoid materialization altogether: a max-plus pass
-for positional volumes over full acyclic queries, and a provenance
-weighting for free-connex queries with projections.  Both reduce
-"which answer gains the most" to one dynamic program over a join tree.
-Every greedy selection here runs through one round loop, `_greedy`,
-which asks a step for the next best answer and commits it.
+rankers avoid materialization altogether: one for positional volumes
+over full acyclic queries, one for the witness-fact volume over
+free-connex queries with projections.  Both reduce "which answer gains
+the most" to one max-plus dynamic program over a join tree,
+`_MaxPlusKernel`, which keeps its tables between rounds and re-scores
+only the rows a pick uncovered.  The rankers add integer-scaled
+weights and return Fractions.  Every greedy selection here runs
+through one round loop, `_greedy`, which asks a step for the next best
+answer and commits it.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Callable, Iterable, Sequence
 
-from .engine import atom_candidates, enumerate_answers
+from .engine import atom_candidates, enumerate_answers, _picker
 from .errors import EngineCompatibilityError, InputError, LimitExceededError
 from .query import (ConjunctiveQuery, TreeDecomposition, assign_atoms,
                     extended_gyo_decomposition, free_connex_subtree, gyo_join_tree,
@@ -214,72 +217,188 @@ def cqnext_naive(q: ConjunctiveQuery, db: Database, selected: Iterable[Fact],
     return _naive_best(enumerate_answers(q, db).ordered(), v, list(selected))
 
 
-def _max_plus_tree(cols: Sequence[tuple], rows: Sequence[Sequence[tuple]],
-                   annot: Sequence[Sequence[Fraction]],
-                   parents: Sequence[int | None]):
-    """Maximize the sum of row annotations over a join-consistent choice.
+class _MaxPlusKernel:
+    """The max-plus dynamic program both rankers share, kept up to date as
+    the covered region grows.
 
-    One row is picked per node; a child row must agree with its parent
-    row on their shared variables.  Returns (best total, assignment of
-    variables to values) or None when no consistent choice exists.
-    Deterministic: rows are scanned in their given (sorted) order and a
-    stored optimum is replaced only by a strictly better one.
+    Node `u` of the join forest `parents` holds `rows[u]`, value tuples
+    over the variables `cols[u]`, and `fragments[u](i)` lists the ground
+    points row `i` charges.  A row is live when it joins some live row of
+    every child; liveness never changes, since covering points changes
+    weights only.  A live row's annotation is the weight of its uncovered
+    points, and its score adds the maximum of every child group it joins,
+    where a group is the live rows of a node sharing one parent key.  Each
+    group keeps its first row of maximal score, in row order, and the best
+    answer takes that row in every root group and then in every group its
+    parent's pick joins.
+
+    Arithmetic is in integers: every weight the kernel reads is scaled by
+    the lcm of their denominators, and `best` turns the total back into a
+    Fraction.  A request whose region contains the last one lowers only
+    the rows that hold a newly covered point, re-scores them, re-takes the
+    maximum of each of their groups whose top row fell, and pushes every
+    group whose maximum fell to the parent rows that join it.  Any other
+    request rebuilds every score from scratch.  `rows_rescored` counts the
+    rows whose score either path computed.
     """
-    n = len(cols)
-    order, children = _preorder(parents)
-    pos = [{c: j for j, c in enumerate(cs)} for cs in cols]
-    key_cols = [tuple(c for c in cols[i] if parents[i] is not None and c in pos[parents[i]])
-                for i in range(n)]
-    table: list[dict] = [{} for _ in range(n)]
-    for u in reversed(order):
-        pu = pos[u]
-        kids = children[u]
-        kid_keys = [key_cols[c] for c in kids]
-        tu = table[u]
-        for idx, row in enumerate(rows[u]):
-            score = annot[u][idx]
-            dead = False
-            for c, kcols in zip(kids, kid_keys):
-                got = table[c].get(tuple(row[pu[x]] for x in kcols))
-                if got is None:
-                    dead = True
-                    break
-                score += got[0]
-            if dead:
-                continue
-            key = tuple(row[pu[x]] for x in key_cols[u])
-            cur = tu.get(key)
-            if cur is None or score > cur[0]:
-                tu[key] = (score, idx)
 
-    total = Fraction(0)
-    assignment: dict = {}
-    picked: list = [None] * n
-    for u in order:
-        p = parents[u]
-        if p is None:
-            got = table[u].get(())
-            if got is None:
-                return None
-            total += got[0]
+    def __init__(self, cols: Sequence[tuple], rows: Sequence[Sequence[tuple]],
+                 parents: Sequence[int | None], fragments: Sequence[Callable],
+                 weight_of: Callable | None = None):
+        self._cols = cols
+        self._rows = rows
+        self._parents = parents
+        self._fragments = fragments
+        self._weight_of = weight_of
+        self._holders: list[dict] | None = None  # built by the first `best`
+        self._covered: frozenset | None = None
+        self.rows_rescored = 0
+
+    def _index(self) -> None:
+        """Liveness, groups, joins, the inverted index and integer weights."""
+        cols, rows, parents = self._cols, self._rows, self._parents
+        self._order, self._kids = _preorder(parents)
+        # Key of a node's group, and the key a parent row probes it with.
+        self._group_key = []
+        self._probe = []
+        for u, p in enumerate(parents):
+            shared = [] if p is None else [c for c in cols[u] if c in cols[p]]
+            self._group_key.append(_picker([cols[u].index(c) for c in shared]))
+            self._probe.append(None if p is None else
+                               _picker([cols[p].index(c) for c in shared]))
+        n = len(rows)
+        self._groups: list[dict] = [{} for _ in range(n)]  # key -> live rows
+        self._joins: list[dict] = [{} for _ in range(n)]  # key -> parent rows
+        for u in reversed(self._order):
+            row = rows[u]
+            live = range(len(row))
+            for c in self._kids[u]:
+                probe, groups = self._probe[c], self._groups[c]
+                live = [i for i in live if probe(row[i]) in groups]
+            for c in self._kids[u]:
+                probe, joins = self._probe[c], self._joins[c]
+                for i in live:
+                    joins.setdefault(probe(row[i]), []).append(i)
+            key, groups = self._group_key[u], self._groups[u]
+            for i in live:
+                groups.setdefault(key(row[i]), []).append(i)
+        # Inverted index: ground point -> the live rows of a node holding it.
+        index: list[dict] = [{} for _ in range(n)]
+        for u, holders in enumerate(index):
+            for ids in self._groups[u].values():
+                for i in ids:
+                    for point in self._fragments[u](i):
+                        holders.setdefault(point, []).append(i)
+        self._weight: dict | None = None  # None: every point weighs 1
+        self._scale = 1
+        if self._weight_of is not None:
+            exact = {point: Fraction(self._weight_of(point))
+                     for holders in index for point in holders}
+            if any(w < 0 for w in exact.values()):
+                raise InputError("point weights must be non-negative")
+            self._scale = math.lcm(*(w.denominator for w in exact.values()))
+            self._weight = {point: w.numerator * (self._scale // w.denominator)
+                            for point, w in exact.items()}
+        self._annot: list[list[int]] = [[] for _ in range(n)]
+        self._score: list[list[int]] = [[] for _ in range(n)]
+        self._best: list[dict] = [{} for _ in range(n)]  # group key -> top row
+        self._holders = index
+        self._fragments = self._weight_of = None
+
+    def best(self, covered: frozenset):
+        """(gain, assignment of variables to values) of the best answer
+        once `covered` weighs 0, or None when the query has no answer."""
+        if self._holders is None:
+            self._index()
+        if self._covered is not None and covered >= self._covered:
+            self._lower(covered - self._covered)
         else:
-            prow = rows[p][picked[p]]
-            got = table[u][tuple(prow[pos[p][x]] for x in key_cols[u])]
-        picked[u] = got[1]
-        for c, val in zip(cols[u], rows[u][got[1]]):
-            assignment[c] = val
-    return total, assignment
+            self._rebuild(covered)
+        self._covered = covered
+        return self._answer()
+
+    def _rebuild(self, covered: frozenset) -> None:
+        weight = self._weight
+        for u in reversed(self._order):
+            annot = [0] * len(self._rows[u])
+            for point, ids in self._holders[u].items():
+                if point not in covered:
+                    w = 1 if weight is None else weight[point]
+                    for i in ids:
+                        annot[i] += w
+            score = list(annot)
+            for c in self._kids[u]:
+                best, child = self._best[c], self._score[c]
+                for key, ids in self._joins[c].items():
+                    s = child[best[key]]
+                    for i in ids:
+                        score[i] += s
+            self._annot[u] = annot
+            self._score[u] = score
+            self._best[u] = {key: max(ids, key=score.__getitem__)
+                             for key, ids in self._groups[u].items()}
+            self.rows_rescored += sum(map(len, self._groups[u].values()))
+
+    def _lower(self, fresh: frozenset) -> None:
+        weight = self._weight
+        dirty: list[set] = [set() for _ in self._rows]
+        for point in fresh:
+            for u, holders in enumerate(self._holders):
+                ids = holders.get(point)
+                if ids:
+                    w = 1 if weight is None else weight[point]
+                    annot = self._annot[u]
+                    for i in ids:
+                        annot[i] -= w
+                    dirty[u].update(ids)
+        # Children before parents, so each row is re-scored at most once.
+        for u in reversed(self._order):
+            ids = dirty[u]
+            if not ids:
+                continue
+            row, score, best = self._rows[u], self._score[u], self._best[u]
+            key = self._group_key[u]
+            top_before = {}
+            for i in ids:
+                k = key(row[i])
+                if k not in top_before:
+                    top_before[k] = score[best[k]]
+            kids = [(self._probe[c], self._best[c], self._score[c]) for c in self._kids[u]]
+            annot = self._annot[u]
+            for i in ids:
+                s = annot[i]
+                for probe, kid_best, kid_score in kids:
+                    s += kid_score[kid_best[probe(row[i])]]
+                score[i] = s
+            self.rows_rescored += len(ids)
+            # Scores only fall, so a group changes only when its top row fell.
+            p = self._parents[u]
+            for k, before in top_before.items():
+                if score[best[k]] < before:
+                    top = best[k] = max(self._groups[u][k], key=score.__getitem__)
+                    if score[top] < before and p is not None:
+                        dirty[p].update(self._joins[u].get(k, ()))
+
+    def _answer(self):
+        total = 0
+        picked: list = [None] * len(self._rows)
+        assignment: dict = {}
+        for u in self._order:
+            p = self._parents[u]
+            if p is None:
+                i = self._best[u].get(())
+                if i is None:
+                    return None
+                total += self._score[u][i]
+            else:
+                i = self._best[u][self._probe[u](self._rows[p][picked[p]])]
+            picked[u] = i
+            assignment.update(zip(self._cols[u], self._rows[u][i]))
+        return Fraction(total, self._scale), assignment
 
 
 def _atom_rows(db: Database, atom) -> list[Fact]:
     return sorted(atom_candidates(db, atom, {}))
-
-
-def _weight_lookup(v: VolumeAssignment) -> Callable:
-    w = getattr(v.measure, "weight_of", None)
-    if w is None:
-        return lambda point: Fraction(1)
-    return w
 
 
 class TropicalPlan:
@@ -289,8 +408,8 @@ class TropicalPlan:
     the first body atom containing its variable, so an atom's fact is
     annotated with the total weight of the not-yet-seen (value, position)
     pairs it would contribute.  The marginal of an answer is exactly the
-    sum of its facts' annotations, and the best answer falls out of one
-    max-plus pass over the join tree.
+    sum of its facts' annotations, and the best answer falls out of the
+    shared max-plus kernel, whose ground points are those pairs.
     """
 
     def __init__(self, q: ConjunctiveQuery, db: Database, volume: VolumeAssignment):
@@ -305,46 +424,35 @@ class TropicalPlan:
             raise EngineCompatibilityError("value ranking needs an acyclic query")
         self.q = q
         self.volume = volume
-        self._weight = _weight_lookup(volume)
-        self._parents = [n.parent for n in tree.nodes]
-        self._cols = [tuple(sorted(a.vars)) for a in q.atoms]
-        self._facts = [_atom_rows(db, a) for a in q.atoms]
-        self._rows = []
+        cols = [tuple(sorted(a.vars)) for a in q.atoms]
+        rows = []
         for i, atom in enumerate(q.atoms):
-            pmap = [atom.vars.index(c) for c in self._cols[i]]
-            self._rows.append([tuple(f.values[p] for p in pmap) for f in self._facts[i]])
-        charged: dict[int, list[tuple[int, int]]] = {i: [] for i in range(len(q.atoms))}
+            pmap = [atom.vars.index(c) for c in cols[i]]
+            rows.append([tuple(f.values[p] for p in pmap) for f in _atom_rows(db, atom)])
+        # (column, 1-based head position) of each head position an atom is charged
+        charge: list[list[tuple[int, int]]] = [[] for _ in q.atoms]
         for l, hv in enumerate(q.head_vars):
             home = next(i for i, a in enumerate(q.atoms) if hv in a.vars)
-            charged[home].append((l, q.atoms[home].vars.index(hv)))
-        self._charged = charged
+            charge[home].append((cols[home].index(hv), l + 1))
+        fragments = [lambda i, rows=r, charge=c: [(rows[i][j], pos) for j, pos in charge]
+                     for r, c in zip(rows, charge)]
+        self._kernel = _MaxPlusKernel(cols, rows, [n.parent for n in tree.nodes], fragments,
+                                      getattr(volume.measure, "weight_of", None))
+
+    @property
+    def rows_rescored(self) -> int:
+        """Rows whose max-plus score the `next` calls so far computed."""
+        return self._kernel.rows_rescored
 
     def next(self, selected: Iterable[Fact]):
         """Best (answer, marginal) with already-seen positions weighing 0."""
-        sel = list(selected)
-        k = len(self.q.head_vars)
-        seen = [set() for _ in range(k)]
-        for t in sel:
-            for l in range(k):
-                seen[l].add(t.values[l])
-        annot = []
-        for i, facts in enumerate(self._facts):
-            pairs = self._charged[i]
-            col = []
-            for f in facts:
-                score = Fraction(0)
-                for l, p in pairs:
-                    val = f.values[p]
-                    if val not in seen[l]:
-                        score += self._weight((val, l + 1))
-                col.append(score)
-            annot.append(col)
-        hit = _max_plus_tree(self._cols, self._rows, annot, self._parents)
+        covered = self.volume.covered(selected)
+        hit = self._kernel.best(covered)
         if hit is None:
             return None
         total, assignment = hit
         answer = Fact(self.q.head_name, tuple(assignment[hv] for hv in self.q.head_vars))
-        check = self.volume.marginal_given_covered(self.volume.covered(sel), answer)
+        check = self.volume.marginal_given_covered(covered, answer)
         if check != total:  # pragma: no cover - per-position charging is exact
             raise AssertionError(f"ranked marginal {total} but the volume says {check}")
         return answer, total
@@ -364,7 +472,8 @@ class ProvenancePlan:
     table from its head-variable interface to the set of facts in any
     witness.  Self-join-freeness makes those fact sets disjoint across
     edges, so the marginal of an answer is a sum of per-edge weights and
-    the best answer again falls out of a max-plus pass.
+    the best answer again falls out of the shared max-plus kernel, whose
+    ground points are facts.
     """
 
     def __init__(self, q: ConjunctiveQuery, db: Database,
@@ -383,7 +492,7 @@ class ProvenancePlan:
                 "of bags covers exactly the head variables")
         self.q = q
         self.db = db
-        self._weight = weight_of if weight_of is not None else (lambda f: Fraction(1))
+        self._weight_of = weight_of
         try:
             self._build(fc)
         except _PlanSnag:
@@ -406,11 +515,10 @@ class ProvenancePlan:
             if ids:
                 comp_atom_sets.append(ids)
 
-        # Hout edges: (cols, rows, per-row weight source).
-        self._edges_cols: list[tuple] = []
-        self._edges_rows: list[list[tuple]] = []
-        self._atom_edge_facts: list[list[Fact] | None] = []
-        self._comp_tables: list[dict | None] = []
+        # Hout edges: (cols, rows, ground points of a row).
+        edges_cols: list[tuple] = []
+        edges_rows: list[list[tuple]] = []
+        fragments: list[Callable] = []
         self._outer_atoms: list[tuple[int, tuple]] = []
         self._components: list[tuple[tuple, dict]] = []
 
@@ -421,25 +529,24 @@ class ProvenancePlan:
             cols = tuple(sorted(atom.vars))
             pmap = [atom.vars.index(c) for c in cols]
             facts = _atom_rows(db, atom)
-            self._edges_cols.append(cols)
-            self._edges_rows.append([tuple(f.values[p] for p in pmap) for f in facts])
-            self._atom_edge_facts.append(facts)
-            self._comp_tables.append(None)
+            edges_cols.append(cols)
+            edges_rows.append([tuple(f.values[p] for p in pmap) for f in facts])
+            fragments.append(lambda r, facts=facts: (facts[r],))
             self._outer_atoms.append((i, cols))
 
         for ids in comp_atom_sets:
             out_cols, tableau = self._component_table(ids, headset)
             rows = sorted(tableau)
-            self._edges_cols.append(out_cols)
-            self._edges_rows.append(rows)
-            self._atom_edge_facts.append(None)
-            self._comp_tables.append(tableau)
+            edges_cols.append(out_cols)
+            edges_rows.append(rows)
+            fragments.append(lambda r, rows=rows, tableau=tableau: tableau[rows[r]])
             self._components.append((out_cols, tableau))
 
-        parents = _gyo_reduce([frozenset(cs) for cs in self._edges_cols])
+        parents = _gyo_reduce([frozenset(cs) for cs in edges_cols])
         if parents is None:
             raise _PlanSnag("projected hypergraph is not acyclic")
-        self._parents = parents
+        self._kernel = _MaxPlusKernel(edges_cols, edges_rows, parents, fragments,
+                                      self._weight_of)
 
     def _component_table(self, atom_ids: list[int], headset: frozenset):
         """Collapse one hanging component into {interface tuple: witness facts}."""
@@ -483,20 +590,14 @@ class ProvenancePlan:
             msg[u] = table
         return out, {k: frozenset(s) for k, s in msg[root].items()}
 
+    @property
+    def rows_rescored(self) -> int:
+        """Rows whose max-plus score the `next` calls so far computed."""
+        return self._kernel.rows_rescored
+
     def next(self, covered: frozenset):
         """Best (answer, gain) where a fact weighs 0 once covered."""
-        annot = []
-        for rows, facts, tableau in zip(self._edges_rows, self._atom_edge_facts,
-                                        self._comp_tables):
-            if facts is not None:
-                annot.append([self._weight(f) if f not in covered else Fraction(0)
-                              for f in facts])
-            else:
-                annot.append([
-                    sum((self._weight(f) for f in tableau[r] if f not in covered),
-                        Fraction(0))
-                    for r in rows])
-        hit = _max_plus_tree(self._edges_cols, self._edges_rows, annot, self._parents)
+        hit = self._kernel.best(frozenset(covered))
         if hit is None:
             return None
         total, assignment = hit
@@ -568,7 +669,7 @@ def greedy_combined(q: ConjunctiveQuery, db: Database, k: int,
         return _make_result(*_greedy(k, gainful, commit), engine=name)
 
     if engine in ("auto", "provenance") and (volume is None or volume.name == "provenance"):
-        weight = None if volume is None else _weight_lookup(volume)
+        weight = None if volume is None else getattr(volume.measure, "weight_of", None)
         try:
             plan = ProvenancePlan(q, db, td=td, weight_of=weight)
         except EngineCompatibilityError:
@@ -603,5 +704,7 @@ def greedy_combined(q: ConjunctiveQuery, db: Database, k: int,
 
     if volume is None:
         volume = provenance_volume(q, db)
-    answers = enumerate_answers(q, db).ordered()
+        answers = sorted(volume.universe)  # the volume evaluated the query already
+    else:
+        answers = enumerate_answers(q, db).ordered()
     return run("naive", lambda picks: _naive_best(answers, volume, picks))

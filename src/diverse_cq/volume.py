@@ -6,8 +6,11 @@ the union of its balls.  That shape makes every diversity function here
 monotone and submodular by construction, and marginal gains are plain
 measures of set differences rather than re-evaluations.
 
-All discrete arithmetic is exact (Fractions).  The only floating-point
-path is the Monte-Carlo estimator for Euclidean ball unions.
+All discrete arithmetic is exact: measures return Fractions, and the
+join-tree rankers in `optimize`, which read point weights through
+`WeightedMeasure.weight_of`, scale them to integers and convert back
+to Fractions at their result.  The only floating-point path is the
+Monte-Carlo estimator for Euclidean ball unions.
 """
 
 from __future__ import annotations

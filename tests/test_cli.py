@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 from jsonschema import Draft7Validator
 
-from diverse_cq import cli
+from diverse_cq import cli, engine
 
 Q1 = "Q1(x,y) <- R(x,z), R(z,y)."
 IDENT = "A(x,y) <- R(x,y)."
@@ -220,12 +220,54 @@ TD_ONLY_COMBINED = "--td is read by --mode greedy-combined only"
      TD_ONLY_COMBINED),
     (["diversify", *D1, "-k", "1", "--volume", "elem", "--mode", "exact",
       "--td", "td.json"], TD_ONLY_COMBINED),
+    (["diversify", *D1, "-k", "1", "--volume", "elem", "--engine", "auto"],
+     "--engine is read by --mode greedy-combined only"),
+    (["diversify", *D1, "-k", "1", "--volume", "elem", "--mode", "exact",
+      "--engine", "naive"], "--engine is read by --mode greedy-combined only"),
+    (["diversify", *D1, "-k", "1", "--volume", "elem", "--mode", "exact", "--lazy"],
+     "--lazy is read by --mode greedy only"),
+    (["diversify", *D1, "-k", "1", "--mode", "greedy-combined", "--lazy"],
+     "--lazy is read by --mode greedy only"),
+    (["diversify", *D1, "-k", "1", "--volume", "elem", "--max-subsets", "5"],
+     "--max-subsets is read by --mode exact only"),
+    (["diversify", *D1, "-k", "1", "--mode", "greedy-combined", "--max-subsets", "5"],
+     "--max-subsets is read by --mode exact only"),
+    (["diversify", *D1, "-k", "1", "--volume", "pos", "--measure", "weighted:w.txt"],
+     "--measure is read by --volume elem-w|pos-w only"),
+    (["diversify", *D1, "-k", "1", "--mode", "greedy-combined",
+      "--measure", "weighted:w.txt"], "--measure is read by --volume elem-w|pos-w only"),
+    (["diversify", *D1, "-k", "1", "--volume", "elem", "--mc-samples", "10"],
+     "--mc-samples is read by --volume ball:r=<r> only"),
+    (["diversify", *D1, "-k", "1", "--mode", "greedy-combined", "--mc-samples", "10"],
+     "--mc-samples is read by --volume ball:r=<r> only"),
 ])
 def test_flags_no_step_reads_exit_2(capsys, work, argv, message):
     argv = [str(work / "d1") if a == "<d1>" else a for a in argv]
     code, out, err = run(capsys, argv)
     assert code == 2 and out == ""
     assert message in err
+
+
+@pytest.mark.parametrize("query", [Q1, IDENT])
+@pytest.mark.parametrize("flags", [
+    ["--volume", "provenance"],
+    ["--volume", "provenance", "--lazy"],
+    ["--volume", "provenance", "--mode", "exact"],
+    ["--mode", "greedy-combined", "--engine", "naive"],
+    ["--volume", "pos"],
+])
+def test_diversify_evaluates_the_query_once(capsys, work, monkeypatch, query, flags):
+    calls = []
+    evaluate = engine.iter_answers
+
+    def counting(q, db):
+        calls.append(q)
+        return evaluate(q, db)
+
+    monkeypatch.setattr(engine, "iter_answers", counting)
+    report(capsys, ["diversify", "--data", str(work / "d1"), "--query", query, "-k", "2",
+                    *flags])
+    assert len(calls) == 1
 
 
 def test_diversify_bad_flags_exit_2(capsys, work):

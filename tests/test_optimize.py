@@ -1,10 +1,16 @@
+import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import diverse_cq
 from diverse_cq import (EngineCompatibilityError, EuclideanBallVolume, InputError,
                         LimitExceededError, ProvenancePlan, TropicalPlan,
                         VolumeAssignment, WeightedMeasure, brute_force_diversify,
@@ -227,6 +233,132 @@ def test_tropical_wrapper(d2):
     q = parse_cq("Q(x,y) <- R(x,y).")
     got = TropicalPlan(q, d2, pos_volume()).next([])
     assert got is not None and got[1] == 2
+
+
+# Incremental max-plus maintenance --------------------------------------------
+
+
+def _fractional(rng):
+    return Fraction(rng.randint(0, 12), rng.choice((2, 3, 7)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10 ** 9), st.lists(st.sampled_from("pick add drop swap"), max_size=8))
+def test_incremental_tropical_plan_matches_fresh_plan(seed, moves):
+    """After every call an advanced plan answers exactly as a new one.
+
+    "pick" and "add" grow the covered region (incremental path); "drop"
+    shrinks it and "swap" replaces it with an unrelated one (rebuild).
+    """
+    rng = random.Random(seed)
+    q, rels = random_tree_query(rng, allow_self_join=True)
+    db = random_database(rng, rels)
+    answers = enumerate_answers(q, db).ordered()
+    weights = {(intern(x), pos): _fractional(rng)
+               for x in "abcd" for pos in range(1, len(q.head_vars) + 1)
+               if rng.random() < 0.7}
+    v = pos_weighted(weights, _fractional(rng))
+    plan = TropicalPlan(q, db, v)
+    selected: list = []
+    for move in ["pick"] + moves:
+        got = plan.next(selected)
+        assert got == TropicalPlan(q, db, v).next(selected), q.to_text()
+        if got is None:
+            assert not answers
+            continue
+        assert isinstance(got[1], Fraction)
+        assert got[1] == v.marginal(selected, got[0])
+        if move == "pick":
+            selected.append(got[0])
+        elif move == "add":
+            selected.append(rng.choice(answers))
+        elif move == "drop" and selected:
+            selected.pop(rng.randrange(len(selected)))
+        elif move == "swap":
+            selected = rng.sample(answers, rng.randint(0, min(3, len(answers))))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 10 ** 9), st.lists(st.sampled_from("pick add drop swap"), max_size=8))
+def test_incremental_provenance_plan_matches_fresh_plan(seed, moves):
+    rng = random.Random(seed)
+    q, db, _ = random_free_connex_instance(rng)
+    facts = db.all_facts()
+    heavy = {f: _fractional(rng) for f in facts if rng.random() < 0.7}
+    default = _fractional(rng)
+
+    def weight_of(f):
+        return heavy.get(f, default)
+
+    plan = ProvenancePlan(q, db, weight_of=weight_of)
+    covered: frozenset = frozenset()
+    for move in ["pick"] + moves:
+        got = plan.next(covered)
+        fresh = ProvenancePlan(q, db, weight_of=weight_of).next(covered)
+        assert got == fresh, q.to_text()
+        answer, gain = got  # a free-connex instance here always has an answer
+        assert isinstance(gain, Fraction)
+        assert gain == sum((weight_of(f) for f in plan.provenance_of(answer) - covered),
+                           Fraction(0))
+        if move == "pick":
+            covered = covered | plan.provenance_of(answer)
+        elif move == "add":
+            covered = covered | {rng.choice(facts)}
+        elif move == "drop" and covered:
+            covered = covered - {rng.choice(sorted(covered))}
+        elif move == "swap":
+            covered = frozenset(rng.sample(facts, rng.randint(0, len(facts))))
+
+
+# Builds a seeded 3-edge path instance, runs ten greedy rounds through the
+# tropical ranker, and prints the rows each round re-scored and the rows
+# the plan holds.
+RESCORE_SCRIPT = """
+import json, random
+from diverse_cq import Database, Fact, TropicalPlan, intern, parse_cq, pos_volume
+from diverse_cq.relcore import Schema
+rng = random.Random(4)
+pairs = rng.sample([(u, v) for u in range(60) for v in range(60) if u != v], 360)
+db = Database.from_facts(Schema({"E": 2}), [
+    Fact("E", (intern(f"n{u:02d}"), intern(f"n{v:02d}"))) for u, v in pairs])
+plan = TropicalPlan(parse_cq("P(a,b,c,d) <- E(a,b), E(b,c), E(c,d)."), db, pos_volume())
+selected, counts = [], []
+for _ in range(10):
+    before = plan.rows_rescored
+    answer, gain = plan.next(selected)
+    counts.append(plan.rows_rescored - before)
+    selected.append(answer)
+print(json.dumps({"counts": counts, "rows": 3 * len(pairs)}))
+"""
+
+
+def test_rounds_after_the_first_rescore_few_rows():
+    src = str(Path(diverse_cq.__file__).parents[1])
+    runs = []
+    for hash_seed in ("0", "1", "2", "1"):
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-c", RESCORE_SCRIPT],
+                              capture_output=True, text=True, env=env, check=True)
+        runs.append(json.loads(proc.stdout))
+    assert all(r == runs[0] for r in runs), runs
+    counts, rows = runs[0]["counts"], runs[0]["rows"]
+    assert 0 < counts[0] <= rows  # the first round builds every live row
+    assert all(c <= rows // 20 for c in counts[1:]), counts
+
+
+def test_plan_builds_its_kernel_on_the_first_next_call(d3):
+    plan = ProvenancePlan(parse_cq("Q(x) <- R(x,y)."), d3)
+    assert plan.provenance_of(mk("Q", "a")) == frozenset(d3.all_facts())
+    assert plan.rows_rescored == 0
+    plan.next(frozenset())
+    assert plan.rows_rescored == 1  # one hanging-component row, x = a
+
+
+def test_negative_point_weights_are_rejected(d3):
+    plan = ProvenancePlan(parse_cq("Q(x) <- R(x,y)."), d3, weight_of=lambda f: Fraction(-1))
+    with pytest.raises(InputError, match="non-negative"):
+        plan.next(frozenset())
 
 
 # Provenance ranking ----------------------------------------------------------
