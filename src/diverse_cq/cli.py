@@ -217,24 +217,28 @@ def cmd_eval(args, argv: list[str]) -> int:
 
 
 def _reject_unread_flags(args) -> None:
-    """Exit 2 on a given `diversify` flag that the mode and volume never read."""
-    combined = args.mode == "greedy-combined"
-    volume = args.volume or ""
-    for flag, value, read, reader in (
-            ("--td", args.td, combined, "--mode greedy-combined"),
-            ("--engine", args.engine, combined, "--mode greedy-combined"),
-            ("--lazy", args.lazy, args.mode == "greedy", "--mode greedy"),
-            ("--max-subsets", args.max_subsets, args.mode == "exact", "--mode exact"),
-            ("--measure", args.measure, volume in ("elem-w", "pos-w"),
-             "--volume elem-w|pos-w"),
-            ("--mc-samples", args.mc_samples, volume.startswith("ball:"),
-             "--volume ball:r=<r>")):
-        if value is not None and not read:
+    """Exit 2 on a given flag that the command, mode and volume never read."""
+    given = vars(args)
+    mode = given.get("mode")
+    volume = given.get("volume") or ""
+    # `convert` reads --data, --query and the volume flags under --volume-dump only.
+    query = (args.command != "convert" or args.volume_dump
+             or not (args.multiattr or args.ultrametric))
+    for flag, read, reader in (
+            ("--td", mode == "greedy-combined", "--mode greedy-combined"),
+            ("--engine", mode == "greedy-combined", "--mode greedy-combined"),
+            ("--lazy", mode == "greedy", "--mode greedy"),
+            ("--max-subsets", mode == "exact", "--mode exact"),
+            ("--volume", query, "--volume-dump"),
+            ("--data", query, "--volume-dump"),
+            ("--query", query, "--volume-dump"),
+            ("--measure", query and volume in ("elem-w", "pos-w"), "--volume elem-w|pos-w"),
+            ("--mc-samples", query and volume.startswith("ball:"), "--volume ball:r=<r>")):
+        if given.get(flag[2:].replace("-", "_")) is not None and not read:
             raise InputError(f"{flag} is read by {reader} only")
 
 
 def cmd_diversify(args, argv: list[str]) -> int:
-    _reject_unread_flags(args)
     inputs: dict = {}
     phases = _Phases()
     db = phases.run("load", lambda: _load_db(args, inputs))
@@ -669,6 +673,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        _reject_unread_flags(args)
         return args.fn(args, argv)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,16 +1,18 @@
 """Diversity maximization over query answers.
 
 Greedy selection over a materialized answer set carries the usual
-(1 - 1/e) guarantee for monotone submodular objectives.  The two
-rankers avoid materialization altogether: one for positional volumes
-over full acyclic queries, one for the witness-fact volume over
-free-connex queries with projections.  Both reduce "which answer gains
-the most" to one max-plus dynamic program over a join tree,
-`_MaxPlusKernel`, which keeps its tables between rounds and re-scores
-only the rows a pick uncovered.  The rankers add integer-scaled
-weights and return Fractions.  Every greedy selection here runs
-through one round loop, `_greedy`, which asks a step for the next best
-answer and commits it.
+(1 - 1/e) guarantee for monotone submodular objectives.  The rankers
+avoid materialization altogether.  Whenever an answer's marginal is a
+sum over the edges of a join tree, "which answer gains the most" is one
+max-plus dynamic program over that tree, and one plan, `_RankingPlan`,
+builds the edges and runs the program.  It keeps its tables between
+rounds, re-scores only the rows a pick uncovered, adds integer-scaled
+weights and returns Fractions.  Two thin subclasses decide only which
+ground points a row charges: `TropicalPlan`, for positional volumes
+over full acyclic queries, and `ProvenancePlan`, for the witness-fact
+volume over free-connex queries with projections.  Every greedy
+selection here runs through one round loop, `_greedy`, which asks a
+step for the next best answer and commits it.
 """
 
 from __future__ import annotations
@@ -217,42 +219,78 @@ def cqnext_naive(q: ConjunctiveQuery, db: Database, selected: Iterable[Fact],
     return _naive_best(enumerate_answers(q, db).ordered(), v, list(selected))
 
 
-class _MaxPlusKernel:
-    """The max-plus dynamic program both rankers share, kept up to date as
-    the covered region grows.
+class _PlanSnag(Exception):
+    """Internal: the given decomposition lacks structure the planner needs."""
 
-    Node `u` of the join forest `parents` holds `rows[u]`, value tuples
-    over the variables `cols[u]`, and `fragments[u](i)` lists the ground
-    points row `i` charges.  A row is live when it joins some live row of
-    every child; liveness never changes, since covering points changes
-    weights only.  A live row's annotation is the weight of its uncovered
-    points, and its score adds the maximum of every child group it joins,
-    where a group is the live rows of a node sharing one parent key.  Each
-    group keeps its first row of maximal score, in row order, and the best
-    answer takes that row in every root group and then in every group its
-    parent's pick joins.
 
-    Arithmetic is in integers: every weight the kernel reads is scaled by
+class _RankingPlan:
+    """Next-answer ranking for a volume whose marginal is a sum over the
+    edges of a join tree, kept up to date as the covered region grows.
+
+    The edges are the body atoms `atoms`, each holding its facts as sorted
+    rows over its sorted variables, and then one witness table per hanging
+    component in `components`, from the component's head variables to the
+    facts of its witnesses.  Parents come from GYO over the edges.  The
+    volume decides only which ground points a row charges: by default its
+    witness facts, and `TropicalPlan` overrides `_charge`.  Subclasses
+    define `_ball`, the ground points an answer covers.
+
+    The best answer falls out of one max-plus dynamic program.  A row is
+    live when it joins some live row of every child edge; liveness never
+    changes, since covering points changes weights only.  A live row's
+    annotation is the weight of its uncovered points, and its score adds
+    the maximum of every child group it joins, where a group is the live
+    rows of an edge sharing one parent key.  Each group keeps its first
+    row of maximal score, in row order, and the best answer takes that row
+    in every root group and then in every group its parent's pick joins.
+
+    Arithmetic is in integers: every weight the plan reads is scaled by
     the lcm of their denominators, and `best` turns the total back into a
     Fraction.  A request whose region contains the last one lowers only
     the rows that hold a newly covered point, re-scores them, re-takes the
     maximum of each of their groups whose top row fell, and pushes every
     group whose maximum fell to the parent rows that join it.  Any other
-    request rebuilds every score from scratch.  `rows_rescored` counts the
-    rows whose score either path computed.
+    request rebuilds every score from scratch.  The tables are built on
+    the first `best` call, and `rows_rescored` counts the rows whose score
+    either path computed.
     """
 
-    def __init__(self, cols: Sequence[tuple], rows: Sequence[Sequence[tuple]],
-                 parents: Sequence[int | None], fragments: Sequence[Callable],
-                 weight_of: Callable | None = None):
+    def __init__(self, q: ConjunctiveQuery, db: Database, atoms: Iterable[int],
+                 components: Iterable[list[int]], weight_of: Callable | None):
+        self.q = q
+        self.db = db
+        self._atoms = list(atoms)
+        cols: list[tuple] = []
+        rows: list[list[tuple]] = []
+        witnesses: list[Callable] = []
+        for i in self._atoms:
+            atom = q.atoms[i]
+            edge = tuple(sorted(atom.vars))
+            pmap = [atom.vars.index(c) for c in edge]
+            facts = sorted(atom_candidates(db, atom, {}))
+            cols.append(edge)
+            rows.append([tuple(f.values[p] for p in pmap) for f in facts])
+            witnesses.append(lambda r, facts=facts: (facts[r],))
+        self._tables = [_witness_table(q, db, ids) for ids in components]
+        for edge, table in self._tables:
+            keys = sorted(table)
+            cols.append(edge)
+            rows.append(keys)
+            witnesses.append(lambda r, keys=keys, table=table: table[keys[r]])
+        self._parents = _gyo_reduce([frozenset(c) for c in cols])
+        if self._parents is None:
+            raise _PlanSnag("projected hypergraph is not acyclic")
         self._cols = cols
         self._rows = rows
-        self._parents = parents
-        self._fragments = fragments
+        self._fragments = self._charge(cols, rows, witnesses)
         self._weight_of = weight_of
         self._holders: list[dict] | None = None  # built by the first `best`
         self._covered: frozenset | None = None
         self.rows_rescored = 0
+
+    def _charge(self, cols, rows, witnesses) -> list[Callable]:
+        """Per edge, the ground points of a row, by row index."""
+        return witnesses
 
     def _index(self) -> None:
         """Liveness, groups, joins, the inverted index and integer weights."""
@@ -306,10 +344,11 @@ class _MaxPlusKernel:
         self._fragments = self._weight_of = None
 
     def best(self, covered: frozenset):
-        """(gain, assignment of variables to values) of the best answer
-        once `covered` weighs 0, or None when the query has no answer."""
+        """Best (answer, gain) once the ground points in `covered` weigh 0,
+        or None when the query has no answer."""
         if self._holders is None:
             self._index()
+        covered = frozenset(covered)
         if self._covered is not None and covered >= self._covered:
             self._lower(covered - self._covered)
         else:
@@ -394,22 +433,55 @@ class _MaxPlusKernel:
                 i = self._best[u][self._probe[u](self._rows[p][picked[p]])]
             picked[u] = i
             assignment.update(zip(self._cols[u], self._rows[u][i]))
-        return Fraction(total, self._scale), assignment
+        answer = Fact(self.q.head_name, tuple(assignment[hv] for hv in self.q.head_vars))
+        return answer, Fraction(total, self._scale)
 
 
-def _atom_rows(db: Database, atom) -> list[Fact]:
-    return sorted(atom_candidates(db, atom, {}))
+def _witness_table(q: ConjunctiveQuery, db: Database, atom_ids: list[int]):
+    """Collapse one hanging component into (interface variables,
+    {interface tuple: facts of the witnesses})."""
+    atoms = [q.atoms[i] for i in atom_ids]
+    out = tuple(sorted({v for a in atoms for v in a.vars} & frozenset(q.head_vars)))
+    parents = _gyo_reduce([frozenset(a.vars) for a in atoms])
+    if parents is None:
+        raise _PlanSnag("hanging component is not acyclic")
+    root = next((j for j, a in enumerate(atoms) if set(out) <= set(a.vars)), None)
+    if root is None:
+        raise _PlanSnag("no component atom covers the head interface")
+    parents = _reroot(parents, root)
+    order, children = _preorder(parents)
+    msg: dict[int, dict] = {}
+    for u in reversed(order):
+        atom = atoms[u]
+        apos = {v: p for p, v in enumerate(atom.vars)}
+        kid_cols = [tuple(v for v in atoms[c].vars if v in apos) for c in children[u]]
+        key_cols = out if u == root else tuple(
+            v for v in atom.vars if v in atoms[parents[u]].vars)
+        table: dict = {}
+        for f in sorted(atom_candidates(db, atom, {})):
+            bundle = {f}
+            for c, kcols in zip(children[u], kid_cols):
+                got = msg[c].get(tuple(f.values[apos[v]] for v in kcols))
+                if got is None:
+                    break
+                bundle |= got
+            else:
+                table.setdefault(tuple(f.values[apos[v]] for v in key_cols),
+                                 set()).update(bundle)
+        msg[u] = table
+    return out, {k: frozenset(s) for k, s in msg[root].items()}
 
 
-class TropicalPlan:
-    """Incremental next-answer ranking for positional volumes.
+class TropicalPlan(_RankingPlan):
+    """Next-answer ranking for positional volumes.
 
-    Requires a full, acyclic query.  Each head position is charged to
-    the first body atom containing its variable, so an atom's fact is
-    annotated with the total weight of the not-yet-seen (value, position)
-    pairs it would contribute.  The marginal of an answer is exactly the
-    sum of its facts' annotations, and the best answer falls out of the
-    shared max-plus kernel, whose ground points are those pairs.
+    Requires a full, acyclic query, and every atom is an edge.  Each head
+    position is charged to the first atom containing its variable, so a
+    row charges the (value, position) pairs of the head positions homed
+    on its atom, and the marginal of an answer is exactly the sum of its
+    rows' uncovered pairs.  Planning an atom that repeats a variable, or
+    a projected head, as `ProvenancePlan` does would change which of
+    several tied answers wins, and for projected heads even the total.
     """
 
     def __init__(self, q: ConjunctiveQuery, db: Database, volume: VolumeAssignment):
@@ -419,61 +491,45 @@ class TropicalPlan:
         if not q.is_full:
             raise EngineCompatibilityError(
                 "value ranking needs a full query (every body variable in the head)")
-        tree = gyo_join_tree(q)
-        if tree is None:
+        if gyo_join_tree(q) is None:
             raise EngineCompatibilityError("value ranking needs an acyclic query")
-        self.q = q
         self.volume = volume
-        cols = [tuple(sorted(a.vars)) for a in q.atoms]
-        rows = []
-        for i, atom in enumerate(q.atoms):
-            pmap = [atom.vars.index(c) for c in cols[i]]
-            rows.append([tuple(f.values[p] for p in pmap) for f in _atom_rows(db, atom)])
-        # (column, 1-based head position) of each head position an atom is charged
-        charge: list[list[tuple[int, int]]] = [[] for _ in q.atoms]
-        for l, hv in enumerate(q.head_vars):
-            home = next(i for i, a in enumerate(q.atoms) if hv in a.vars)
-            charge[home].append((cols[home].index(hv), l + 1))
-        fragments = [lambda i, rows=r, charge=c: [(rows[i][j], pos) for j, pos in charge]
-                     for r, c in zip(rows, charge)]
-        self._kernel = _MaxPlusKernel(cols, rows, [n.parent for n in tree.nodes], fragments,
-                                      getattr(volume.measure, "weight_of", None))
+        super().__init__(q, db, range(len(q.atoms)), (),
+                         getattr(volume.measure, "weight_of", None))
 
-    @property
-    def rows_rescored(self) -> int:
-        """Rows whose max-plus score the `next` calls so far computed."""
-        return self._kernel.rows_rescored
+    def _charge(self, cols, rows, witnesses):
+        # (column, 1-based head position) of each head position an edge is charged
+        charge: list[list[tuple[int, int]]] = [[] for _ in cols]
+        for pos, hv in enumerate(self.q.head_vars, start=1):
+            home = next(e for e, c in enumerate(cols) if hv in c)
+            charge[home].append((cols[home].index(hv), pos))
+        return [lambda i, rows=r, charge=c: [(rows[i][j], pos) for j, pos in charge]
+                for r, c in zip(rows, charge)]
+
+    def _ball(self, answer: Fact) -> frozenset:
+        return self.volume.ball(answer)
+
+    def best(self, covered: frozenset):
+        hit = super().best(covered)
+        if hit is not None:
+            check = self.volume.marginal_given_covered(covered, hit[0])
+            if check != hit[1]:  # pragma: no cover - per-position charging is exact
+                raise AssertionError(f"ranked marginal {hit[1]} but the volume says {check}")
+        return hit
 
     def next(self, selected: Iterable[Fact]):
         """Best (answer, marginal) with already-seen positions weighing 0."""
-        covered = self.volume.covered(selected)
-        hit = self._kernel.best(covered)
-        if hit is None:
-            return None
-        total, assignment = hit
-        answer = Fact(self.q.head_name, tuple(assignment[hv] for hv in self.q.head_vars))
-        check = self.volume.marginal_given_covered(covered, answer)
-        if check != total:  # pragma: no cover - per-position charging is exact
-            raise AssertionError(f"ranked marginal {total} but the volume says {check}")
-        return answer, total
+        return self.best(self.volume.covered(selected))
 
 
-class _PlanSnag(Exception):
-    """Internal: the given decomposition lacks structure the planner needs."""
+class ProvenancePlan(_RankingPlan):
+    """Next-answer ranking for the witness-fact volume.
 
-
-class ProvenancePlan:
-    """Incremental next-answer ranking for the witness-fact volume.
-
-    Works on self-join-free free-connex queries without materializing
-    the answer set.  Atoms whose variables all appear in the head are
-    kept as explicit edges; every other atom belongs to a hanging
-    component, which is collapsed by one which-provenance pass into a
-    table from its head-variable interface to the set of facts in any
-    witness.  Self-join-freeness makes those fact sets disjoint across
-    edges, so the marginal of an answer is a sum of per-edge weights and
-    the best answer again falls out of the shared max-plus kernel, whose
-    ground points are facts.
+    Works on self-join-free free-connex queries.  The atoms of the connex
+    part are edges whose rows charge their own fact; every other atom
+    belongs to a hanging component, whose rows charge the facts of its
+    witnesses.  Self-join-freeness makes those fact sets disjoint across
+    edges, so the marginal of an answer is a sum of per-edge weights.
     """
 
     def __init__(self, q: ConjunctiveQuery, db: Database,
@@ -490,119 +546,20 @@ class ProvenancePlan:
             raise EngineCompatibilityError(
                 "provenance ranking needs a free-connex query: no connected subtree "
                 "of bags covers exactly the head variables")
-        self.q = q
-        self.db = db
-        self._weight_of = weight_of
-        try:
-            self._build(fc)
-        except _PlanSnag:
-            fc = extended_gyo_decomposition(q)
-            if fc is None:
-                raise EngineCompatibilityError(
-                    "provenance ranking needs a free-connex query") from None
-            self._build(fc)
-
-    def _build(self, fc):
-        q, db = self.q, self.db
-        headset = frozenset(q.head_vars)
-        td = assign_atoms(q, fc.td)
-        outer_atoms: list[int] = []
-        for ident in sorted(fc.connex):
-            outer_atoms.extend(td.nodes[ident].atoms)
-        comp_atom_sets = []
-        for comp in fc.hanging_components():
-            ids = sorted(i for u in comp for i in td.nodes[u].atoms)
-            if ids:
-                comp_atom_sets.append(ids)
-
-        # Hout edges: (cols, rows, ground points of a row).
-        edges_cols: list[tuple] = []
-        edges_rows: list[list[tuple]] = []
-        fragments: list[Callable] = []
-        self._outer_atoms: list[tuple[int, tuple]] = []
-        self._components: list[tuple[tuple, dict]] = []
-
-        for i in sorted(outer_atoms):
-            atom = q.atoms[i]
-            if not frozenset(atom.vars) <= headset:  # pragma: no cover
-                raise AssertionError("connex bags must sit inside the head set")
-            cols = tuple(sorted(atom.vars))
-            pmap = [atom.vars.index(c) for c in cols]
-            facts = _atom_rows(db, atom)
-            edges_cols.append(cols)
-            edges_rows.append([tuple(f.values[p] for p in pmap) for f in facts])
-            fragments.append(lambda r, facts=facts: (facts[r],))
-            self._outer_atoms.append((i, cols))
-
-        for ids in comp_atom_sets:
-            out_cols, tableau = self._component_table(ids, headset)
-            rows = sorted(tableau)
-            edges_cols.append(out_cols)
-            edges_rows.append(rows)
-            fragments.append(lambda r, rows=rows, tableau=tableau: tableau[rows[r]])
-            self._components.append((out_cols, tableau))
-
-        parents = _gyo_reduce([frozenset(cs) for cs in edges_cols])
-        if parents is None:
-            raise _PlanSnag("projected hypergraph is not acyclic")
-        self._kernel = _MaxPlusKernel(edges_cols, edges_rows, parents, fragments,
-                                      self._weight_of)
-
-    def _component_table(self, atom_ids: list[int], headset: frozenset):
-        """Collapse one hanging component into {interface tuple: witness facts}."""
-        q, db = self.q, self.db
-        atoms = [q.atoms[i] for i in atom_ids]
-        out = tuple(sorted({v for a in atoms for v in a.vars} & headset))
-        parents = _gyo_reduce([frozenset(a.vars) for a in atoms])
-        if parents is None:
-            raise _PlanSnag("hanging component is not acyclic")
-        root = next((j for j, a in enumerate(atoms) if set(out) <= set(a.vars)), None)
-        if root is None:
-            raise _PlanSnag("no component atom covers the head interface")
-        parents = _reroot(parents, root)
-        order, children = _preorder(parents)
-
-        msg: dict[int, dict] = {}
-        for u in reversed(order):
-            atom = atoms[u]
-            apos = {v: p for p, v in enumerate(atom.vars)}
-            kid_cols = [tuple(v for v in atoms[c].vars if v in apos) for c in children[u]]
-            if u == root:
-                key_cols = out
-            else:
-                par = atoms[parents[u]]
-                key_cols = tuple(v for v in atom.vars if v in par.vars)
-            table: dict = {}
-            for f in _atom_rows(db, atom):
-                bundle = {f}
-                dead = False
-                for c, kcols in zip(children[u], kid_cols):
-                    got = msg[c].get(tuple(f.values[apos[v]] for v in kcols))
-                    if got is None:
-                        dead = True
-                        break
-                    bundle |= got
-                if dead:
-                    continue
-                key = tuple(f.values[apos[v]] for v in key_cols)
-                prior = table.get(key)
-                table[key] = bundle if prior is None else prior | bundle
-            msg[u] = table
-        return out, {k: frozenset(s) for k, s in msg[root].items()}
-
-    @property
-    def rows_rescored(self) -> int:
-        """Rows whose max-plus score the `next` calls so far computed."""
-        return self._kernel.rows_rescored
+        # A snag in the given decomposition retries the extended GYO one.
+        for dec in (fc, extended_gyo_decomposition(q)):
+            if dec is None:
+                raise EngineCompatibilityError("provenance ranking needs a free-connex query")
+            try:
+                super().__init__(q, db, *_connex_split(q, dec), weight_of)
+                return
+            except _PlanSnag as exc:
+                snag = exc
+        raise EngineCompatibilityError(f"provenance ranking cannot plan this query: {snag}")
 
     def next(self, covered: frozenset):
         """Best (answer, gain) where a fact weighs 0 once covered."""
-        hit = self._kernel.best(frozenset(covered))
-        if hit is None:
-            return None
-        total, assignment = hit
-        answer = Fact(self.q.head_name, tuple(assignment[hv] for hv in self.q.head_vars))
-        return answer, total
+        return self.best(covered)
 
     def provenance_of(self, answer: Fact) -> frozenset:
         """Union of facts over the answer's witnesses, by per-edge lookup."""
@@ -614,24 +571,32 @@ class ProvenancePlan:
             if binding.setdefault(hv, val) != val:
                 raise InputError(f"{answer!r} is not an answer of the query")
         facts: set[Fact] = set()
-        for i, _ in self._outer_atoms:
+        for i in self._atoms:
             atom = q.atoms[i]
             f = Fact(atom.relation, tuple(binding[v] for v in atom.vars))
             if f not in self.db:
                 raise InputError(f"{answer!r} is not an answer of the query")
             facts.add(f)
-        for out_cols, tableau in self._components:
-            got = tableau.get(tuple(binding[v] for v in out_cols))
+        for out_cols, table in self._tables:
+            got = table.get(tuple(binding[v] for v in out_cols))
             if got is None:
                 raise InputError(f"{answer!r} is not an answer of the query")
             facts |= got
         return frozenset(facts)
 
-    def covered_by(self, selected: Iterable[Fact]) -> frozenset:
-        region: set = set()
-        for t in selected:
-            region |= self.provenance_of(t)
-        return frozenset(region)
+    _ball = provenance_of
+
+
+def _connex_split(q: ConjunctiveQuery, fc) -> tuple[list[int], list[list[int]]]:
+    """Atom ids of the connex part, and of each hanging component."""
+    td = assign_atoms(q, fc.td)
+    atoms = sorted(i for u in fc.connex for i in td.nodes[u].atoms)
+    if any(not frozenset(q.atoms[i].vars) <= frozenset(q.head_vars)
+           for i in atoms):  # pragma: no cover
+        raise AssertionError("connex bags must sit inside the head set")
+    components = [sorted(i for u in comp for i in td.nodes[u].atoms)
+                  for comp in fc.hanging_components()]
+    return atoms, [ids for ids in components if ids]
 
 
 # ---------------------------------------------------------------------------
@@ -645,10 +610,10 @@ def greedy_combined(q: ConjunctiveQuery, db: Database, k: int,
 
     `engine` picks the oracle: "naive" materializes the answers,
     "tropical" ranks positional volumes incrementally, "provenance"
-    ranks the witness-fact volume incrementally, and "auto" tries the
-    matching incremental ranker before falling back to naive.  A given
-    `td` is validated for every engine; only the provenance ranker
-    plans over it.  Rounds stop at the first round whose best gain is 0,
+    ranks the witness-fact volume (the default) incrementally, and
+    "auto" tries the ranker that the volume calls for before falling
+    back to naive.  A given `td` is validated for every engine; only the
+    provenance ranker plans over it.  Rounds stop at the first round whose best gain is 0,
     which is exactly when no answer adds volume.  The result's `engine`
     names the engine that ran.
     """
@@ -668,39 +633,34 @@ def greedy_combined(q: ConjunctiveQuery, db: Database, k: int,
             return hit if hit is not None and hit[1] > 0 else None
         return _make_result(*_greedy(k, gainful, commit), engine=name)
 
-    if engine in ("auto", "provenance") and (volume is None or volume.name == "provenance"):
-        weight = None if volume is None else getattr(volume.measure, "weight_of", None)
+    if volume is None or volume.name == "provenance":
+        ranker = "provenance"
+    elif volume.name in POSITIONAL_VOLUMES:
+        ranker = "tropical"
+    else:
+        ranker = "naive"
+    if engine in ("tropical", "provenance") and engine != ranker:
+        got = "none" if volume is None else repr(volume.name)
+        raise EngineCompatibilityError(
+            f"the provenance engine ranks the witness-fact volume; got the {got} volume"
+            if engine == "provenance" else
+            f"value ranking supports positional volumes only, not {got}")
+    if ranker != "naive" and engine in ("auto", ranker):
         try:
-            plan = ProvenancePlan(q, db, td=td, weight_of=weight)
+            plan = (TropicalPlan(q, db, volume) if ranker == "tropical" else
+                    ProvenancePlan(q, db, td=td, weight_of=getattr(
+                        getattr(volume, "measure", None), "weight_of", None)))
         except EngineCompatibilityError:
-            if engine == "provenance":
+            if engine == ranker:
                 raise
         else:
             covered: frozenset = frozenset()
 
             def absorb(answer):
                 nonlocal covered
-                covered = covered | plan.provenance_of(answer)
+                covered = covered | plan._ball(answer)
 
-            return run("provenance", lambda picks: plan.next(covered), absorb)
-    if engine == "provenance":
-        raise EngineCompatibilityError(
-            "the provenance engine ranks the witness-fact volume; "
-            f"got the {volume.name!r} volume")
-
-    if engine in ("auto", "tropical") and volume is not None \
-            and volume.name in POSITIONAL_VOLUMES:
-        try:
-            ranker = TropicalPlan(q, db, volume)
-        except EngineCompatibilityError:
-            if engine == "tropical":
-                raise
-        else:
-            return run("tropical", ranker.next)
-    if engine == "tropical":
-        name = "none" if volume is None else repr(volume.name)
-        raise EngineCompatibilityError(
-            f"value ranking supports positional volumes only, not {name}")
+            return run(ranker, lambda picks: plan.best(covered), absorb)
 
     if volume is None:
         volume = provenance_volume(q, db)

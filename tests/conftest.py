@@ -40,6 +40,17 @@ def q1():
     return parse_cq("Q1(x,y) <- R(x,z), R(z,y).")
 
 
+# A triangle with a private variable per atom, and a decomposition valid
+# for it whose three leaves' witness tables meet in a cycle on the head
+# variables, as do those of the extended GYO tree.
+
+TRIANGLE = "Q(x,y,z) <- R(x,y,a), S(y,z,b), T(z,x,c)."
+STAR_TD = {"nodes": [{"id": 0, "bag": ["x", "y", "z"], "parent": None},
+                     {"id": 1, "bag": ["x", "y", "a"], "parent": 0},
+                     {"id": 2, "bag": ["y", "z", "b"], "parent": 0},
+                     {"id": 3, "bag": ["z", "x", "c"], "parent": 0}]}
+
+
 # Four 5-column tuples: two close pairs far apart under Hamming distance.
 
 @pytest.fixture

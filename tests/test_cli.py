@@ -10,6 +10,8 @@ from jsonschema import Draft7Validator
 
 from diverse_cq import cli, engine
 
+from conftest import STAR_TD, TRIANGLE
+
 Q1 = "Q1(x,y) <- R(x,z), R(z,y)."
 IDENT = "A(x,y) <- R(x,y)."
 
@@ -178,6 +180,26 @@ def test_diversify_combined_bad_td_exit_2(capsys, work, tmp_path):
     assert "invalid tree decomposition" in err
 
 
+def test_diversify_combined_unplannable_td(capsys, tmp_path):
+    data = tmp_path / "tri"
+    data.mkdir()
+    (data / "schema.txt").write_text("R/3\nS/3\nT/3\n")
+    (data / "R.csv").write_text("1,2,p\n2,3,p\n")
+    (data / "S.csv").write_text("2,3,q\n3,1,q\n")
+    (data / "T.csv").write_text("3,1,r\n1,2,r\n")
+    td = tmp_path / "star.json"
+    td.write_text(json.dumps(STAR_TD))
+    base = ["diversify", "--data", str(data), "--query", TRIANGLE, "-k", "2",
+            "--mode", "greedy-combined"]
+    plain = report(capsys, base)["payload"]
+    doc = report(capsys, base + ["--td", str(td)])["payload"]
+    assert doc["engine_used"] == plain["engine_used"] == "naive"
+    assert doc["selected"] == plain["selected"] and doc["total"] == plain["total"] == "6"
+    code, out, err = run(capsys, base + ["--td", str(td), "--engine", "provenance"])
+    assert code == 2 and out == ""
+    assert "provenance ranking cannot plan this query" in err
+
+
 ROOT = {"id": 0, "bag": ["x", "y"], "parent": None}
 
 
@@ -202,6 +224,7 @@ def test_diversify_combined_malformed_td_exit_2(capsys, work, tmp_path, nodes):
 
 
 D1 = ["--data", "<d1>", "--query", IDENT]
+COMPARE = [*D1, "-k", "1", "--distance", "hamming"]
 TD_ONLY_COMBINED = "--td is read by --mode greedy-combined only"
 
 
@@ -240,9 +263,30 @@ TD_ONLY_COMBINED = "--td is read by --mode greedy-combined only"
      "--mc-samples is read by --volume ball:r=<r> only"),
     (["diversify", *D1, "-k", "1", "--mode", "greedy-combined", "--mc-samples", "10"],
      "--mc-samples is read by --volume ball:r=<r> only"),
+    (["compare", *COMPARE, "--volume", "pos", "--measure", "weighted:nofile"],
+     "--measure is read by --volume elem-w|pos-w only"),
+    (["compare", *COMPARE, "--volume", "provenance", "--measure", "weighted:<w>"],
+     "--measure is read by --volume elem-w|pos-w only"),
+    (["compare", *COMPARE, "--volume", "elem", "--mc-samples", "5"],
+     "--mc-samples is read by --volume ball:r=<r> only"),
+    (["convert", "--multiattr", "<maw>", "--volume", "pos", "--mc-samples", "7",
+      "--data", "nowhere", "--query", "garbage"], "--volume is read by --volume-dump only"),
+    (["convert", "--ultrametric", "<tree>", "--data", "<d1>"],
+     "--data is read by --volume-dump only"),
+    (["convert", "--multiattr", "<maw>", "--query", IDENT],
+     "--query is read by --volume-dump only"),
+    (["convert", "--ultrametric", "<tree>", "--measure", "weighted:<w>"],
+     "--measure is read by --volume elem-w|pos-w only"),
+    (["convert", "--multiattr", "<maw>", "--mc-samples", "7"],
+     "--mc-samples is read by --volume ball:r=<r> only"),
+    (["convert", "--volume-dump", *D1, "--volume", "elem", "--measure", "weighted:<w>"],
+     "--measure is read by --volume elem-w|pos-w only"),
+    (["convert", "--volume-dump", *D1, "--volume", "pos", "--mc-samples", "7"],
+     "--mc-samples is read by --volume ball:r=<r> only"),
 ])
 def test_flags_no_step_reads_exit_2(capsys, work, argv, message):
-    argv = [str(work / "d1") if a == "<d1>" else a for a in argv]
+    files = {"<d1>": "d1", "<maw>": "maw.json", "<tree>": "tree.json", "<w>": "w.txt"}
+    argv = [str(work / files[a]) if a in files else a for a in argv]
     code, out, err = run(capsys, argv)
     assert code == 2 and out == ""
     assert message in err

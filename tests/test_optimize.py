@@ -19,7 +19,7 @@ from diverse_cq import (EngineCompatibilityError, EuclideanBallVolume, InputErro
                         gyo_join_tree, intern, parse_cq, pos_volume, pos_weighted,
                         provenance_map, provenance_volume, td_from_json)
 
-from conftest import (db_of, mk, random_database, random_fact_set,
+from conftest import (STAR_TD, TRIANGLE, db_of, mk, random_database, random_fact_set,
                       random_free_connex_instance, random_tree_query)
 
 
@@ -180,7 +180,7 @@ def test_benchmark_stand_ins_and_plan_api(d1, d3):
     assert gain == 2
     plan = ProvenancePlan(parse_cq("Q(x) <- R(x,y)."), d3)
     ans, gain = plan.next(frozenset())
-    assert gain == 2 and plan.covered_by([ans]) == plan.provenance_of(ans)
+    assert gain == 2 and plan.provenance_of(ans) == frozenset(d3.all_facts())
 
 
 # Tropical ranking ------------------------------------------------------------
@@ -399,7 +399,7 @@ def test_provenance_next_matches_naive_round_by_round():
         selected = []
         for _ in range(3):
             naive = cqnext_naive(q, db, selected, v)
-            fast = plan.next(plan.covered_by(selected))
+            fast = plan.next(frozenset().union(*map(plan.provenance_of, selected)))
             assert (naive is None) == (fast is None)
             if naive is None:
                 break
@@ -420,6 +420,22 @@ def test_provenance_plan_accepts_wide_user_decomposition():
     naive_ans, naive_gain = cqnext_naive(q, db, [], v)
     assert gain == naive_gain
     assert plan.provenance_of(ans) == provenance_map(q, db, [ans])[ans]
+
+
+def test_unplannable_decomposition_is_an_engine_mismatch():
+    q = parse_cq(TRIANGLE)
+    db = db_of({"R": 3, "S": 3, "T": 3},
+               [mk("R", "1", "2", "p"), mk("S", "2", "3", "q"), mk("T", "3", "1", "r"),
+                mk("R", "2", "3", "p"), mk("S", "3", "1", "q"), mk("T", "1", "2", "r")])
+    star = td_from_json(STAR_TD)
+    with pytest.raises(EngineCompatibilityError, match="cannot plan this query"):
+        ProvenancePlan(q, db, td=star)
+    with pytest.raises(EngineCompatibilityError, match="cannot plan this query"):
+        greedy_combined(q, db, 2, engine="provenance", td=star)
+    res = greedy_combined(q, db, 2, td=star)
+    assert res.engine == "naive"
+    assert res == greedy_combined(q, db, 2)
+    assert res.total == 6
 
 
 def test_provenance_wrapper_weighting(d3):
