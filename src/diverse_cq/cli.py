@@ -200,6 +200,14 @@ def _build_volume(args, q, db, inputs: dict):
     raise InputError(f"unknown volume {spec!r}; expected one of {VOLUME_CHOICES}")
 
 
+def _volume_and_answers(args, q, db, inputs: dict, phases):
+    """The volume and the ordered answers, evaluating the query once."""
+    vol = phases.run("volume", lambda: _build_volume(args, q, db, inputs))
+    if args.volume == "provenance":
+        return vol, sorted(vol.universe)
+    return vol, phases.run("evaluate", lambda: enumerate_answers(q, db)).ordered()
+
+
 # ---------------------------------------------------------------------------
 # Commands
 
@@ -258,12 +266,8 @@ def cmd_diversify(args, argv: list[str]) -> int:
         payload["engine_used"] = result.engine
         payload["optimal"] = False
     else:
-        vol = phases.run("volume", lambda: _build_volume(args, q, db, inputs))
+        vol, answers = _volume_and_answers(args, q, db, inputs, phases)
         payload["volume"] = args.volume
-        if args.volume == "provenance":
-            answers = vol.universe  # the volume evaluated the query already
-        else:
-            answers = phases.run("evaluate", lambda: enumerate_answers(q, db).answers)
         if args.mode == "exact":
             cap = BRUTE_FORCE_CAP if args.max_subsets is None else args.max_subsets
             result = phases.run("diversify", lambda: brute_force_diversify(
@@ -337,8 +341,7 @@ def cmd_compare(args, argv: list[str]) -> int:
     phases = _Phases()
     db = phases.run("load", lambda: _load_db(args, inputs))
     q = _load_query(args, db, inputs)
-    vol = _build_volume(args, q, db, inputs)
-    answers = phases.run("evaluate", lambda: enumerate_answers(q, db)).ordered()
+    vol, answers = _volume_and_answers(args, q, db, inputs, phases)
     dist = _load_distance(args, answers, inputs)
     k = args.k
 
@@ -515,8 +518,7 @@ def cmd_convert(args, argv: list[str]) -> int:
     # --volume-dump: answers of a query become the universe of a lambda table.
     db = phases.run("load", lambda: _load_db(args, inputs))
     q = _load_query(args, db, inputs)
-    vol = _build_volume(args, q, db, inputs)
-    answers = phases.run("evaluate", lambda: enumerate_answers(q, db)).ordered()
+    vol, answers = _volume_and_answers(args, q, db, inputs, phases)
     if len(answers) > MULTI_ATTRIBUTE_CAP:
         raise InputError(
             f"{len(answers)} answers exceed the multi-attribute cap of "

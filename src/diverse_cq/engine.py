@@ -1,10 +1,13 @@
 """Query evaluation: the acyclic enumerator, backtracking, provenance.
 
 Acyclic queries are evaluated over their GYO join tree, one node per
-atom.  A bottom-up semijoin pass keeps the rows of every node that
-extend into its subtrees; one preorder walk from the root then probes a
-hash index on each node's parent key.  Rooted at the connex subtree of
-a free-connex head, the walk is linear in input plus output.
+atom.  One bottom-up semijoin pass, `_reduce`, keeps the rows of every
+node that extend into its subtrees; the join-tree rankers in `optimize`
+take their live rows from it as well.  One preorder walk from the root
+then probes each node's rows on its parent key.  Rooted at the connex
+subtree of a free-connex head, the walk is linear in input plus output.
+When asked, the same walk also folds up each answer's ball for the
+provenance volume: the facts of all of the answer's witnesses.
 
 Cyclic bodies fall back to the backtracking join, which is also the
 semantics oracle every other path is tested against.  It orders atoms
@@ -16,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Callable, Iterator, Mapping
+from typing import Callable, Iterator, Mapping, Sequence
 
 from .errors import InputError, LimitExceededError
 from .query import (Atom, ConjunctiveQuery, TreeDecomposition, gyo_join_tree,
@@ -74,8 +77,8 @@ def homomorphisms(q: ConjunctiveQuery, db: Database, initial: Mapping | None = N
     `facts` is aligned with q.atoms.  `limit` caps the number of
     candidate extensions considered across the whole search.
     """
-    for name in {a.relation for a in q.atoms}:
-        db.relation(name)  # fail fast on unknown relations
+    for a in q.atoms:
+        db.relation(a.relation)  # fail fast on unknown relations, in body order
     order = sorted(range(len(q.atoms)),
                    key=lambda i: (db.size(q.atoms[i].relation), i))
     atoms = [q.atoms[i] for i in order]
@@ -138,84 +141,115 @@ def _picker(positions: list[int]) -> Callable:
     return itemgetter(*positions) if positions else (lambda row: ())
 
 
-def _semijoin(bag: tuple, rows: list[tuple], other_bag: tuple,
-              other_rows: list[tuple]) -> list[tuple]:
-    """The rows that agree with some other row on the shared variables."""
-    shared = [v for v in bag if v in other_bag]
-    mine = _picker([bag.index(v) for v in shared])
-    theirs = _picker([other_bag.index(v) for v in shared])
-    have = set(map(theirs, other_rows))
-    return [r for r in rows if mine(r) in have]
+def _reduce(bags: Sequence[tuple], rows: Sequence[list[tuple]],
+            parents: Sequence[int | None]):
+    """The one bottom-up semijoin pass over the join tree `parents`,
+    whose node `u` has the rows `rows[u]` over the variables `bags[u]`.
+
+    Returns the preorder and children; per node, the key picker on its
+    rows and the probe picker on its parent's rows, over the variables it
+    shares with the parent in its own bag order (none at a root); and per
+    node its live rows, which join a live row of every child, as row
+    indices grouped by key in row order.
+    """
+    order, kids = _preorder(parents)
+    key, probe = [], []
+    for u, p in enumerate(parents):
+        shared = [] if p is None else [v for v in bags[u] if v in bags[p]]
+        key.append(_picker([bags[u].index(v) for v in shared]))
+        probe.append(_picker([bags[p].index(v) for v in shared]))
+    groups: list[dict] = [{} for _ in rows]
+    for u in reversed(order):
+        live = range(len(rows[u]))
+        for c in kids[u]:
+            live = [i for i in live if probe[c](rows[u][i]) in groups[c]]
+        for i in live:
+            groups[u].setdefault(key[u](rows[u][i]), []).append(i)
+    return order, kids, key, probe, groups
 
 
-def _tree_answers(q: ConjunctiveQuery, td: TreeDecomposition,
-                  db: Database) -> Iterator[Fact]:
+def _tree_answers(q: ConjunctiveQuery, td: TreeDecomposition, db: Database,
+                  balls: bool = False) -> Iterator:
     """Distinct answers of `q` over its GYO join tree or a re-rooting of it.
 
-    Node `i` holds atom `i`: its bag is the atom's variables and its
-    rows the atom's facts.  The tree is rooted at a node whose connex
-    subtree covers the head, when one exists.  A bottom-up semijoin pass
-    leaves every node with the rows that extend into all of its
-    subtrees.  The walk then runs in preorder from the root, probing a
-    hash index on each node's parent key, and skips every subtree that
-    binds no new head variable: each row the walk reaches extends into
-    those subtrees, so no top-down pass is needed.  For a free-connex
-    head the walked nodes bind head variables only, each walk is a
-    distinct answer, and the enumeration is linear in input plus output;
-    otherwise answers are deduplicated.
+    Node `i` holds atom `i`'s variables and facts.  The tree is rooted at
+    a node whose connex subtree covers the head, when one exists.  After
+    `_reduce` every row extends into all of its node's subtrees, so one
+    preorder walk that probes each node's groups with its parent key, and
+    skips every subtree binding no new head variable, finds the answers.
+    For a free-connex head each walk is a distinct answer and the walk is
+    linear in input plus output; otherwise answers are deduplicated.
+
+    With `balls` it yields instead, once the walk is done, each answer
+    with its ball: the facts of every homomorphism that yields it.  Such
+    a homomorphism extends a walk into each skipped subtree on its own,
+    so the ball holds the walks' facts and, per skipped subtree, the
+    facts of all of its extensions, folded bottom-up once per group key.
     """
+    fc = _connex_rooting(td, frozenset(q.head_vars))
+    parents = (td if fc is None else fc.td).parents
     bags = [a.vars for a in q.atoms]
-    rows = [[f.values for f in atom_candidates(db, a, {})] for a in q.atoms]
+    facts = [list(atom_candidates(db, a, {})) for a in q.atoms]
+    rows = [[f.values for f in fs] for fs in facts]
+    order, kids, key, probe, groups = _reduce(bags, rows, parents)
     headset = frozenset(q.head_vars)
-    fc = _connex_rooting(td, headset)
-    if fc is not None:
-        td = fc.td
-    parents = td.parents
-    order, kids = _preorder(parents)
     below: dict[int, frozenset] = {}  # head variables bound in u's subtree
     for u in reversed(order):
         below[u] = headset.intersection(bags[u]).union(*(below[c] for c in kids[u]))
-        for c in kids[u]:
-            rows[u] = _semijoin(bags[u], rows[u], bags[c], rows[c])
 
-    # One step per walked node, in preorder: a hash index from the values
-    # of the variables shared with the parent to the node's rows, and the
-    # slots its fresh variables fill.
-    walked: set = set()
-    slot: dict = {}
+    # One step per walked node, in preorder: its groups, rows and facts,
+    # its probe, and the depth whose chosen row it probes (any at a root).
+    depth_of: dict = {}
     steps = []
     for u in order:
         p = parents[u]
-        shared = set() if p is None else set(bags[p])
-        if p is not None and (p not in walked or not below[u] - shared):
-            continue
-        walked.add(u)
-        bag = bags[u]
-        key = [i for i, v in enumerate(bag) if v in shared]
-        index: dict = {}
-        for r, k in zip(rows[u], map(_picker(key), rows[u])):
-            index.setdefault(k, []).append(r)
-        fresh = [(slot.setdefault(v, len(slot)), i)
-                 for i, v in enumerate(bag) if v not in shared]
-        steps.append((index, _picker([slot[bag[i]] for i in key]), fresh))
-    head = [slot[v] for v in q.head_vars]
-    values: list = [None] * len(slot)
+        if p is None or (p in depth_of and below[u] - set(bags[p])):
+            depth_of[u] = len(steps)
+            steps.append((groups[u], rows[u], facts[u], probe[u], depth_of.get(p, 0)))
+    home = {v: (depth_of[u], i) for u in depth_of for i, v in enumerate(bags[u])}
+    head = [home[v] for v in q.head_vars]
+    # Per skipped node and key, the facts of every extension of its subtree.
+    fold: dict[int, dict] = {}
+    for u in reversed(order):
+        if balls and u not in depth_of:
+            fold[u] = {}
+            for k, ids in groups[u].items():
+                got = {facts[u][i] for i in ids}
+                for c in kids[u]:
+                    got.update(*(fold[c][probe[c](rows[u][i])] for i in ids))
+                fold[u][k] = frozenset(got)
+    hang = [(depth_of[u], probe[c], fold[c]) for u in depth_of for c in kids[u] if c in fold]
+    distinct = all(headset.issuperset(bags[u]) for u in depth_of)
+    chosen: list = [None] * len(steps)  # the walk's rows
+    picked: list = [None] * len(steps)  # and their facts
     seen: set = set()
+    lineage: dict = {}
 
     def walk(depth: int):
-        if depth == len(steps):
-            ans = Fact(q.head_name, [values[s] for s in head])
-            if ans not in seen:
-                seen.add(ans)
-                yield ans
+        if depth < len(steps):
+            group, rows, facts, pick, up = steps[depth]
+            for i in group.get(pick(chosen[up]), ()):
+                chosen[depth] = rows[i]
+                picked[depth] = facts[i]
+                yield from walk(depth + 1)
             return
-        index, probe, fresh = steps[depth]
-        for row in index.get(probe(values), ()):
-            for s, p in fresh:
-                values[s] = row[p]
-            yield from walk(depth + 1)
+        ans = Fact(q.head_name, [chosen[d][i] for d, i in head])
+        if balls:
+            folds = [table[pick(chosen[d])] for d, pick, table in hang]
+            if distinct:
+                lineage[ans] = frozenset(picked).union(*folds)
+            else:
+                lineage.setdefault(ans, set()).update(picked, *folds)
+        elif ans not in seen:
+            seen.add(ans)
+            yield ans
 
-    yield from walk(0)
+    try:
+        yield from walk(0)
+    finally:
+        del walk  # the recursive closure is a cycle; free its tables now
+    for ans, got in lineage.items():
+        yield ans, frozenset(got)
 
 
 def provenance_map(q: ConjunctiveQuery, db: Database, answers,

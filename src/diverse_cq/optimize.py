@@ -5,7 +5,9 @@ Greedy selection over a materialized answer set carries the usual
 avoid materialization altogether.  Whenever an answer's marginal is a
 sum over the edges of a join tree, "which answer gains the most" is one
 max-plus dynamic program over that tree, and one plan, `_RankingPlan`,
-builds the edges and runs the program.  It keeps its tables between
+builds the edges and runs the program.  Its live rows come from the
+evaluator's semijoin pass, and each hanging component's witness table
+from the evaluator's walk with balls.  It keeps its tables between
 rounds, re-scores only the rows a pick uncovered, adds integer-scaled
 weights and returns Fractions.  Two thin subclasses decide only which
 ground points a row charges: `TropicalPlan`, for positional volumes
@@ -24,11 +26,11 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Callable, Iterable, Sequence
 
-from .engine import atom_candidates, enumerate_answers, _picker
+from .engine import atom_candidates, enumerate_answers, _reduce, _tree_answers
 from .errors import EngineCompatibilityError, InputError, LimitExceededError
 from .query import (ConjunctiveQuery, TreeDecomposition, assign_atoms,
                     extended_gyo_decomposition, free_connex_subtree, gyo_join_tree,
-                    validate_tree_decomposition, _gyo_reduce, _preorder, _reroot)
+                    validate_tree_decomposition, _gyo_reduce)
 from .relcore import Database, Fact
 from .volume import VolumeAssignment, provenance_volume
 
@@ -227,8 +229,8 @@ class _RankingPlan:
     """Next-answer ranking for a volume whose marginal is a sum over the
     edges of a join tree, kept up to date as the covered region grows.
 
-    The edges are the body atoms `atoms`, each holding its facts as sorted
-    rows over its sorted variables, and then one witness table per hanging
+    The edges are the body atoms `atoms`, each holding its sorted facts as
+    rows over its variables, and then one witness table per hanging
     component in `components`, from the component's head variables to the
     facts of its witnesses.  Parents come from GYO over the edges.  The
     volume decides only which ground points a row charges: by default its
@@ -264,12 +266,9 @@ class _RankingPlan:
         rows: list[list[tuple]] = []
         witnesses: list[Callable] = []
         for i in self._atoms:
-            atom = q.atoms[i]
-            edge = tuple(sorted(atom.vars))
-            pmap = [atom.vars.index(c) for c in edge]
-            facts = sorted(atom_candidates(db, atom, {}))
-            cols.append(edge)
-            rows.append([tuple(f.values[p] for p in pmap) for f in facts])
+            facts = sorted(atom_candidates(db, q.atoms[i], {}))
+            cols.append(q.atoms[i].vars)
+            rows.append([f.values for f in facts])
             witnesses.append(lambda r, facts=facts: (facts[r],))
         self._tables = [_witness_table(q, db, ids) for ids in components]
         for edge, table in self._tables:
@@ -294,39 +293,19 @@ class _RankingPlan:
 
     def _index(self) -> None:
         """Liveness, groups, joins, the inverted index and integer weights."""
-        cols, rows, parents = self._cols, self._rows, self._parents
-        self._order, self._kids = _preorder(parents)
-        # Key of a node's group, and the key a parent row probes it with.
-        self._group_key = []
-        self._probe = []
-        for u, p in enumerate(parents):
-            shared = [] if p is None else [c for c in cols[u] if c in cols[p]]
-            self._group_key.append(_picker([cols[u].index(c) for c in shared]))
-            self._probe.append(None if p is None else
-                               _picker([cols[p].index(c) for c in shared]))
+        rows = self._rows
+        (self._order, self._kids, self._group_key, self._probe,
+         self._groups) = _reduce(self._cols, rows, self._parents)
         n = len(rows)
-        self._groups: list[dict] = [{} for _ in range(n)]  # key -> live rows
         self._joins: list[dict] = [{} for _ in range(n)]  # key -> parent rows
-        for u in reversed(self._order):
-            row = rows[u]
-            live = range(len(row))
-            for c in self._kids[u]:
-                probe, groups = self._probe[c], self._groups[c]
-                live = [i for i in live if probe(row[i]) in groups]
-            for c in self._kids[u]:
-                probe, joins = self._probe[c], self._joins[c]
-                for i in live:
-                    joins.setdefault(probe(row[i]), []).append(i)
-            key, groups = self._group_key[u], self._groups[u]
-            for i in live:
-                groups.setdefault(key(row[i]), []).append(i)
-        # Inverted index: ground point -> the live rows of a node holding it.
-        index: list[dict] = [{} for _ in range(n)]
-        for u, holders in enumerate(index):
+        index: list[dict] = [{} for _ in range(n)]  # ground point -> live rows
+        for u in range(n):
             for ids in self._groups[u].values():
                 for i in ids:
                     for point in self._fragments[u](i):
-                        holders.setdefault(point, []).append(i)
+                        index[u].setdefault(point, []).append(i)
+                    for c in self._kids[u]:
+                        self._joins[c].setdefault(self._probe[c](rows[u][i]), []).append(i)
         self._weight: dict | None = None  # None: every point weighs 1
         self._scale = 1
         if self._weight_of is not None:
@@ -439,37 +418,20 @@ class _RankingPlan:
 
 def _witness_table(q: ConjunctiveQuery, db: Database, atom_ids: list[int]):
     """Collapse one hanging component into (interface variables,
-    {interface tuple: facts of the witnesses})."""
-    atoms = [q.atoms[i] for i in atom_ids]
+    {interface tuple: facts of the witnesses}): the balls of the
+    evaluator's walk over the component's join tree, re-rooted at an atom
+    that covers the interface."""
+    atoms = tuple(q.atoms[i] for i in atom_ids)
     out = tuple(sorted({v for a in atoms for v in a.vars} & frozenset(q.head_vars)))
-    parents = _gyo_reduce([frozenset(a.vars) for a in atoms])
-    if parents is None:
+    component = ConjunctiveQuery(q.head_name, out, atoms)
+    td = gyo_join_tree(component)
+    if td is None:
         raise _PlanSnag("hanging component is not acyclic")
     root = next((j for j, a in enumerate(atoms) if set(out) <= set(a.vars)), None)
     if root is None:
         raise _PlanSnag("no component atom covers the head interface")
-    parents = _reroot(parents, root)
-    order, children = _preorder(parents)
-    msg: dict[int, dict] = {}
-    for u in reversed(order):
-        atom = atoms[u]
-        apos = {v: p for p, v in enumerate(atom.vars)}
-        kid_cols = [tuple(v for v in atoms[c].vars if v in apos) for c in children[u]]
-        key_cols = out if u == root else tuple(
-            v for v in atom.vars if v in atoms[parents[u]].vars)
-        table: dict = {}
-        for f in sorted(atom_candidates(db, atom, {})):
-            bundle = {f}
-            for c, kcols in zip(children[u], kid_cols):
-                got = msg[c].get(tuple(f.values[apos[v]] for v in kcols))
-                if got is None:
-                    break
-                bundle |= got
-            else:
-                table.setdefault(tuple(f.values[apos[v]] for v in key_cols),
-                                 set()).update(bundle)
-        msg[u] = table
-    return out, {k: frozenset(s) for k, s in msg[root].items()}
+    return out, {answer.values: ball for answer, ball in
+                 _tree_answers(component, td.rerooted(root), db, balls=True)}
 
 
 class TropicalPlan(_RankingPlan):

@@ -4,7 +4,8 @@ A discrete volume assignment maps a tuple to a finite region (a ball)
 over some ground-point space; the diversity of a set is the measure of
 the union of its balls.  That shape makes every diversity function here
 monotone and submodular by construction, and marginal gains are plain
-measures of set differences rather than re-evaluations.
+measures of set differences rather than re-evaluations.  The provenance
+volume takes its answers and balls from the evaluator in `engine`.
 
 All discrete arithmetic is exact: measures return Fractions, and the
 join-tree rankers in `optimize`, which read point weights through
@@ -22,8 +23,9 @@ from typing import Callable, Hashable, Iterable, Mapping
 
 import numpy as np
 
-from .errors import (EngineCompatibilityError, InputError, LimitExceededError,
-                     UniverseError)
+from . import engine
+from .errors import InputError, LimitExceededError, UniverseError
+from .query import gyo_join_tree
 from .relcore import Database, Fact, fraction_text
 
 MULTI_ATTRIBUTE_CAP = 16
@@ -138,21 +140,16 @@ def provenance_volume(q, db: Database) -> VolumeAssignment:
 
     Materializes the answer set and its provenance once; the universe is
     exactly the query's answers, and asking for anything else is an error.
-    When the provenance ranker plans the query (self-join-free and
-    free-connex), each ball is read off its witness tables; otherwise
-    every homomorphism is enumerated, up to the extension cap of
-    `provenance_map`.
+    An acyclic body gets both from one walk over its join tree, which
+    folds each answer's witness facts as it enumerates the answers.  A
+    cyclic body is evaluated, and then every homomorphism is enumerated
+    by backtracking, up to the extension cap of `provenance_map`.
     """
-    from . import engine  # local imports to avoid a cycle
-    from .optimize import ProvenancePlan
-
-    answers = engine.enumerate_answers(q, db).answers
-    try:
-        plan = ProvenancePlan(q, db)
-    except EngineCompatibilityError:
-        prov = engine.provenance_map(q, db, answers)
+    tree = gyo_join_tree(q)
+    if tree is None:
+        prov = engine.provenance_map(q, db, engine.enumerate_answers(q, db).answers)
     else:
-        prov = {t: plan.provenance_of(t) for t in answers}
+        prov = dict(engine._tree_answers(q, tree, db, balls=True))
 
     def ball(t: Fact) -> frozenset:
         try:
@@ -160,7 +157,7 @@ def provenance_volume(q, db: Database) -> VolumeAssignment:
         except KeyError:
             raise UniverseError(f"{t!r} is not an answer of the query") from None
 
-    return VolumeAssignment("provenance", ball, CountMeasure(), universe=answers)
+    return VolumeAssignment("provenance", ball, CountMeasure(), universe=frozenset(prov))
 
 
 # ---------------------------------------------------------------------------

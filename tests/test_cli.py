@@ -292,6 +292,26 @@ def test_flags_no_step_reads_exit_2(capsys, work, argv, message):
     assert message in err
 
 
+def count_evaluations(monkeypatch) -> list:
+    """Record each evaluation of a query: an answer enumeration, or the
+    join-tree walk that builds the provenance volume's balls with them."""
+    calls = []
+    enumerate_, walk = engine.iter_answers, engine._tree_answers
+
+    def counting_enumerate(q, db):
+        calls.append(q)
+        return enumerate_(q, db)
+
+    def counting_walk(q, td, db, balls=False):
+        if balls:
+            calls.append(q)
+        return walk(q, td, db, balls)
+
+    monkeypatch.setattr(engine, "iter_answers", counting_enumerate)
+    monkeypatch.setattr(engine, "_tree_answers", counting_walk)
+    return calls
+
+
 @pytest.mark.parametrize("query", [Q1, IDENT])
 @pytest.mark.parametrize("flags", [
     ["--volume", "provenance"],
@@ -301,16 +321,22 @@ def test_flags_no_step_reads_exit_2(capsys, work, argv, message):
     ["--volume", "pos"],
 ])
 def test_diversify_evaluates_the_query_once(capsys, work, monkeypatch, query, flags):
-    calls = []
-    evaluate = engine.iter_answers
-
-    def counting(q, db):
-        calls.append(q)
-        return evaluate(q, db)
-
-    monkeypatch.setattr(engine, "iter_answers", counting)
+    calls = count_evaluations(monkeypatch)
     report(capsys, ["diversify", "--data", str(work / "d1"), "--query", query, "-k", "2",
                     *flags])
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("query", [Q1, IDENT])
+@pytest.mark.parametrize("argv", [
+    ["compare", "-k", "2", "--distance", "hamming", "--volume", "provenance"],
+    ["compare", "-k", "2", "--distance", "hamming", "--volume", "pos"],
+    ["convert", "--volume-dump", "--volume", "provenance"],
+    ["convert", "--volume-dump", "--volume", "pos"],
+])
+def test_compare_and_convert_evaluate_the_query_once(capsys, work, monkeypatch, query, argv):
+    calls = count_evaluations(monkeypatch)
+    report(capsys, [*argv, "--data", str(work / "d1"), "--query", query])
     assert len(calls) == 1
 
 

@@ -1,5 +1,9 @@
 import functools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -106,6 +110,11 @@ def test_yannakakis_agrees_over_every_rerooting(case):
 @settings(max_examples=150, deadline=None)
 @given(projected_instances())
 @example(NOT_FREE_CONNEX)
+@example((parse_cq("Q() <- R0(v0), R0(v0), R0(v0)."),
+          db_of({"R0": 1}, [mk("R0", "a"), mk("R0", "b")])))
+@example((parse_cq("Q(x,z) <- R(x,y), S(z), R(y,y)."),
+          db_of({"R": 2, "S": 1}, [mk("R", "a", "b"), mk("R", "b", "b"), mk("R", "c", "a"),
+                                   mk("S", "a"), mk("S", "c")])))
 def test_provenance_volume_balls_match_exhaustive_map(case):
     q, db = case
     answers = oracle_answers(q, db)
@@ -144,9 +153,37 @@ def test_provenance_respects_extension_limit(d1, q1):
         provenance_map(q1, d1, ans.answers, limit=2)
 
 
-def test_provenance_volume_fallback_keeps_the_extension_cap(d1, q1, monkeypatch):
-    # q1 is a self-join, so its balls come from the exhaustive provenance_map.
+def test_provenance_volume_fallback_keeps_the_extension_cap(d1, monkeypatch):
+    # A cyclic body has no join tree, so its balls come from provenance_map.
+    q = parse_cq("Q(x) <- R(x,y), R(y,z), R(z,x).")
     monkeypatch.setattr(engine, "provenance_map",
                         functools.partial(engine.provenance_map, limit=2))
     with pytest.raises(LimitExceededError):
-        provenance_volume(q1, d1)
+        provenance_volume(q, d1)
+
+
+def test_provenance_volume_of_an_acyclic_body_skips_backtracking(d1, q1, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("provenance_map ran on an acyclic body")
+
+    monkeypatch.setattr(engine, "provenance_map", refuse)
+    monkeypatch.setattr(engine, "homomorphisms", refuse)
+    v = provenance_volume(q1, d1)
+    assert v.ball(mk("Q1", "a", "a")) == frozenset(
+        {mk("R", "a", "a"), mk("R", "a", "b"), mk("R", "b", "a")})
+
+
+def test_cyclic_body_over_undeclared_relations_names_the_first_atom():
+    # Relations are checked in body order, whatever the hash seed.
+    code = ("from diverse_cq import Database, LoadError, Schema, enumerate_answers, parse_cq\n"
+            "q = parse_cq('Q(x) <- A(x,y), B(y,z), C(z,x).')\n"
+            "try:\n"
+            "    enumerate_answers(q, Database.from_facts(Schema({'R': 2}), []))\n"
+            "except LoadError as exc:\n"
+            "    print(exc)\n")
+    src = str(Path(engine.__file__).resolve().parents[1])
+    for seed in range(6):
+        env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out.strip() == "unknown relation 'A'", seed
