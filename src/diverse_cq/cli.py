@@ -193,7 +193,7 @@ def _build_volume(args, q, db, inputs: dict):
             raise InputError(f"cannot parse --volume {spec!r}; expected ball:r=<r>")
         try:
             radius = float(Fraction(tail[2:]))
-        except (ValueError, ZeroDivisionError) as exc:
+        except (ValueError, ZeroDivisionError, OverflowError) as exc:
             raise InputError(f"bad ball radius: {exc}") from None
         samples = EuclideanBallVolume.samples if args.mc_samples is None else args.mc_samples
         return EuclideanBallVolume(radius, samples=samples, seed=args.seed)

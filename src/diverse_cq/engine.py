@@ -252,21 +252,22 @@ def _tree_answers(q: ConjunctiveQuery, td: TreeDecomposition, db: Database,
         yield ans, frozenset(got)
 
 
-def provenance_map(q: ConjunctiveQuery, db: Database, answers,
+def provenance_map(q: ConjunctiveQuery, db: Database, answers=None,
                    limit: int = PROVENANCE_EXTENSION_LIMIT) -> dict:
     """Map each requested answer to the union of facts over its witnesses.
 
     Exhaustive homomorphism enumeration with a configurable extension
-    cap; a requested tuple with no witness is rejected.
+    cap; a requested tuple with no witness is rejected.  `answers=None`
+    requests every answer, found in the same single pass.
     """
-    wanted = frozenset(answers)
+    wanted = frozenset() if answers is None else frozenset(answers)
     for t in wanted:
         if t.relation != q.head_name or t.arity != len(q.head_vars):
             raise InputError(f"{t!r} does not have the query's head shape")
     prov: dict[Fact, set] = {t: set() for t in wanted}
     for bindings, facts in homomorphisms(q, db, limit=limit):
         ans = Fact(q.head_name, tuple(bindings[v] for v in q.head_vars))
-        bucket = prov.get(ans)
+        bucket = prov.setdefault(ans, set()) if answers is None else prov.get(ans)
         if bucket is not None:
             bucket.update(facts)
     for t in sorted(wanted):

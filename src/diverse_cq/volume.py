@@ -16,7 +16,8 @@ Monte-Carlo estimator for Euclidean ball unions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from typing import Callable, Hashable, Iterable, Mapping
@@ -142,12 +143,12 @@ def provenance_volume(q, db: Database) -> VolumeAssignment:
     exactly the query's answers, and asking for anything else is an error.
     An acyclic body gets both from one walk over its join tree, which
     folds each answer's witness facts as it enumerates the answers.  A
-    cyclic body is evaluated, and then every homomorphism is enumerated
-    by backtracking, up to the extension cap of `provenance_map`.
+    cyclic body gets both from one backtracking pass over every
+    homomorphism, up to the extension cap of `provenance_map`.
     """
     tree = gyo_join_tree(q)
     if tree is None:
-        prov = engine.provenance_map(q, db, engine.enumerate_answers(q, db).answers)
+        prov = engine.provenance_map(q, db)
     else:
         prov = dict(engine._tree_answers(q, tree, db, balls=True))
 
@@ -212,31 +213,55 @@ def mc_ball_union_volume(balls: ContinuousBallSet, samples: int, seed: int = 0) 
 
     Dimension 1 is computed exactly by interval sweeping (stderr 0).
     Higher dimensions sample uniformly from the bounding box with a
-    seeded generator, so results are deterministic per seed.
+    seeded generator, so results are deterministic per seed.  Points are
+    drawn in batches of at most 2**18 and tested against one center at a
+    time, OR-ing the hits into one mask: memory is O(samples * d) per
+    batch and time is O(samples * centers * d).  Each squared distance is
+    added up in the order numpy's `.sum(axis=-1)` uses, so the estimate
+    is the same float as a nearest-center test over `Generator.uniform`
+    points.  A union length or bounding-box volume that overflows a
+    float is an input error.
     """
     if samples < 1:
         raise InputError("sample count must be positive")
-    if balls.dimension == 1:
-        return MCEstimate(_interval_union_length(balls), 0.0)
-    centers = np.asarray(balls.centers, dtype=float)
     r = float(balls.radius)
-    lo = centers.min(axis=0) - r
-    hi = centers.max(axis=0) + r
-    box = float(np.prod(hi - lo))
+    if balls.dimension == 1:
+        length = _interval_union_length(balls)
+        if not math.isfinite(length):
+            raise InputError(f"radius-{r!r} intervals around these centers have no finite length")
+        return MCEstimate(length, 0.0)
+    centers = np.asarray(balls.centers, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked just below
+        lo = centers.min(axis=0) - r
+        hi = centers.max(axis=0) + r
+        width = hi - lo
+        box = float(np.prod(width))
+    if not math.isfinite(box):
+        raise InputError(f"radius-{r!r} balls around these centers span no finite box volume")
+    dim = balls.dimension
     rng = np.random.default_rng(seed)
     hits = 0
     remaining = samples
     batch_cap = 1 << 18
     while remaining > 0:
         n = min(remaining, batch_cap)
-        pts = rng.uniform(lo, hi, size=(n, balls.dimension))
-        # squared distance to the nearest center, chunked over centers
-        best = np.full(n, np.inf)
-        for start in range(0, len(centers), 512):
-            chunk = centers[start:start + 512]
-            d2 = ((pts[:, None, :] - chunk[None, :, :]) ** 2).sum(axis=2).min(axis=1)
-            np.minimum(best, d2, out=best)
-        hits += int((best <= r * r).sum())
+        # lo + width * unit is what Generator.uniform(lo, hi) computes
+        unit = rng.random((n, dim))
+        inside = np.zeros(n, dtype=bool)
+        if dim < 8:
+            # below 8 terms numpy's row sum is a plain left fold: fold the axes
+            axes = [lo[j] + width[j] * unit[:, j] for j in range(dim)]
+            for c in centers:
+                d2 = (axes[0] - c[0]) ** 2
+                for j in range(1, dim):
+                    d2 += (axes[j] - c[j]) ** 2
+                inside |= d2 <= r * r
+        else:
+            # numpy's row sum adds 8 or more terms pairwise: let it sum them
+            pts = lo + width * unit
+            for c in centers:
+                inside |= ((pts - c) ** 2).sum(axis=1) <= r * r
+        hits += int(np.count_nonzero(inside))
         remaining -= n
     p = hits / samples
     value = box * p
@@ -255,10 +280,19 @@ class EuclideanBallVolume:
     name = "ball"
     is_discrete = False
 
+    def __post_init__(self):
+        if not (math.isfinite(self.radius) and self.radius > 0):
+            raise InputError("ball radius must be positive and finite")
+        if self.samples < 1:
+            raise InputError("sample count must be positive")
+
     def center(self, t: Fact) -> tuple[float, ...]:
         if not all(v.is_number for v in t.values):
             raise InputError(f"{t!r} has non-numeric values; ball volumes need numbers")
-        return tuple(float(v.payload) for v in t.values)
+        try:
+            return tuple(float(v.payload) for v in t.values)
+        except OverflowError:
+            raise InputError(f"{t!r} has a value too large for a ball center") from None
 
     def ball(self, t: Fact) -> ContinuousBallSet:
         return ContinuousBallSet((self.center(t),), self.radius)

@@ -358,6 +358,29 @@ def test_diversify_ball_volume(capsys, work):
     assert float(doc["payload"]["total"]) > 0
 
 
+NUMS_2D = ["--query", "P(x,y) <- N(x,y)."]
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["diversify", *NUMS_2D, "-k", "2", "--volume", "ball:r=1e400"], "bad ball radius"),
+    (["diversify", *NUMS_2D, "-k", "2", "--volume", "ball:r=1e300"], "no finite box volume"),
+    (["diversify", *NUMS_2D, "-k", "2", "--volume", "ball:r=1e300", "--mode", "exact"],
+     "no finite box volume"),
+    (["diversify", "--query", "P(x) <- N(x,y).", "-k", "2", "--volume", "ball:r=1e308"],
+     "no finite length"),
+    (["diversify", *NUMS_2D, "-k", "0", "--volume", "ball:r=1", "--mc-samples", "-3"],
+     "sample count must be positive"),
+    (["diversify", *NUMS_2D, "-k", "0", "--volume", "ball:r=-1"], "radius must be positive"),
+    (["diversify", *NUMS_2D, "-k", "0", "--volume", "ball:r=0"], "radius must be positive"),
+    (["compare", *NUMS_2D, "-k", "2", "--distance", "hamming", "--volume", "ball:r=1e300"],
+     "no finite box volume"),
+])
+def test_bad_ball_parameters_exit_2(capsys, work, argv, message):
+    code, out, err = run(capsys, [*argv, "--data", str(work / "nums")])
+    assert code == 2 and out == ""
+    assert message in err
+
+
 def test_compare_single_answer(capsys, work):
     doc = report(capsys, ["compare", "--data", str(work / "d3"), "--query",
                           "B(x) <- R(x,y).", "-k", "2", "--volume", "elem",

@@ -162,6 +162,27 @@ def test_provenance_volume_fallback_keeps_the_extension_cap(d1, monkeypatch):
         provenance_volume(q, d1)
 
 
+def test_provenance_volume_of_a_cyclic_body_backtracks_once(monkeypatch):
+    q = parse_cq("Q(x) <- R(x,y), R(y,z), R(z,x).")
+    db = db_of({"R": 2}, [mk("R", "a", "b"), mk("R", "b", "c"), mk("R", "c", "a"),
+                          mk("R", "a", "a")])
+    answers = enumerate_answers(q, db).answers
+    balls = provenance_map(q, db, answers)
+    passes = []
+    search = engine.homomorphisms
+
+    def counting(*args, **kwargs):
+        passes.append(args[0])
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "homomorphisms", counting)
+    v = provenance_volume(q, db)
+    assert len(passes) == 1
+    assert v.universe == answers == {mk("Q", x) for x in "abc"}
+    assert {t: v.ball(t) for t in answers} == balls
+    assert provenance_map(q, db) == balls
+
+
 def test_provenance_volume_of_an_acyclic_body_skips_backtracking(d1, q1, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("provenance_map ran on an acyclic body")

@@ -1,10 +1,14 @@
 import random
+import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from diverse_cq import (CountMeasure, EuclideanBallVolume, InputError,
-                        LimitExceededError, MultiAttributeWeights, UniverseError,
+from diverse_cq import (ContinuousBallSet, CountMeasure, EuclideanBallVolume, InputError,
+                        LimitExceededError, MCEstimate, MultiAttributeWeights, UniverseError,
                         VolumeAssignment, WeightedMeasure, elem_volume, elem_weighted,
                         enumerate_answers, format_weight, intern,
                         mc_ball_union_volume, multiattribute_from_volume, pos_volume,
@@ -110,6 +114,11 @@ def test_ball_volume_rejects_text_values():
         v.diversity([mk("P", "a")])
 
 
+def test_ball_volume_rejects_centers_beyond_float_range():
+    with pytest.raises(InputError, match="too large"):
+        EuclideanBallVolume(1.0).diversity([num_fact("P", "1e400", 0)])
+
+
 def test_ball_volume_rejects_mixed_dimensions():
     v = EuclideanBallVolume(1.0)
     with pytest.raises(InputError):
@@ -119,6 +128,101 @@ def test_ball_volume_rejects_mixed_dimensions():
 def test_empty_selection_has_zero_volume():
     assert EuclideanBallVolume(1.0).diversity([]) == 0.0
     assert elem_volume().diversity([]) == 0
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"radius": 0.0}, {"radius": -1.0}, {"radius": float("inf")}, {"radius": float("nan")},
+    {"radius": 1.0, "samples": 0}, {"radius": 1.0, "samples": -3},
+])
+def test_ball_volume_rejects_bad_parameters_up_front(kwargs):
+    with pytest.raises(InputError):
+        EuclideanBallVolume(**kwargs)
+
+
+@pytest.mark.parametrize("centers,radius", [
+    (((0.0, 0.0), (1.0, 1.0)), 1e300),  # the box's area overflows
+    (((0.0,), (5.0,)), 1e308),          # so does the union's length
+    (((0.0, float("inf")),), 1.0),      # an infinite center
+])
+def test_estimator_rejects_an_unbounded_box(centers, radius):
+    with pytest.raises(InputError, match="finite"):
+        mc_ball_union_volume(ContinuousBallSet(centers, radius), 100)
+
+
+def test_far_apart_intervals_need_only_a_finite_length():
+    # the bounding interval is 2e308 long, which overflows; the union is not
+    balls = ContinuousBallSet(((-1e308,), (1e308,)), 1e300)
+    assert mc_ball_union_volume(balls, 1).value == pytest.approx(4e300)
+
+
+def _broadcast_estimate(balls, samples, seed=0):
+    """The estimator as it was before it tested one center at a time:
+    `Generator.uniform` points against 512-center chunks through an
+    (n, centers, d) broadcast.  Kept as the reference for its floats."""
+    centers = np.asarray(balls.centers, dtype=float)
+    r = float(balls.radius)
+    lo = centers.min(axis=0) - r
+    hi = centers.max(axis=0) + r
+    box = float(np.prod(hi - lo))
+    rng = np.random.default_rng(seed)
+    hits = 0
+    remaining = samples
+    while remaining > 0:
+        n = min(remaining, 1 << 18)
+        pts = rng.uniform(lo, hi, size=(n, balls.dimension))
+        best = np.full(n, np.inf)
+        for start in range(0, len(centers), 512):
+            chunk = centers[start:start + 512]
+            d2 = ((pts[:, None, :] - chunk[None, :, :]) ** 2).sum(axis=2).min(axis=1)
+            np.minimum(best, d2, out=best)
+        hits += int((best <= r * r).sum())
+        remaining -= n
+    p = hits / samples
+    return MCEstimate(box * p, box * (p * (1 - p) / samples) ** 0.5)
+
+
+@st.composite
+def ball_sets(draw):
+    dim = draw(st.integers(2, 10))
+    coord = st.floats(-20, 20, allow_nan=False, allow_infinity=False)
+    distinct = draw(st.lists(st.tuples(*[coord] * dim), min_size=1, max_size=40))
+    # repeat some centers: duplicates must not change the estimate
+    centers = draw(st.lists(st.sampled_from(distinct), min_size=len(distinct),
+                            max_size=40))
+    return ContinuousBallSet(tuple(centers), draw(st.floats(0.01, 15)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(balls=ball_sets(), samples=st.integers(1, 5000), seed=st.integers(0, 5))
+@example(balls=ContinuousBallSet(((0.5,) * 9, (1.0,) * 9, (0.5,) * 9), 1.5),
+         samples=5000, seed=3)
+def test_estimate_is_the_broadcast_estimators_float(balls, samples, seed):
+    got = mc_ball_union_volume(balls, samples, seed)
+    want = _broadcast_estimate(balls, samples, seed)
+    assert (got.value, got.stderr) == (want.value, want.stderr)
+
+
+def test_estimate_matches_the_broadcast_across_batches():
+    # 300,000 samples take two batches of at most 2**18 points
+    rng = random.Random(4)
+    balls = ContinuousBallSet(tuple((rng.uniform(0, 9), rng.uniform(0, 9)) for _ in range(4)),
+                              2.0)
+    got = mc_ball_union_volume(balls, 300_000, 1)
+    want = _broadcast_estimate(balls, 300_000, 1)
+    assert (got.value, got.stderr) == (want.value, want.stderr)
+
+
+def test_estimator_memory_does_not_grow_with_the_centers():
+    rng = random.Random(0)
+    balls = ContinuousBallSet(
+        tuple((rng.uniform(0, 100), rng.uniform(0, 100)) for _ in range(600)), 2.0)
+    tracemalloc.start()
+    try:
+        mc_ball_union_volume(balls, 200_000, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2 ** 20
 
 
 # Multi-attribute conversions ------------------------------------------------
