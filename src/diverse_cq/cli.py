@@ -236,6 +236,7 @@ def _reject_unread_flags(args) -> None:
             ("--td", mode == "greedy-combined", "--mode greedy-combined"),
             ("--engine", mode == "greedy-combined", "--mode greedy-combined"),
             ("--lazy", mode == "greedy", "--mode greedy"),
+            ("--lazy", not volume.startswith("ball:"), "discrete volumes"),
             ("--max-subsets", mode == "exact", "--mode exact"),
             ("--volume", query, "--volume-dump"),
             ("--data", query, "--volume-dump"),

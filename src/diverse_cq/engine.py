@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import InputError, LimitExceededError
 from .query import (Atom, ConjunctiveQuery, TreeDecomposition, gyo_join_tree,
@@ -168,6 +168,20 @@ def _reduce(bags: Sequence[tuple], rows: Sequence[list[tuple]],
     return order, kids, key, probe, groups
 
 
+def _fold(nodes: Iterable[int], groups: Sequence[dict], kids, probe, rows, facts) -> dict:
+    """Per node `u` of `nodes` (children first) and per key of `groups[u]`,
+    the facts of every extension of `u`'s subtree from that group's rows."""
+    fold: dict[int, dict] = {}
+    for u in nodes:
+        fold[u] = {}
+        for k, ids in groups[u].items():
+            got = {facts[u][i] for i in ids}
+            for c in kids[u]:
+                got.update(*(fold[c][probe[c](rows[u][i])] for i in ids))
+            fold[u][k] = frozenset(got)
+    return fold
+
+
 def _tree_answers(q: ConjunctiveQuery, td: TreeDecomposition, db: Database,
                   balls: bool = False) -> Iterator:
     """Distinct answers of `q` over its GYO join tree or a re-rooting of it.
@@ -208,16 +222,8 @@ def _tree_answers(q: ConjunctiveQuery, td: TreeDecomposition, db: Database,
             steps.append((groups[u], rows[u], facts[u], probe[u], depth_of.get(p, 0)))
     home = {v: (depth_of[u], i) for u in depth_of for i, v in enumerate(bags[u])}
     head = [home[v] for v in q.head_vars]
-    # Per skipped node and key, the facts of every extension of its subtree.
-    fold: dict[int, dict] = {}
-    for u in reversed(order):
-        if balls and u not in depth_of:
-            fold[u] = {}
-            for k, ids in groups[u].items():
-                got = {facts[u][i] for i in ids}
-                for c in kids[u]:
-                    got.update(*(fold[c][probe[c](rows[u][i])] for i in ids))
-                fold[u][k] = frozenset(got)
+    fold = _fold([u for u in reversed(order) if balls and u not in depth_of],
+                 groups, kids, probe, rows, facts)
     hang = [(depth_of[u], probe[c], fold[c]) for u in depth_of for c in kids[u] if c in fold]
     distinct = all(headset.issuperset(bags[u]) for u in depth_of)
     chosen: list = [None] * len(steps)  # the walk's rows

@@ -7,7 +7,7 @@ sum over the edges of a join tree, "which answer gains the most" is one
 max-plus dynamic program over that tree, and one plan, `_RankingPlan`,
 builds the edges and runs the program.  Its live rows come from the
 evaluator's semijoin pass, and each hanging component's witness table
-from the evaluator's walk with balls.  It keeps its tables between
+from the evaluator's subtree fold.  It keeps its tables between
 rounds, re-scores only the rows a pick uncovered, adds integer-scaled
 weights and returns Fractions.  Two thin subclasses decide only which
 ground points a row charges: `TropicalPlan`, for positional volumes
@@ -26,7 +26,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Callable, Iterable, Sequence
 
-from .engine import atom_candidates, enumerate_answers, _reduce, _tree_answers
+from .engine import atom_candidates, enumerate_answers, _fold, _reduce
 from .errors import EngineCompatibilityError, InputError, LimitExceededError
 from .query import (ConjunctiveQuery, TreeDecomposition, assign_atoms,
                     extended_gyo_decomposition, free_connex_subtree, gyo_join_tree,
@@ -134,8 +134,10 @@ def greedy_diversify(answers: Iterable[Fact], k: int, v: VolumeAssignment,
     stored gains are treated as upper bounds (valid by submodularity) and
     only re-evaluated when popped; the selection is identical to the plain
     scan, round for round.  A volume that is not discrete (the Euclidean
-    estimate) runs `greedy_by_objective` on its diversity.
+    estimate) runs `greedy_by_objective` on its diversity and rejects `lazy`.
     """
+    if lazy and not v.is_discrete:
+        raise InputError("lazy greedy needs a discrete volume")
     items = sorted(set(answers))
     m = min(k, len(items))
     if m <= 0:
@@ -266,7 +268,7 @@ class _RankingPlan:
         rows: list[list[tuple]] = []
         witnesses: list[Callable] = []
         for i in self._atoms:
-            facts = sorted(atom_candidates(db, q.atoms[i], {}))
+            facts = list(atom_candidates(db, q.atoms[i], {}))  # sorted already
             cols.append(q.atoms[i].vars)
             rows.append([f.values for f in facts])
             witnesses.append(lambda r, facts=facts: (facts[r],))
@@ -418,20 +420,25 @@ class _RankingPlan:
 
 def _witness_table(q: ConjunctiveQuery, db: Database, atom_ids: list[int]):
     """Collapse one hanging component into (interface variables,
-    {interface tuple: facts of the witnesses}): the balls of the
-    evaluator's walk over the component's join tree, re-rooted at an atom
-    that covers the interface."""
+    {interface tuple: facts of the witnesses}): the evaluator's subtree
+    fold over the component's join tree, re-rooted at an atom that covers
+    the interface, with the root's live rows grouped by interface tuple."""
     atoms = tuple(q.atoms[i] for i in atom_ids)
     out = tuple(sorted({v for a in atoms for v in a.vars} & frozenset(q.head_vars)))
-    component = ConjunctiveQuery(q.head_name, out, atoms)
-    td = gyo_join_tree(component)
+    td = gyo_join_tree(ConjunctiveQuery(q.head_name, out, atoms))
     if td is None:
         raise _PlanSnag("hanging component is not acyclic")
     root = next((j for j, a in enumerate(atoms) if set(out) <= set(a.vars)), None)
     if root is None:
         raise _PlanSnag("no component atom covers the head interface")
-    return out, {answer.values: ball for answer, ball in
-                 _tree_answers(component, td.rerooted(root), db, balls=True)}
+    bags = [a.vars for a in atoms]
+    facts = [list(atom_candidates(db, a, {})) for a in atoms]
+    rows = [[f.values for f in fs] for fs in facts]
+    order, kids, _, probe, groups = _reduce(bags, rows, td.rerooted(root).parents)
+    interface = [bags[root].index(v) for v in out]
+    for i in groups[root].pop((), ()):
+        groups[root].setdefault(tuple([rows[root][i][j] for j in interface]), []).append(i)
+    return out, _fold(reversed(order), groups, kids, probe, rows, facts)[root]
 
 
 class TropicalPlan(_RankingPlan):

@@ -1,8 +1,11 @@
 """Relational core: interned data values, facts, schemas, and databases.
 
-Databases are immutable once built: relations are deduplicated fact sets
-under set semantics, and every column carries a hash index so the join
-engines can probe by bound value instead of scanning.
+Every cell is interned to one canonical `DataValue` per payload, and
+values compare and hash by identity: the intern pool is the dictionary
+encoding, so hashing a value, a row of values or a fact's values runs in
+C.  Databases are immutable once built: relations are deduplicated fact
+sets under set semantics, and every column carries a hash index so the
+join engines can probe by bound value instead of scanning.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ import re
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
+from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Mapping
 
@@ -28,7 +32,9 @@ class DataValue:
     The payload is either an exact decimal (stored as a Fraction) or a
     text symbol.  Parsing tries the numeric reading first, so "1.0" and
     "1" intern to the same value while "x1" stays text.  Construction
-    goes through :func:`intern`; equal payloads share one object.
+    goes through :func:`intern`; equal payloads share one object, so
+    equality is identity, and hashing runs in C instead of in a Python
+    method.  A value never equals a raw payload: `intern("a") != "a"`.
     """
 
     __slots__ = ("payload", "sort_key")
@@ -52,16 +58,6 @@ class DataValue:
         if isinstance(self.payload, Fraction):
             return fraction_text(self.payload)
         return self.payload
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if not isinstance(other, DataValue):
-            return NotImplemented
-        return self.payload == other.payload
-
-    def __hash__(self):
-        return hash(self.payload)
 
     def __lt__(self, other):
         if not isinstance(other, DataValue):
@@ -223,7 +219,7 @@ class Database:
         sets: dict[str, frozenset] = {}
         index: dict[str, tuple[dict, ...]] = {}
         for name in schema.arities:
-            facts = sorted(set(relations.get(name, ())))
+            facts = sorted(set(relations.get(name, ())), key=attrgetter("_key"))
             arity = schema.arity(name)
             for f in facts:
                 if f.relation != name:
@@ -311,7 +307,7 @@ def load_database(directory, schema: Schema | None = None) -> Database:
                         raise LoadError(
                             f"{path}, line {lineno}: expected {arity} values, got {len(row)}")
                     rows_read += 1
-                    facts.append(Fact(name, (intern(cell.strip()) for cell in row)))
+                    facts.append(Fact(name, [intern(cell.strip()) for cell in row]))
         except csv.Error as exc:
             raise LoadError(f"{path}: malformed CSV ({exc})") from exc
         relations[name] = facts

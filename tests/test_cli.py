@@ -283,6 +283,8 @@ TD_ONLY_COMBINED = "--td is read by --mode greedy-combined only"
      "--measure is read by --volume elem-w|pos-w only"),
     (["convert", "--volume-dump", *D1, "--volume", "pos", "--mc-samples", "7"],
      "--mc-samples is read by --volume ball:r=<r> only"),
+    (["diversify", *D1, "-k", "1", "--volume", "ball:r=1", "--lazy"],
+     "--lazy is read by discrete volumes only"),
 ])
 def test_flags_no_step_reads_exit_2(capsys, work, argv, message):
     files = {"<d1>": "d1", "<maw>": "maw.json", "<tree>": "tree.json", "<w>": "w.txt"}

@@ -19,6 +19,10 @@ from diverse_cq import (EngineCompatibilityError, EuclideanBallVolume, InputErro
                         gyo_join_tree, intern, parse_cq, pos_volume, pos_weighted,
                         provenance_map, provenance_volume, td_from_json)
 
+from diverse_cq.engine import _tree_answers
+from diverse_cq.optimize import _connex_split, _PlanSnag, _witness_table
+from diverse_cq.query import ConjunctiveQuery, extended_gyo_decomposition, free_connex_subtree
+
 from conftest import (STAR_TD, TRIANGLE, db_of, mk, random_database, random_fact_set,
                       random_free_connex_instance, random_tree_query)
 
@@ -107,6 +111,12 @@ def test_greedy_on_continuous_volume():
     res = greedy_diversify(pts, 2, v)
     assert set(res.selected) == {pts[0], pts[2]} or set(res.selected) == {pts[1], pts[2]}
     assert res.total == pytest.approx(2.0, abs=1e-9)
+
+
+def test_lazy_greedy_rejects_continuous_volume():
+    pts = [mk("P", "0.0"), mk("P", "5.0")]
+    with pytest.raises(InputError, match="discrete volume"):
+        greedy_diversify(pts, 2, EuclideanBallVolume(0.5), lazy=True)
 
 
 def test_naive_oracle_breaks_ties_to_smallest_answer(d1):
@@ -308,6 +318,44 @@ def test_incremental_provenance_plan_matches_fresh_plan(seed, moves):
             covered = covered - {rng.choice(sorted(covered))}
         elif move == "swap":
             covered = frozenset(rng.sample(facts, rng.randint(0, len(facts))))
+
+
+def walked_witness_table(q, db, atom_ids):
+    """Reference for `_witness_table`: the balls of the evaluator's walk
+    over the component's join tree, re-rooted at an atom that covers the
+    interface, one answer `Fact` per walk."""
+    atoms = tuple(q.atoms[i] for i in atom_ids)
+    out = tuple(sorted({v for a in atoms for v in a.vars} & frozenset(q.head_vars)))
+    component = ConjunctiveQuery(q.head_name, out, atoms)
+    td = gyo_join_tree(component)
+    if td is None:
+        raise _PlanSnag("hanging component is not acyclic")
+    root = next((j for j, a in enumerate(atoms) if set(out) <= set(a.vars)), None)
+    if root is None:
+        raise _PlanSnag("no component atom covers the head interface")
+    return out, {answer.values: ball for answer, ball in
+                 _tree_answers(component, td.rerooted(root), db, balls=True)}
+
+
+def _table_or_snag(table, q, db, atom_ids):
+    try:
+        return table(q, db, atom_ids)
+    except _PlanSnag as exc:
+        return str(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10 ** 9))
+def test_witness_fold_matches_walk(seed):
+    rng = random.Random(seed)
+    q, db, _ = random_free_connex_instance(rng)
+    groups = [ids for fc in (free_connex_subtree(q, gyo_join_tree(q)),
+                             extended_gyo_decomposition(q))
+              if fc is not None for ids in _connex_split(q, fc)[1]]
+    groups.append(sorted(rng.sample(range(len(q.atoms)), rng.randint(1, len(q.atoms)))))
+    for ids in groups:
+        want = _table_or_snag(walked_witness_table, q, db, ids)
+        assert _table_or_snag(_witness_table, q, db, ids) == want, (q.to_text(), ids)
 
 
 # Builds a seeded 3-edge path instance, runs ten greedy rounds through the

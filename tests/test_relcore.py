@@ -1,8 +1,16 @@
+import json
+import os
+import subprocess
+import sys
 import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import diverse_cq
 from diverse_cq import (Database, Fact, LoadError, Schema, fraction_text, intern,
                         intern_number, load_database)
 
@@ -20,6 +28,20 @@ def test_intern_detects_numbers():
 def test_intern_pools_values():
     assert intern("a") is intern("a")
     assert intern("7") is intern_number(7)
+    assert intern("1.0") is intern("1")
+
+
+def test_values_equal_only_interned_values():
+    assert intern("a") != "a"
+    assert {intern("a"): 1}.get("a") is None
+    assert intern("1") != Fraction(1)
+
+
+def test_separately_built_facts_are_equal():
+    a = Fact("R", [intern("1.0"), intern("x")])
+    b = Fact("R", (intern(v) for v in ("1", "x")))
+    assert a == b and hash(a) == hash(b)
+    assert a != Fact("S", a.values)
 
 
 def test_value_ordering_numbers_before_text():
@@ -51,6 +73,19 @@ def test_database_from_facts_dedups_and_sorts():
     assert db.size("R") == 2
     assert mk("R", "a") in db
     assert mk("R", "c") not in db
+
+
+CELLS = st.one_of(st.sampled_from(["a", "b", "x1", "1x", "Z"]),
+                  st.integers(-3, 12).map(str),
+                  st.sampled_from(["0.5", "1.0", "2.50", "-0.25", "1e1"]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(CELLS, CELLS), max_size=25))
+def test_relation_is_sorted_facts(rows):
+    facts = [Fact("R", [intern(c) for c in row]) for row in rows]
+    db = Database(Schema({"R": 2}), {"R": facts})
+    assert list(db.relation("R")) == sorted(set(facts))
 
 
 def test_database_rejects_wrong_arity():
@@ -96,3 +131,51 @@ def test_load_database_requires_every_relation_file(tmp_path):
     (tmp_path / "R.csv").write_text("a,b\n")
     with pytest.raises(LoadError, match="missing relation file"):
         load_database(tmp_path)
+
+
+def _write_db(root: Path, cell) -> Path:
+    """Three binary relations of 30 seeded pairs over eight values."""
+    import random
+    rng = random.Random(4)
+    root.mkdir()
+    (root / "schema.txt").write_text("R/2\nS/2\nT/2\n")
+    for rel in "RST":
+        pairs = {(rng.randrange(8), rng.randrange(8)) for _ in range(30)}
+        (root / f"{rel}.csv").write_text(
+            "".join(f"{cell(a)},{cell(b)}\n" for a, b in sorted(pairs)))
+    return root
+
+
+def test_diversify_output_does_not_depend_on_hashing(tmp_path):
+    # Values hash by identity, so set order varies with object addresses
+    # as well as with the string hash seed; reports must not.
+    dbs = [_write_db(tmp_path / "text", lambda v: f"v{v}"),
+           _write_db(tmp_path / "nums", lambda v: f"{v}.5" if v % 3 else str(v))]
+    argvs = [["diversify", "--data", str(db), "--query", query, "-k", "4", *flags]
+             for db in dbs
+             for query, flags in (
+                 ("Q(x,y) <- R(x,y), S(y,z), T(z,w).", ["--mode", "greedy-combined"]),
+                 ("P(x,y,z) <- R(x,y), S(y,z).",
+                  ["--mode", "greedy-combined", "--volume", "pos"]),
+                 ("Q(x,w) <- R(x,y), S(y,w).", ["--volume", "provenance", "--lazy"]),
+                 ("Q(x,y) <- R(x,y), S(y,z), T(z,x).", ["--volume", "elem"]))]
+    script = ("import io, json, sys\n"
+              "from contextlib import redirect_stdout\n"
+              "from diverse_cq import cli\n"
+              "for argv in json.loads(sys.argv[1]):\n"
+              "    out = io.StringIO()\n"
+              "    with redirect_stdout(out):\n"
+              "        assert cli.main(argv) == 0\n"
+              "    doc = json.loads(out.getvalue())\n"
+              "    del doc['timings']\n"
+              "    print(json.dumps(doc, sort_keys=True))\n")
+    src = str(Path(diverse_cq.__file__).parents[1])
+    outputs = set()
+    for seed in ("0", "1", "123"):
+        env = {**os.environ, "PYTHONHASHSEED": seed,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-c", script, json.dumps(argvs)],
+                              capture_output=True, text=True, env=env, check=True)
+        outputs.add(proc.stdout)
+    assert len(outputs) == 1
+    assert len(outputs.pop().splitlines()) == len(argvs)
