@@ -21,9 +21,8 @@ from .optimize import (BRUTE_FORCE_CAP, DiverseResult, ProvenancePlan, TropicalP
                        brute_force_diversify, cqnext_naive, greedy_by_objective,
                        greedy_combined, greedy_diversify)
 from .query import (Atom, ConjunctiveQuery, FreeConnexDecomposition, TDNode,
-                    TreeDecomposition, Variable, assign_atoms,
-                    extended_gyo_decomposition, free_connex_subtree, gyo_join_tree,
-                    parse_cq, td_from_json, validate_tree_decomposition)
+                    TreeDecomposition, Variable, extended_gyo_decomposition,
+                    free_connex_subtree, gyo_join_tree, parse_cq)
 from .relcore import (DataValue, Database, Fact, Schema, fraction_text, intern,
                       intern_number, load_database)
 from .volume import (ContinuousBallSet, CountMeasure, EuclideanBallVolume, MCEstimate,
@@ -43,15 +42,15 @@ __all__ = [
     "ProvenancePlan", "QueryParseError", "Schema", "TDNode", "TreeDecomposition",
     "TreeLeafDistance", "TropicalPlan", "UltraNode", "UltrametricTree",
     "UltrametricViolation", "UniverseError", "Variable", "VolumeAssignment",
-    "WEITZMAN_CAP", "WeightedMeasure", "assign_atoms", "atom_candidates",
+    "WEITZMAN_CAP", "WeightedMeasure", "atom_candidates",
     "brute_force_diversify", "cqnext_naive", "delta_min", "delta_sum", "elem_volume",
     "elem_weighted", "enumerate_answers", "extended_gyo_decomposition", "format_weight",
     "fraction_text", "free_connex_subtree", "greedy_by_objective", "greedy_combined",
     "greedy_diversify", "gyo_join_tree", "hamming",
     "homomorphisms", "intern", "intern_number", "iter_answers", "load_database",
     "mc_ball_union_volume", "multiattribute_from_volume", "parse_cq", "pos_volume",
-    "pos_weighted", "provenance_map", "provenance_volume", "td_from_json",
+    "pos_weighted", "provenance_map", "provenance_volume",
     "ultrametric_to_volume", "ultrametric_tree_from_matrix",
-    "validate_tree_decomposition", "volume_from_multiattribute", "weitzman",
+    "volume_from_multiattribute", "weitzman",
     "weitzman_ultrametric",
 ]

@@ -25,7 +25,7 @@ from .engine import enumerate_answers, iter_answers
 from .errors import DiverseCQError, InputError
 from .optimize import (BRUTE_FORCE_CAP, ENGINES, brute_force_diversify,
                        greedy_by_objective, greedy_combined, greedy_diversify)
-from .query import ConjunctiveQuery, parse_cq, td_from_json
+from .query import ConjunctiveQuery, parse_cq
 from .relcore import Database, Fact, Schema, fraction_text, intern, load_database
 from .volume import (EuclideanBallVolume, MULTI_ATTRIBUTE_CAP, MultiAttributeWeights,
                      elem_volume, elem_weighted, multiattribute_from_volume,
@@ -107,15 +107,6 @@ def _load_query(args, db: Database | None, inputs: dict) -> ConjunctiveQuery:
         inputs["query"] = _digest(path)
         raw = path.read_text(encoding="utf-8").strip()
     return parse_cq(raw, schema=db.schema if db is not None else None)
-
-
-def _load_td(args, inputs: dict):
-    if not args.td:
-        return None
-    path = Path(args.td)
-    td = td_from_json(path)
-    inputs["td"] = _digest(path)
-    return td
 
 
 def _measure_spec(args) -> tuple[Path, Fraction]:
@@ -233,7 +224,6 @@ def _reject_unread_flags(args) -> None:
     query = (args.command != "convert" or args.volume_dump
              or not (args.multiattr or args.ultrametric))
     for flag, read, reader in (
-            ("--td", mode == "greedy-combined", "--mode greedy-combined"),
             ("--engine", mode == "greedy-combined", "--mode greedy-combined"),
             ("--lazy", mode == "greedy", "--mode greedy"),
             ("--lazy", not volume.startswith("ball:"), "discrete volumes"),
@@ -255,7 +245,6 @@ def cmd_diversify(args, argv: list[str]) -> int:
     payload = {"mode": args.mode, "k": args.k}
 
     if args.mode == "greedy-combined":
-        td = _load_td(args, inputs)
         vol = None
         if args.volume and args.volume != "provenance":
             vol = _build_volume(args, q, db, inputs)
@@ -263,7 +252,7 @@ def cmd_diversify(args, argv: list[str]) -> int:
         payload["volume"] = args.volume or "provenance"
         payload["engine"] = engine
         result = phases.run("diversify", lambda: greedy_combined(
-            q, db, args.k, volume=vol, engine=engine, td=td))
+            q, db, args.k, volume=vol, engine=engine))
         payload["engine_used"] = result.engine
         payload["optimal"] = False
     else:
@@ -631,7 +620,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    default="greedy")
     p.add_argument("--engine", choices=ENGINES,
                    help="next-answer oracle for greedy-combined (default auto)")
-    p.add_argument("--td", help="tree decomposition JSON file for greedy-combined")
     p.add_argument("--lazy", action="store_true", default=None,
                    help="lazy gain re-evaluation for greedy (same selection, "
                         "fewer evaluations)")

@@ -12,7 +12,9 @@ rounds, re-scores only the rows a pick uncovered, adds integer-scaled
 weights and returns Fractions.  Two thin subclasses decide only which
 ground points a row charges: `TropicalPlan`, for positional volumes
 over full acyclic queries, and `ProvenancePlan`, for the witness-fact
-volume over free-connex queries with projections.  Every greedy
+volume over free-connex queries with projections.  Both plan once over
+the join tree the query itself determines: its GYO tree, rooted at the
+connex part for a projected head, else the extended GYO tree.  Every greedy
 selection here runs through one round loop, `_greedy`, which asks a
 step for the next best answer and commits it.
 """
@@ -28,9 +30,7 @@ from typing import Callable, Iterable, Sequence
 
 from .engine import atom_candidates, enumerate_answers, _fold, _reduce
 from .errors import EngineCompatibilityError, InputError, LimitExceededError
-from .query import (ConjunctiveQuery, TreeDecomposition, assign_atoms,
-                    extended_gyo_decomposition, free_connex_subtree, gyo_join_tree,
-                    validate_tree_decomposition, _gyo_reduce)
+from .query import ConjunctiveQuery, free_connex_subtree, gyo_join_tree, _gyo_reduce
 from .relcore import Database, Fact
 from .volume import VolumeAssignment, provenance_volume
 
@@ -223,10 +223,6 @@ def cqnext_naive(q: ConjunctiveQuery, db: Database, selected: Iterable[Fact],
     return _naive_best(enumerate_answers(q, db).ordered(), v, list(selected))
 
 
-class _PlanSnag(Exception):
-    """Internal: the given decomposition lacks structure the planner needs."""
-
-
 class _RankingPlan:
     """Next-answer ranking for a volume whose marginal is a sum over the
     edges of a join tree, kept up to date as the covered region grows.
@@ -279,8 +275,8 @@ class _RankingPlan:
             rows.append(keys)
             witnesses.append(lambda r, keys=keys, table=table: table[keys[r]])
         self._parents = _gyo_reduce([frozenset(c) for c in cols])
-        if self._parents is None:
-            raise _PlanSnag("projected hypergraph is not acyclic")
+        if self._parents is None:  # pragma: no cover - see ProvenancePlan
+            raise AssertionError("the projected hypergraph must be acyclic")
         self._cols = cols
         self._rows = rows
         self._fragments = self._charge(cols, rows, witnesses)
@@ -427,10 +423,10 @@ def _witness_table(q: ConjunctiveQuery, db: Database, atom_ids: list[int]):
     out = tuple(sorted({v for a in atoms for v in a.vars} & frozenset(q.head_vars)))
     td = gyo_join_tree(ConjunctiveQuery(q.head_name, out, atoms))
     if td is None:
-        raise _PlanSnag("hanging component is not acyclic")
+        raise AssertionError("a hanging component must be acyclic")
     root = next((j for j, a in enumerate(atoms) if set(out) <= set(a.vars)), None)
     if root is None:
-        raise _PlanSnag("no component atom covers the head interface")
+        raise AssertionError("a hanging component's top atom must cover its head interface")
     bags = [a.vars for a in atoms]
     facts = [list(atom_candidates(db, a, {})) for a in atoms]
     rows = [[f.values for f in fs] for fs in facts]
@@ -494,37 +490,32 @@ class TropicalPlan(_RankingPlan):
 class ProvenancePlan(_RankingPlan):
     """Next-answer ranking for the witness-fact volume.
 
-    Works on self-join-free free-connex queries.  The atoms of the connex
-    part are edges whose rows charge their own fact; every other atom
-    belongs to a hanging component, whose rows charge the facts of its
-    witnesses.  Self-join-freeness makes those fact sets disjoint across
-    edges, so the marginal of an answer is a sum of per-edge weights.
+    Works on self-join-free free-connex queries, and plans once over the
+    query's own join tree, `free_connex_subtree(q)`: the GYO tree rooted
+    at its connex part, else the extended GYO tree.  The atoms of the
+    connex part are edges whose rows charge their own fact; every other
+    atom belongs to a hanging component, whose rows charge the facts of
+    its witnesses.  Self-join-freeness makes those fact sets disjoint
+    across edges, so the marginal of an answer is a sum of per-edge
+    weights.  Such a tree always plans: a hanging component is a subtree
+    of a join tree, so it is acyclic, and by running intersection its top
+    atom holds its whole head interface; the projected hypergraph's
+    primal graph is the body's restricted to the head variables, so it
+    is chordal and conformal, hence acyclic.
     """
 
-    def __init__(self, q: ConjunctiveQuery, db: Database,
-                 td: TreeDecomposition | None = None,
+    def __init__(self, q: ConjunctiveQuery, db: Database, *,
                  weight_of: Callable | None = None):
         if not q.is_self_join_free:
             raise EngineCompatibilityError(
                 "provenance ranking needs a self-join-free query")
-        base = td if td is not None else gyo_join_tree(q)
-        if base is None:
-            raise EngineCompatibilityError("provenance ranking needs an acyclic query")
-        fc = free_connex_subtree(q, base)
+        fc = free_connex_subtree(q)
         if fc is None:
             raise EngineCompatibilityError(
-                "provenance ranking needs a free-connex query: no connected subtree "
-                "of bags covers exactly the head variables")
-        # A snag in the given decomposition retries the extended GYO one.
-        for dec in (fc, extended_gyo_decomposition(q)):
-            if dec is None:
-                raise EngineCompatibilityError("provenance ranking needs a free-connex query")
-            try:
-                super().__init__(q, db, *_connex_split(q, dec), weight_of)
-                return
-            except _PlanSnag as exc:
-                snag = exc
-        raise EngineCompatibilityError(f"provenance ranking cannot plan this query: {snag}")
+                "provenance ranking needs an acyclic query" if gyo_join_tree(q) is None
+                else "provenance ranking needs a free-connex query: no connected "
+                     "subtree of bags covers exactly the head variables")
+        super().__init__(q, db, *_connex_split(q, fc), weight_of)
 
     def next(self, covered: frozenset):
         """Best (answer, gain) where a fact weighs 0 once covered."""
@@ -558,14 +549,13 @@ class ProvenancePlan(_RankingPlan):
 
 def _connex_split(q: ConjunctiveQuery, fc) -> tuple[list[int], list[list[int]]]:
     """Atom ids of the connex part, and of each hanging component."""
-    td = assign_atoms(q, fc.td)
-    atoms = sorted(i for u in fc.connex for i in td.nodes[u].atoms)
+    nodes = fc.td.nodes
+    atoms = sorted(i for u in fc.connex for i in nodes[u].atoms)
     if any(not frozenset(q.atoms[i].vars) <= frozenset(q.head_vars)
            for i in atoms):  # pragma: no cover
         raise AssertionError("connex bags must sit inside the head set")
-    components = [sorted(i for u in comp for i in td.nodes[u].atoms)
-                  for comp in fc.hanging_components()]
-    return atoms, [ids for ids in components if ids]
+    return atoms, [sorted(i for u in comp for i in nodes[u].atoms)
+                   for comp in fc.hanging_components()]
 
 
 # ---------------------------------------------------------------------------
@@ -573,26 +563,21 @@ def _connex_split(q: ConjunctiveQuery, fc) -> tuple[list[int], list[list[int]]]:
 
 
 def greedy_combined(q: ConjunctiveQuery, db: Database, k: int,
-                    volume: VolumeAssignment | None = None, engine: str = "auto",
-                    td: TreeDecomposition | None = None) -> DiverseResult:
+                    volume: VolumeAssignment | None = None,
+                    engine: str = "auto") -> DiverseResult:
     """Greedy diversification driven by a next-answer oracle.
 
     `engine` picks the oracle: "naive" materializes the answers,
     "tropical" ranks positional volumes incrementally, "provenance"
     ranks the witness-fact volume (the default) incrementally, and
     "auto" tries the ranker that the volume calls for before falling
-    back to naive.  A given `td` is validated for every engine; only the
-    provenance ranker plans over it.  Rounds stop at the first round whose best gain is 0,
-    which is exactly when no answer adds volume.  The result's `engine`
-    names the engine that ran.
+    back to naive.  Both rankers plan over the query's own join tree.
+    Rounds stop at the first round whose best gain is 0, which is exactly
+    when no answer adds volume.  The result's `engine` names the engine
+    that ran.
     """
     if engine not in ENGINES:
         raise InputError(f"unknown engine {engine!r}")
-    if td is not None:
-        violation = validate_tree_decomposition(q, td)
-        if violation is not None:
-            raise InputError(
-                f"invalid tree decomposition: {violation.kind}: {violation.detail}")
     if k <= 0:
         return _make_result((), ())
 
@@ -617,7 +602,7 @@ def greedy_combined(q: ConjunctiveQuery, db: Database, k: int,
     if ranker != "naive" and engine in ("auto", ranker):
         try:
             plan = (TropicalPlan(q, db, volume) if ranker == "tropical" else
-                    ProvenancePlan(q, db, td=td, weight_of=getattr(
+                    ProvenancePlan(q, db, weight_of=getattr(
                         getattr(volume, "measure", None), "weight_of", None)))
         except EngineCompatibilityError:
             if engine == ranker:

@@ -10,13 +10,11 @@ the variables as written, so `Q(x) <- R(x,x)` still counts as full.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from .errors import InputError, LoadError, QueryParseError
+from .errors import InputError, QueryParseError
 
 
 @dataclass(frozen=True, order=True)
@@ -214,7 +212,7 @@ def parse_cq(text: str, schema=None) -> ConjunctiveQuery:
 
 
 # ---------------------------------------------------------------------------
-# Tree decompositions
+# Join trees
 
 
 def _preorder(parents: Sequence[int | None]) -> tuple[list[int], list[list[int]]]:
@@ -295,45 +293,6 @@ class TreeDecomposition:
         return TreeDecomposition(nodes)
 
 
-@dataclass(frozen=True)
-class TDViolation:
-    """First failure found when checking decomposition validity."""
-
-    kind: str  # "structure" | "coverage" | "connectedness"
-    detail: str
-
-
-def validate_tree_decomposition(q: ConjunctiveQuery, td: TreeDecomposition) -> TDViolation | None:
-    """Return None when valid, else the first violation with a witness."""
-    qvars = q.variables
-    for n in td.nodes:
-        stray = n.bag - qvars
-        if stray:
-            names = ",".join(sorted(v.name for v in stray))
-            return TDViolation("structure", f"node {n.ident} mentions unknown variables {names}")
-    for i, atom in enumerate(q.atoms):
-        need = frozenset(atom.vars)
-        if not any(need <= n.bag for n in td.nodes):
-            return TDViolation("coverage", f"atom {i} ({atom.text()}) is covered by no bag")
-    # Bags holding v are connected exactly when they share one topmost bag.
-    order, _ = _preorder(td.parents)
-    for v in sorted(qvars):
-        top: dict[int, int] = {}
-        for u in order:
-            if v in td.nodes[u].bag:
-                top[u] = top.get(td.nodes[u].parent, u)
-        if not top:
-            continue
-        start = min(top)
-        missing = [u for u in top if top[u] != top[start]]
-        if missing:
-            return TDViolation(
-                "connectedness",
-                f"variable {v.name}: bags {start} and {min(missing)} are not connected "
-                f"through bags containing it")
-    return None
-
-
 def _gyo_reduce(edges: Sequence[frozenset]) -> list[int | None] | None:
     """GYO ear removal over hyperedges; returns parent indices or None.
 
@@ -404,18 +363,20 @@ def _connex_from_root(td: TreeDecomposition, headset: frozenset) -> frozenset | 
     return None
 
 
-def free_connex_subtree(q: ConjunctiveQuery, td: TreeDecomposition) -> FreeConnexDecomposition | None:
-    """Find a connex subtree whose bags union to exactly the head variables.
+def free_connex_subtree(q: ConjunctiveQuery) -> FreeConnexDecomposition | None:
+    """The query's own join tree with a connex subtree covering the head.
 
-    Tries the decomposition as given, then every re-rooting, and finally
-    rebuilds from scratch by running GYO on the body hypergraph extended
-    with one edge for the head (the inserted root bag is a subset trick:
-    its bag is exactly the head set).  Returns None when no such subtree
-    exists, which for acyclic queries means the head splits a join path.
+    Tries the GYO join tree as built, then every re-rooting of it, for a
+    connex subtree from the root whose bags union to exactly the head
+    variables; failing that, the extended GYO tree (the body plus one
+    edge for the head, Bagan, Durand and Grandjean 2007).  Node `i` of
+    either tree holds atom `i`.  Returns None for a cyclic body, and for
+    an acyclic one exactly when the query is not free-connex, which
+    means the head splits a join path.
     """
-    violation = validate_tree_decomposition(q, td)
-    if violation is not None:
-        raise InputError(f"invalid tree decomposition: {violation.kind}: {violation.detail}")
+    td = gyo_join_tree(q)
+    if td is None:
+        return None
     fc = _connex_rooting(td, frozenset(q.head_vars))
     return fc if fc is not None else extended_gyo_decomposition(q)
 
@@ -456,52 +417,3 @@ def extended_gyo_decomposition(q: ConjunctiveQuery) -> FreeConnexDecomposition |
     if ids is None:  # pragma: no cover - root bag equals the head set
         return None
     return FreeConnexDecomposition(td3, ids)
-
-
-def assign_atoms(q: ConjunctiveQuery, td: TreeDecomposition) -> TreeDecomposition:
-    """Return a copy where every atom is assigned to one covering node."""
-    assignment: dict[int, list[int]] = {n.ident: [] for n in td.nodes}
-    for i, atom in enumerate(q.atoms):
-        need = frozenset(atom.vars)
-        home = next((n.ident for n in td.nodes if need <= n.bag), None)
-        if home is None:
-            raise InputError(f"atom {i} ({atom.text()}) is covered by no bag")
-        assignment[home].append(i)
-    nodes = tuple(
-        TDNode(n.ident, n.bag, n.parent, tuple(assignment[n.ident])) for n in td.nodes)
-    return TreeDecomposition(nodes)
-
-
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
-def td_from_json(data) -> TreeDecomposition:
-    """Build a decomposition from `{"nodes": [{"id", "bag", "parent"}]}`.
-
-    `id` is an integer, `parent` an integer or null (or absent), and
-    `bag` a list of variable names; anything else is a LoadError.
-    """
-    if isinstance(data, (str, Path)):
-        path = Path(data)
-        if not path.is_file():
-            raise LoadError(f"missing tree decomposition file {path}")
-        try:
-            data = json.loads(path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise LoadError(f"{path}: invalid JSON ({exc})") from exc
-    if not isinstance(data, dict) or not isinstance(data.get("nodes"), list):
-        raise LoadError("tree decomposition JSON must be an object with a 'nodes' list")
-    nodes = []
-    for e in data["nodes"]:
-        if not isinstance(e, dict) or not {"id", "bag"} <= e.keys():
-            raise LoadError(f"tree decomposition node entry needs an id and a bag: {e!r}")
-        ident, bag, parent = e["id"], e["bag"], e.get("parent")
-        if not _is_int(ident):
-            raise LoadError(f"tree decomposition node id must be an integer, got {ident!r}")
-        if parent is not None and not _is_int(parent):
-            raise LoadError(f"node {ident}: parent must be an integer or null, got {parent!r}")
-        if not isinstance(bag, list) or not all(isinstance(v, str) for v in bag):
-            raise LoadError(f"node {ident}: bag must be a list of variable names, got {bag!r}")
-        nodes.append(TDNode(ident, frozenset(Variable(v) for v in bag), parent, ()))
-    return TreeDecomposition(tuple(sorted(nodes, key=lambda n: n.ident)))

@@ -247,9 +247,6 @@ class Database:
         except KeyError:
             raise LoadError(f"unknown relation {name!r}") from None
 
-    def facts(self, name: str) -> frozenset:
-        return self._sets[name]
-
     def size(self, name: str) -> int:
         return len(self.relation(name))
 

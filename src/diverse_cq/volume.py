@@ -186,6 +186,9 @@ class ContinuousBallSet:
         dims = {len(c) for c in self.centers}
         if len(dims) != 1:
             raise InputError("ball centers must share one dimension")
+        if dims == {0}:
+            raise InputError("ball centers need at least one coordinate; "
+                             "a nullary head gives none")
 
     @property
     def dimension(self) -> int:

@@ -10,7 +10,7 @@ from jsonschema import Draft7Validator
 
 from diverse_cq import cli, engine
 
-from conftest import STAR_TD, TRIANGLE
+from conftest import TRIANGLE
 
 Q1 = "Q1(x,y) <- R(x,z), R(z,y)."
 IDENT = "A(x,y) <- R(x,y)."
@@ -171,15 +171,6 @@ def test_diversify_combined_reports_engine_used(capsys, work):
         assert doc["payload"]["engine_used"] == used
 
 
-def test_diversify_combined_bad_td_exit_2(capsys, work, tmp_path):
-    bad = tmp_path / "td.json"
-    bad.write_text(json.dumps({"nodes": [{"id": 0, "bag": ["x"], "parent": None}]}))
-    code, _, err = run(capsys, ["diversify", "--data", str(work / "d1"), "--query", IDENT,
-                                "-k", "2", "--mode", "greedy-combined", "--td", str(bad)])
-    assert code == 2
-    assert "invalid tree decomposition" in err
-
-
 def test_diversify_combined_unplannable_td(capsys, tmp_path):
     data = tmp_path / "tri"
     data.mkdir()
@@ -187,45 +178,17 @@ def test_diversify_combined_unplannable_td(capsys, tmp_path):
     (data / "R.csv").write_text("1,2,p\n2,3,p\n")
     (data / "S.csv").write_text("2,3,q\n3,1,q\n")
     (data / "T.csv").write_text("3,1,r\n1,2,r\n")
-    td = tmp_path / "star.json"
-    td.write_text(json.dumps(STAR_TD))
     base = ["diversify", "--data", str(data), "--query", TRIANGLE, "-k", "2",
             "--mode", "greedy-combined"]
-    plain = report(capsys, base)["payload"]
-    doc = report(capsys, base + ["--td", str(td)])["payload"]
-    assert doc["engine_used"] == plain["engine_used"] == "naive"
-    assert doc["selected"] == plain["selected"] and doc["total"] == plain["total"] == "6"
-    code, out, err = run(capsys, base + ["--td", str(td), "--engine", "provenance"])
+    doc = report(capsys, base)["payload"]
+    assert doc["engine_used"] == "naive" and doc["total"] == "6"
+    code, out, err = run(capsys, base + ["--engine", "provenance"])
     assert code == 2 and out == ""
-    assert "provenance ranking cannot plan this query" in err
-
-
-ROOT = {"id": 0, "bag": ["x", "y"], "parent": None}
-
-
-@pytest.mark.parametrize("nodes", [
-    [ROOT, {"id": 1, "bag": ["x"], "parent": "none"}],
-    [ROOT, {"id": 1, "bag": ["x"], "parent": 0.5}],
-    [ROOT, {"id": 1, "bag": ["x"], "parent": False}],
-    [{"id": 0, "bag": "xy", "parent": None}],
-    [{"id": 0, "bag": [1, 2], "parent": None}],
-    [{"id": "0", "bag": ["x", "y"], "parent": None}],
-    [{"id": True, "bag": ["x", "y"], "parent": None}],
-    [{"bag": ["x", "y"], "parent": None}],
-    [["x", "y"]],
-])
-def test_diversify_combined_malformed_td_exit_2(capsys, work, tmp_path, nodes):
-    td = tmp_path / "td.json"
-    td.write_text(json.dumps({"nodes": nodes}))
-    code, out, err = run(capsys, ["diversify", "--data", str(work / "d1"), "--query", IDENT,
-                                  "-k", "2", "--mode", "greedy-combined", "--td", str(td)])
-    assert code == 2 and out == ""
-    assert err.startswith("error: ")
+    assert "provenance ranking needs an acyclic query" in err
 
 
 D1 = ["--data", "<d1>", "--query", IDENT]
 COMPARE = [*D1, "-k", "1", "--distance", "hamming"]
-TD_ONLY_COMBINED = "--td is read by --mode greedy-combined only"
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -240,9 +203,9 @@ TD_ONLY_COMBINED = "--td is read by --mode greedy-combined only"
     (["diversify", *D1, "-k", "1", "--mode", "greedy-combined", "--td-width", "2"],
      "unrecognized arguments: --td-width"),
     (["diversify", *D1, "-k", "1", "--volume", "elem", "--td", "td.json"],
-     TD_ONLY_COMBINED),
+     "unrecognized arguments: --td"),
     (["diversify", *D1, "-k", "1", "--volume", "elem", "--mode", "exact",
-      "--td", "td.json"], TD_ONLY_COMBINED),
+      "--td", "td.json"], "unrecognized arguments: --td"),
     (["diversify", *D1, "-k", "1", "--volume", "elem", "--engine", "auto"],
      "--engine is read by --mode greedy-combined only"),
     (["diversify", *D1, "-k", "1", "--volume", "elem", "--mode", "exact",
@@ -285,6 +248,8 @@ TD_ONLY_COMBINED = "--td is read by --mode greedy-combined only"
      "--mc-samples is read by --volume ball:r=<r> only"),
     (["diversify", *D1, "-k", "1", "--volume", "ball:r=1", "--lazy"],
      "--lazy is read by discrete volumes only"),
+    (["diversify", *D1, "-k", "1", "--mode", "greedy-combined", "--td", "td.json"],
+     "unrecognized arguments: --td"),
 ])
 def test_flags_no_step_reads_exit_2(capsys, work, argv, message):
     files = {"<d1>": "d1", "<maw>": "maw.json", "<tree>": "tree.json", "<w>": "w.txt"}
@@ -376,6 +341,10 @@ NUMS_2D = ["--query", "P(x,y) <- N(x,y)."]
     (["diversify", *NUMS_2D, "-k", "0", "--volume", "ball:r=0"], "radius must be positive"),
     (["compare", *NUMS_2D, "-k", "2", "--distance", "hamming", "--volume", "ball:r=1e300"],
      "no finite box volume"),
+    (["diversify", "--query", "P() <- N(x,y).", "-k", "2", "--volume", "ball:r=1"],
+     "error: ball centers need at least one coordinate"),
+    (["compare", "--query", "P() <- N(x,y).", "-k", "2", "--distance", "hamming",
+      "--volume", "ball:r=1"], "error: ball centers need at least one coordinate"),
 ])
 def test_bad_ball_parameters_exit_2(capsys, work, argv, message):
     code, out, err = run(capsys, [*argv, "--data", str(work / "nums")])

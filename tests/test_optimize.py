@@ -17,13 +17,13 @@ from diverse_cq import (EngineCompatibilityError, EuclideanBallVolume, InputErro
                         cqnext_naive, elem_volume, elem_weighted, enumerate_answers,
                         greedy_by_objective, greedy_combined, greedy_diversify,
                         gyo_join_tree, intern, parse_cq, pos_volume, pos_weighted,
-                        provenance_map, provenance_volume, td_from_json)
+                        provenance_map, provenance_volume)
 
 from diverse_cq.engine import _tree_answers
-from diverse_cq.optimize import _connex_split, _PlanSnag, _witness_table
+from diverse_cq.optimize import _connex_split, _witness_table
 from diverse_cq.query import ConjunctiveQuery, extended_gyo_decomposition, free_connex_subtree
 
-from conftest import (STAR_TD, TRIANGLE, db_of, mk, random_database, random_fact_set,
+from conftest import (TRIANGLE, db_of, mk, random_database, random_fact_set,
                       random_free_connex_instance, random_tree_query)
 
 
@@ -329,10 +329,10 @@ def walked_witness_table(q, db, atom_ids):
     component = ConjunctiveQuery(q.head_name, out, atoms)
     td = gyo_join_tree(component)
     if td is None:
-        raise _PlanSnag("hanging component is not acyclic")
+        raise AssertionError("a hanging component must be acyclic")
     root = next((j for j, a in enumerate(atoms) if set(out) <= set(a.vars)), None)
     if root is None:
-        raise _PlanSnag("no component atom covers the head interface")
+        raise AssertionError("a hanging component's top atom must cover its head interface")
     return out, {answer.values: ball for answer, ball in
                  _tree_answers(component, td.rerooted(root), db, balls=True)}
 
@@ -340,7 +340,7 @@ def walked_witness_table(q, db, atom_ids):
 def _table_or_snag(table, q, db, atom_ids):
     try:
         return table(q, db, atom_ids)
-    except _PlanSnag as exc:
+    except AssertionError as exc:
         return str(exc)
 
 
@@ -349,8 +349,7 @@ def _table_or_snag(table, q, db, atom_ids):
 def test_witness_fold_matches_walk(seed):
     rng = random.Random(seed)
     q, db, _ = random_free_connex_instance(rng)
-    groups = [ids for fc in (free_connex_subtree(q, gyo_join_tree(q)),
-                             extended_gyo_decomposition(q))
+    groups = [ids for fc in (free_connex_subtree(q), extended_gyo_decomposition(q))
               if fc is not None for ids in _connex_split(q, fc)[1]]
     groups.append(sorted(rng.sample(range(len(q.atoms)), rng.randint(1, len(q.atoms)))))
     for ids in groups:
@@ -456,18 +455,38 @@ def test_provenance_next_matches_naive_round_by_round():
             selected.append(naive[0])
 
 
-def test_provenance_plan_accepts_wide_user_decomposition():
-    db = db_of({"R": 2, "S": 2},
-               [mk("R", "a", "b"), mk("R", "b", "b"), mk("S", "b", "c"),
-                mk("S", "b", "d")])
-    q = parse_cq("Q(x) <- R(x,z), S(z,w).")
-    wide = td_from_json({"nodes": [{"id": 0, "bag": ["x", "z", "w"], "parent": None}]})
-    plan = ProvenancePlan(q, db, td=wide)
-    ans, gain = plan.next(frozenset())
-    v = provenance_volume(q, db)
-    naive_ans, naive_gain = cqnext_naive(q, db, [], v)
-    assert gain == naive_gain
-    assert plan.provenance_of(ans) == provenance_map(q, db, [ans])[ans]
+def test_provenance_plan_refuses_exactly_the_queries_without_a_free_connex_tree():
+    # Random heads over random self-join-free acyclic bodies: nullary,
+    # projected, full and reordered.  A plan over the query's own join
+    # tree either builds and ranks like the naive oracle, or the query
+    # has no free-connex tree; nothing else is raised.
+    rng = random.Random(1107)
+    refused = nullary = 0
+    for _ in range(500):
+        q, rels = random_tree_query(rng, max_atoms=5, allow_self_join=False)
+        names = sorted({v.name for a in q.atoms for v in a.source_vars})
+        head = rng.sample(names, rng.randint(0, len(names)))
+        q = ConjunctiveQuery.build(
+            "Q", head, [(a.relation, [v.name for v in a.source_vars]) for a in q.atoms])
+        db = random_database(rng, rels, density=rng.uniform(0.4, 0.8))
+        # An acyclic body is free-connex exactly when adding the head edge
+        # keeps it acyclic.
+        fc = free_connex_subtree(q)
+        assert (fc is None) == (extended_gyo_decomposition(q) is None)
+        try:
+            plan = ProvenancePlan(q, db)
+        except EngineCompatibilityError:
+            assert fc is None, q.to_text()
+            refused += 1
+            continue
+        assert fc is not None, q.to_text()
+        nullary += not head
+        fast = plan.next(frozenset())
+        naive = cqnext_naive(q, db, [], provenance_volume(q, db))
+        assert (fast is None) == (naive is None), q.to_text()
+        if naive is not None:
+            assert fast[1] == naive[1], q.to_text()
+    assert refused and nullary  # both sides of the property were exercised
 
 
 def test_unplannable_decomposition_is_an_engine_mismatch():
@@ -475,14 +494,13 @@ def test_unplannable_decomposition_is_an_engine_mismatch():
     db = db_of({"R": 3, "S": 3, "T": 3},
                [mk("R", "1", "2", "p"), mk("S", "2", "3", "q"), mk("T", "3", "1", "r"),
                 mk("R", "2", "3", "p"), mk("S", "3", "1", "q"), mk("T", "1", "2", "r")])
-    star = td_from_json(STAR_TD)
-    with pytest.raises(EngineCompatibilityError, match="cannot plan this query"):
-        ProvenancePlan(q, db, td=star)
-    with pytest.raises(EngineCompatibilityError, match="cannot plan this query"):
-        greedy_combined(q, db, 2, engine="provenance", td=star)
-    res = greedy_combined(q, db, 2, td=star)
+    with pytest.raises(EngineCompatibilityError, match="acyclic query"):
+        ProvenancePlan(q, db)
+    with pytest.raises(EngineCompatibilityError, match="acyclic query"):
+        greedy_combined(q, db, 2, engine="provenance")
+    res = greedy_combined(q, db, 2)
     assert res.engine == "naive"
-    assert res == greedy_combined(q, db, 2)
+    assert res == greedy_combined(q, db, 2, engine="naive")
     assert res.total == 6
 
 
@@ -528,15 +546,6 @@ def test_combined_stops_at_first_zero_gain(d1):
         assert res.selected == (mk("Q", "a", "b"),)
         assert res.gains == (2,)
         assert res.engine == "naive"
-
-
-def test_combined_rejects_invalid_td_for_every_engine(d1):
-    q = parse_cq("Q(x,y) <- R(x,y).")
-    bad = td_from_json({"nodes": [{"id": 0, "bag": ["x"], "parent": None}]})
-    for engine, v in (("naive", elem_volume()), ("auto", elem_volume()),
-                      ("tropical", pos_volume()), ("provenance", None)):
-        with pytest.raises(InputError, match="invalid tree decomposition"):
-            greedy_combined(q, d1, 2, volume=v, engine=engine, td=bad)
 
 
 def test_combined_k_zero(d1, q1):

@@ -125,6 +125,13 @@ def test_ball_volume_rejects_mixed_dimensions():
         v.diversity([num_fact("P", 0), num_fact("P", 0, 1)])
 
 
+def test_ball_volume_rejects_nullary_answers():
+    with pytest.raises(InputError, match="at least one coordinate"):
+        EuclideanBallVolume(1.0).diversity([mk("Q")])
+    with pytest.raises(InputError, match="at least one coordinate"):
+        ContinuousBallSet(((), ()), 1.0)
+
+
 def test_empty_selection_has_zero_volume():
     assert EuclideanBallVolume(1.0).diversity([]) == 0.0
     assert elem_volume().diversity([]) == 0
