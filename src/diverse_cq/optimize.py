@@ -32,7 +32,7 @@ from .engine import atom_candidates, enumerate_answers, _fold, _reduce
 from .errors import EngineCompatibilityError, InputError, LimitExceededError
 from .query import ConjunctiveQuery, free_connex_subtree, gyo_join_tree, _gyo_reduce
 from .relcore import Database, Fact
-from .volume import VolumeAssignment, provenance_volume
+from .volume import VolumeAssignment, provenance_volume, scaled_weights
 
 BRUTE_FORCE_CAP = 10 ** 7
 POSITIONAL_VOLUMES = ("pos", "pos-w")
@@ -130,7 +130,11 @@ def greedy_diversify(answers: Iterable[Fact], k: int, v: VolumeAssignment,
                      lazy: bool = False) -> DiverseResult:
     """Greedy argmax of the marginal gain, smallest answer on ties.
 
-    Always makes min(k, n) picks, zero gains included.  With `lazy` the
+    Always makes min(k, n) picks, zero gains included.  Gains are plain
+    integers while the loop runs: a count measure's gain is the number
+    of uncovered points, and a weighted measure's adds the integers
+    `scaled_weights` gives every point in the union of the balls; each
+    gain turns back into a Fraction only in the result.  With `lazy` the
     stored gains are treated as upper bounds (valid by submodularity) and
     only re-evaluated when popped; the selection is identical to the plain
     scan, round for round.  A volume that is not discrete (the Euclidean
@@ -146,12 +150,21 @@ def greedy_diversify(answers: Iterable[Fact], k: int, v: VolumeAssignment,
         return greedy_by_objective(items, m, v.diversity)
 
     # Steps work on indices into `items`, so no answer is hashed per candidate.
-    of = v.measure.of
     balls = [v.ball(t) for t in items]
     covered: set = set()
     remaining = list(range(len(items)))
+    if v.measure.kind == "count":
+        scale = 1
+
+        def gain(i):
+            return len(balls[i] - covered)
+    else:
+        weight, scale = scaled_weights(v.measure.weight_of, set().union(*balls))
+
+        def gain(i):
+            return sum(map(weight.__getitem__, balls[i] - covered))
     if lazy:
-        heap = [(-of(balls[i]), i, 0) for i in remaining]
+        heap = [(-gain(i), i, 0) for i in remaining]
         heapq.heapify(heap)
 
         def best(picks):
@@ -159,11 +172,12 @@ def greedy_diversify(answers: Iterable[Fact], k: int, v: VolumeAssignment,
                 neg, i, stamp = heapq.heappop(heap)
                 if stamp == len(picks):
                     return i, -neg
-                heapq.heappush(heap, (-of(balls[i] - covered), i, len(picks)))
+                heapq.heappush(heap, (-gain(i), i, len(picks)))
             return None
     else:
         def best(picks):
-            return _argmax(remaining, lambda i: of(balls[i] - covered))
+            i = max(remaining, key=gain)  # the first maximum: smallest answer on ties
+            return i, gain(i)
 
     def commit(i):
         covered.update(balls[i])
@@ -172,7 +186,7 @@ def greedy_diversify(answers: Iterable[Fact], k: int, v: VolumeAssignment,
     picks, gains = _greedy(m, best, commit)
     if any(b > a for a, b in zip(gains, gains[1:])):  # pragma: no cover
         raise AssertionError("greedy gains increased; objective is not submodular")
-    return _make_result([items[i] for i in picks], gains)
+    return _make_result([items[i] for i in picks], [Fraction(g, scale) for g in gains])
 
 
 def greedy_by_objective(answers: Iterable, k: int, objective: Callable) -> DiverseResult:
@@ -307,13 +321,8 @@ class _RankingPlan:
         self._weight: dict | None = None  # None: every point weighs 1
         self._scale = 1
         if self._weight_of is not None:
-            exact = {point: Fraction(self._weight_of(point))
-                     for holders in index for point in holders}
-            if any(w < 0 for w in exact.values()):
-                raise InputError("point weights must be non-negative")
-            self._scale = math.lcm(*(w.denominator for w in exact.values()))
-            self._weight = {point: w.numerator * (self._scale // w.denominator)
-                            for point, w in exact.items()}
+            self._weight, self._scale = scaled_weights(
+                self._weight_of, (point for holders in index for point in holders))
         self._annot: list[list[int]] = [[] for _ in range(n)]
         self._score: list[list[int]] = [[] for _ in range(n)]
         self._best: list[dict] = [{} for _ in range(n)]  # group key -> top row

@@ -7,16 +7,19 @@ monotone and submodular by construction, and marginal gains are plain
 measures of set differences rather than re-evaluations.  The provenance
 volume takes its answers and balls from the evaluator in `engine`.
 
-All discrete arithmetic is exact: measures return Fractions, and the
-join-tree rankers in `optimize`, which read point weights through
-`WeightedMeasure.weight_of`, scale them to integers and convert back
-to Fractions at their result.  The only floating-point path is the
-Monte-Carlo estimator for Euclidean ball unions.
+All discrete arithmetic is exact: a weighted measure stores its weights
+as Fractions and measures return Fractions.  Materialized greedy and the
+join-tree rankers in `optimize` add integers instead: `scaled_weights`
+reads point weights through `WeightedMeasure.weight_of` and scales them
+by the lcm of their denominators, and each converts back to Fractions
+at its result.  The only floating-point path is the Monte-Carlo
+estimator for Euclidean ball unions.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -44,6 +47,17 @@ class CountMeasure:
         return "CountMeasure()"
 
 
+def _exact(w) -> Fraction:
+    """A point weight as an exact Fraction; anything but a finite number
+    is an input error."""
+    if isinstance(w, numbers.Number):
+        try:
+            return Fraction(w)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise InputError(f"point weights must be finite numbers, not {w!r}")
+
+
 @dataclass(frozen=True)
 class WeightedMeasure:
     """Finite weighted measure with a default weight for unlisted points."""
@@ -52,6 +66,10 @@ class WeightedMeasure:
     default: Fraction = Fraction(1)
 
     def __post_init__(self):
+        # Stored exact, so every engine adds the same Fractions
+        object.__setattr__(self, "default", _exact(self.default))
+        object.__setattr__(self, "weights",
+                           {point: _exact(w) for point, w in self.weights.items()})
         if self.default < 0:
             raise InputError("default point weight must be non-negative")
         for point, w in self.weights.items():
@@ -68,6 +86,20 @@ class WeightedMeasure:
         for point in region:
             total += self.weights.get(point, self.default)
         return total
+
+
+def scaled_weights(weight_of: Callable, points: Iterable) -> tuple[dict, int]:
+    """Integer point weights over one common denominator.
+
+    Reads each point's weight as an exact Fraction, rejects a negative
+    one, and scales all of them by the lcm of their denominators.
+    Returns ({point: weight * scale}, scale); every weight is an int.
+    """
+    exact = {point: Fraction(weight_of(point)) for point in points}
+    if any(w < 0 for w in exact.values()):
+        raise InputError("point weights must be non-negative")
+    scale = math.lcm(*(w.denominator for w in exact.values()))
+    return {point: w.numerator * (scale // w.denominator) for point, w in exact.items()}, scale
 
 
 @dataclass(frozen=True)

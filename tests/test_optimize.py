@@ -105,6 +105,64 @@ def test_set_function_greedy_matches_volume_greedy(case):
     assert by_diversity == greedy_diversify(facts, k, v, lazy=True)
 
 
+def test_greedy_gains_and_total_are_fractions():
+    # Integer gains inside the loop must not leak: the CLI prints an int bare
+    facts = random_fact_set(random.Random(3), 8)
+    for v in (elem_volume(), pos_volume(),
+              pos_weighted({(intern("a"), 1): Fraction(7, 2)}, Fraction(2))):
+        for lazy in (False, True):
+            res = greedy_diversify(facts, 4, v, lazy=lazy)
+            assert res.gains and all(isinstance(g, Fraction) for g in res.gains)
+            assert isinstance(res.total, Fraction)
+
+
+@st.composite
+def large_lcm_volumes(draw):
+    rows = draw(st.lists(st.tuples(*[st.sampled_from("abcdef")] * 2), max_size=12))
+    facts = [mk("T", *row) for row in rows]
+    # Coprime denominators, zero weights and a fractional default: a large lcm
+    weights = st.builds(Fraction, st.integers(0, 30), st.sampled_from((2, 3, 7, 11, 13)))
+    default = draw(st.builds(Fraction, st.integers(1, 30), st.sampled_from((7, 11, 13))))
+    if draw(st.booleans()):
+        v = elem_weighted(draw(st.dictionaries(
+            st.sampled_from("abcdef").map(intern), weights)), default)
+    else:
+        v = pos_weighted(draw(st.dictionaries(
+            st.tuples(st.sampled_from("abcdef").map(intern), st.integers(1, 2)), weights)),
+            default)
+    return facts, v, draw(st.integers(0, 6))
+
+
+@settings(max_examples=200, deadline=None)
+@given(large_lcm_volumes())
+def test_scaled_greedy_matches_greedy_on_exact_diversity(case):
+    facts, v, k = case
+    by_diversity = greedy_by_objective(facts, k, v.diversity)
+    for lazy in (False, True):
+        res = greedy_diversify(facts, k, v, lazy=lazy)
+        assert res == by_diversity
+        assert all(isinstance(g, Fraction) for g in res.gains)
+
+
+def test_float_weights_give_one_total_in_every_engine():
+    db = db_of({"R": 2}, [mk("R", "a", "b"), mk("R", "c", "b")])
+    q = parse_cq("Q(x,y) <- R(x,y).")
+    v = pos_weighted({(intern("a"), 1): 0.1}, 1)
+    greedy = greedy_diversify(enumerate_answers(q, db).ordered(), 2, v)
+    ranked = greedy_combined(q, db, 2, volume=v, engine="tropical")
+    assert greedy.total == ranked.total == 2 + Fraction(0.1)
+    assert isinstance(greedy.total, Fraction) and isinstance(ranked.total, Fraction)
+    assert greedy.selected == ranked.selected
+
+
+@pytest.mark.parametrize("w", ["1/2", None, float("nan"), float("inf"), 1j])
+def test_weights_that_are_not_finite_numbers_are_rejected(w):
+    with pytest.raises(InputError, match="finite numbers"):
+        WeightedMeasure({mk("R", "a", "b"): w})
+    with pytest.raises(InputError, match="finite numbers"):
+        WeightedMeasure({}, w)
+
+
 def test_greedy_on_continuous_volume():
     v = EuclideanBallVolume(0.5)
     pts = [mk("P", "0.0"), mk("P", "0.1"), mk("P", "5.0")]
@@ -168,16 +226,12 @@ def test_benchmark_stand_ins_and_plan_api(d1, d3):
     k = 4
     base = provenance_volume(parse_cq("Q(x,y) <- R(x,y)."), d1)
     for v, answers in ((pos_volume(), facts), (base, sorted(base.universe))):
-        calls = {}
         for lazy in (False, True):
             counting = _MeasureStandIn(v.measure)
             stand_in = VolumeAssignment(v.name, v.ball_fn, counting, universe=v.universe)
             res = greedy_diversify(answers, k, stand_in, lazy=lazy)
             assert res == greedy_diversify(answers, k, v, lazy=lazy)
-            calls[lazy] = counting.calls
-        n, m = len(answers), min(k, len(answers))
-        assert calls[False] == sum(n - r for r in range(m))  # one `of` per candidate
-        assert calls[True] <= calls[False]
+            assert counting.calls == 0  # greedy counts uncovered points, never measures
 
     points = [mk("P", "0", "0"), mk("P", "1", "0"), mk("P", "4", "1"), mk("P", "2", "3")]
     ball = EuclideanBallVolume(1.0, samples=2000)
