@@ -157,12 +157,12 @@ def pos_volume() -> VolumeAssignment:
 
 
 def elem_weighted(weights: Mapping, default=Fraction(1)) -> VolumeAssignment:
-    measure = WeightedMeasure(dict(weights), Fraction(default))
+    measure = WeightedMeasure(weights, default)
     return VolumeAssignment("elem-w", lambda t: frozenset(t.values), measure)
 
 
 def pos_weighted(weights: Mapping, default=Fraction(1)) -> VolumeAssignment:
-    measure = WeightedMeasure(dict(weights), Fraction(default))
+    measure = WeightedMeasure(weights, default)
     return VolumeAssignment(
         "pos-w", lambda t: frozenset((v, i + 1) for i, v in enumerate(t.values)),
         measure)
