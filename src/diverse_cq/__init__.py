@@ -20,9 +20,8 @@ from .errors import (DiverseCQError, EngineCompatibilityError, InputError,
 from .optimize import (BRUTE_FORCE_CAP, DiverseResult, ProvenancePlan, TropicalPlan,
                        brute_force_diversify, cqnext_naive, greedy_by_objective,
                        greedy_combined, greedy_diversify)
-from .query import (Atom, ConjunctiveQuery, FreeConnexDecomposition, TDNode,
-                    TreeDecomposition, Variable, extended_gyo_decomposition,
-                    free_connex_subtree, gyo_join_tree, parse_cq)
+from .query import (Atom, ConjunctiveQuery, Variable, free_connex_split, gyo_join_tree,
+                    parse_cq)
 from .relcore import (DataValue, Database, Fact, Schema, fraction_text, intern,
                       intern_number, load_database)
 from .volume import (ContinuousBallSet, CountMeasure, EuclideanBallVolume, MCEstimate,
@@ -37,15 +36,14 @@ __all__ = [
     "AnswerSet", "Atom", "BRUTE_FORCE_CAP", "ConjunctiveQuery", "ContinuousBallSet",
     "CountMeasure", "DataValue", "Database", "DiverseCQError", "DiverseResult",
     "EngineCompatibilityError", "EuclideanBallVolume", "ExplicitMatrixDistance",
-    "Fact", "FreeConnexDecomposition", "HammingDistance", "InputError",
-    "LimitExceededError", "LoadError", "MCEstimate", "MultiAttributeWeights",
-    "ProvenancePlan", "QueryParseError", "Schema", "TDNode", "TreeDecomposition",
+    "Fact", "HammingDistance", "InputError", "LimitExceededError", "LoadError",
+    "MCEstimate", "MultiAttributeWeights", "ProvenancePlan", "QueryParseError", "Schema",
     "TreeLeafDistance", "TropicalPlan", "UltraNode", "UltrametricTree",
     "UltrametricViolation", "UniverseError", "Variable", "VolumeAssignment",
     "WEITZMAN_CAP", "WeightedMeasure", "atom_candidates",
     "brute_force_diversify", "cqnext_naive", "delta_min", "delta_sum", "elem_volume",
-    "elem_weighted", "enumerate_answers", "extended_gyo_decomposition", "format_weight",
-    "fraction_text", "free_connex_subtree", "greedy_by_objective", "greedy_combined",
+    "elem_weighted", "enumerate_answers", "format_weight", "fraction_text",
+    "free_connex_split", "greedy_by_objective", "greedy_combined",
     "greedy_diversify", "gyo_join_tree", "hamming",
     "homomorphisms", "intern", "intern_number", "iter_answers", "load_database",
     "mc_ball_union_volume", "multiattribute_from_volume", "parse_cq", "pos_volume",

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import random
 import sys
@@ -533,8 +534,10 @@ def cmd_bench(args, argv: list[str]) -> int:
     n, m, length = args.nodes, args.edges, args.path_length
     if m > n * (n - 1):
         raise InputError(f"{m} distinct edges do not fit on {n} nodes")
-    population = [(u, v) for u in range(n) for v in range(n) if u != v]
-    edges = rng.sample(population, m)
+    # Sample positions in the row-major list of all n(n-1) pairs (u, v),
+    # v != u, without building that list.
+    pairs = (divmod(i, n - 1) for i in rng.sample(range(n * (n - 1)), m))
+    edges = [(u, j + (j >= u)) for u, j in pairs]
     width = len(str(n - 1))
     schema = Schema({"E": 2})
     facts = [Fact("E", (intern(f"n{u:0{width}d}"), intern(f"n{v:0{width}d}")))
@@ -548,15 +551,8 @@ def cmd_bench(args, argv: list[str]) -> int:
     combined = phases.run("greedy_combined", lambda: greedy_combined(
         q, db, args.k, volume=vol, engine="tropical"))
 
-    def enumerate_capped():
-        got = []
-        for ans in iter_answers(q, db):
-            got.append(ans)
-            if len(got) >= args.cap:
-                break
-        return got
-
-    sample = phases.run("enumerate_capped", enumerate_capped)
+    sample = phases.run("enumerate_capped",
+                        lambda: list(itertools.islice(iter_answers(q, db), args.cap)))
     sample_greedy = phases.run("greedy_on_sample", lambda: greedy_diversify(
         sample, args.k, vol))
 
@@ -588,6 +584,17 @@ def cmd_bench(args, argv: list[str]) -> int:
 # Parser
 
 
+def _count(text: str) -> int:
+    """argparse type of a count: a non-negative integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="diverse-cq",
@@ -615,7 +622,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("diversify", parents=[common, vol_flags],
                        help="select k diverse answers")
-    p.add_argument("-k", type=int, required=True)
+    p.add_argument("-k", type=_count, required=True)
     p.add_argument("--mode", choices=["greedy", "exact", "greedy-combined"],
                    default="greedy")
     p.add_argument("--engine", choices=ENGINES,
@@ -623,15 +630,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lazy", action="store_true", default=None,
                    help="lazy gain re-evaluation for greedy (same selection, "
                         "fewer evaluations)")
-    p.add_argument("--max-subsets", type=int,
+    p.add_argument("--max-subsets", type=_count,
                    help=f"exact-mode subset cap (default {BRUTE_FORCE_CAP})")
     p.set_defaults(fn=cmd_diversify)
 
     p = sub.add_parser("compare", parents=[common, vol_flags],
                        help="volume vs. distance-based diversity on one instance")
-    p.add_argument("-k", type=int, required=True)
+    p.add_argument("-k", type=_count, required=True)
     p.add_argument("--distance", required=True, help="hamming or matrix:<file>")
-    p.add_argument("--max-weitzman", type=int, default=WEITZMAN_CAP,
+    p.add_argument("--max-weitzman", type=_count, default=WEITZMAN_CAP,
                    help="largest set the recursive diversity is evaluated on")
     p.set_defaults(fn=cmd_compare)
 
@@ -645,11 +652,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", parents=[seed],
                        help="time combined greedy vs. materialize-then-greedy")
-    p.add_argument("--nodes", type=int, default=25)
-    p.add_argument("--edges", type=int, default=300)
+    p.add_argument("--nodes", type=_count, default=25)
+    p.add_argument("--edges", type=_count, default=300)
     p.add_argument("--path-length", type=int, default=6)
-    p.add_argument("-k", type=int, default=5)
-    p.add_argument("--cap", type=int, default=10_000,
+    p.add_argument("-k", type=_count, default=5)
+    p.add_argument("--cap", type=_count, default=10_000,
                    help="stop enumerating answers after this many")
     p.set_defaults(fn=cmd_bench)
 

@@ -22,8 +22,7 @@ from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import InputError, LimitExceededError
-from .query import (Atom, ConjunctiveQuery, TreeDecomposition, gyo_join_tree,
-                    _connex_rooting, _preorder)
+from .query import Atom, ConjunctiveQuery, gyo_join_tree, _connex_rooting, _preorder
 from .relcore import Database, Fact
 
 PROVENANCE_EXTENSION_LIMIT = 10 ** 7
@@ -118,9 +117,9 @@ def iter_answers(q: ConjunctiveQuery, db: Database) -> Iterator[Fact]:
     Acyclic bodies run the semijoin-reduced walk over their GYO join
     tree; cyclic bodies fall back to the backtracking join.
     """
-    tree = gyo_join_tree(q)
-    if tree is not None:
-        yield from _tree_answers(q, tree, db)
+    parents = gyo_join_tree(q)
+    if parents is not None:
+        yield from _tree_answers(q, parents, db)
         return
     seen = set()
     for bindings, _ in homomorphisms(q, db):
@@ -182,12 +181,13 @@ def _fold(nodes: Iterable[int], groups: Sequence[dict], kids, probe, rows, facts
     return fold
 
 
-def _tree_answers(q: ConjunctiveQuery, td: TreeDecomposition, db: Database,
+def _tree_answers(q: ConjunctiveQuery, parents: Sequence[int | None], db: Database,
                   balls: bool = False) -> Iterator:
-    """Distinct answers of `q` over its GYO join tree or a re-rooting of it.
+    """Distinct answers of `q` over the join tree `parents`: its GYO tree
+    or a re-rooting of it.
 
-    Node `i` holds atom `i`'s variables and facts.  The tree is rooted at
-    a node whose connex subtree covers the head, when one exists.  After
+    Node `i` holds atom `i`'s variables and facts.  The tree is re-rooted
+    at a node whose connex subtree covers the head, when one exists.  After
     `_reduce` every row extends into all of its node's subtrees, so one
     preorder walk that probes each node's groups with its parent key, and
     skips every subtree binding no new head variable, finds the answers.
@@ -200,13 +200,14 @@ def _tree_answers(q: ConjunctiveQuery, td: TreeDecomposition, db: Database,
     so the ball holds the walks' facts and, per skipped subtree, the
     facts of all of its extensions, folded bottom-up once per group key.
     """
-    fc = _connex_rooting(td, frozenset(q.head_vars))
-    parents = (td if fc is None else fc.td).parents
+    headset = frozenset(q.head_vars)
+    hit = _connex_rooting(parents, [frozenset(a.vars) for a in q.atoms], headset)
+    if hit is not None:
+        parents = hit[0]
     bags = [a.vars for a in q.atoms]
     facts = [list(atom_candidates(db, a, {})) for a in q.atoms]
     rows = [[f.values for f in fs] for fs in facts]
     order, kids, key, probe, groups = _reduce(bags, rows, parents)
-    headset = frozenset(q.head_vars)
     below: dict[int, frozenset] = {}  # head variables bound in u's subtree
     for u in reversed(order):
         below[u] = headset.intersection(bags[u]).union(*(below[c] for c in kids[u]))

@@ -30,7 +30,7 @@ from typing import Callable, Iterable, Sequence
 
 from .engine import atom_candidates, enumerate_answers, _fold, _reduce
 from .errors import EngineCompatibilityError, InputError, LimitExceededError
-from .query import ConjunctiveQuery, free_connex_subtree, gyo_join_tree, _gyo_reduce
+from .query import ConjunctiveQuery, free_connex_split, gyo_join_tree, _gyo_reduce
 from .relcore import Database, Fact
 from .volume import VolumeAssignment, provenance_volume, scaled_weights
 
@@ -243,11 +243,12 @@ class _RankingPlan:
 
     The edges are the body atoms `atoms`, each holding its sorted facts as
     rows over its variables, and then one witness table per hanging
-    component in `components`, from the component's head variables to the
-    facts of its witnesses.  Parents come from GYO over the edges.  The
-    volume decides only which ground points a row charges: by default its
-    witness facts, and `TropicalPlan` overrides `_charge`.  Subclasses
-    define `_ball`, the ground points an answer covers.
+    component in `components`, given as its atom ids and their parents
+    within it, from the component's head variables to the facts of its
+    witnesses.  Parents come from GYO over the edges.  The volume decides
+    only which ground points a row charges: by default its witness facts,
+    and `TropicalPlan` overrides `_charge`.  Subclasses define `_ball`,
+    the ground points an answer covers.
 
     The best answer falls out of one max-plus dynamic program.  A row is
     live when it joins some live row of every child edge; liveness never
@@ -270,7 +271,8 @@ class _RankingPlan:
     """
 
     def __init__(self, q: ConjunctiveQuery, db: Database, atoms: Iterable[int],
-                 components: Iterable[list[int]], weight_of: Callable | None):
+                 components: Iterable[tuple[list[int], list[int | None]]],
+                 weight_of: Callable | None):
         self.q = q
         self.db = db
         self._atoms = list(atoms)
@@ -282,7 +284,7 @@ class _RankingPlan:
             cols.append(q.atoms[i].vars)
             rows.append([f.values for f in facts])
             witnesses.append(lambda r, facts=facts: (facts[r],))
-        self._tables = [_witness_table(q, db, ids) for ids in components]
+        self._tables = [_witness_table(q, db, ids, parents) for ids, parents in components]
         for edge, table in self._tables:
             keys = sorted(table)
             cols.append(edge)
@@ -423,23 +425,22 @@ class _RankingPlan:
         return answer, Fraction(total, self._scale)
 
 
-def _witness_table(q: ConjunctiveQuery, db: Database, atom_ids: list[int]):
-    """Collapse one hanging component into (interface variables,
+def _witness_table(q: ConjunctiveQuery, db: Database, atom_ids: list[int],
+                   parents: list[int | None]):
+    """Collapse one hanging component, the atoms `atom_ids` joined by the
+    subtree `parents` of the query's join tree, into (interface variables,
     {interface tuple: facts of the witnesses}): the evaluator's subtree
-    fold over the component's join tree, re-rooted at an atom that covers
-    the interface, with the root's live rows grouped by interface tuple."""
-    atoms = tuple(q.atoms[i] for i in atom_ids)
+    fold from the component's top atom, with the top's live rows grouped
+    by interface tuple."""
+    atoms = [q.atoms[i] for i in atom_ids]
     out = tuple(sorted({v for a in atoms for v in a.vars} & frozenset(q.head_vars)))
-    td = gyo_join_tree(ConjunctiveQuery(q.head_name, out, atoms))
-    if td is None:
-        raise AssertionError("a hanging component must be acyclic")
-    root = next((j for j, a in enumerate(atoms) if set(out) <= set(a.vars)), None)
-    if root is None:
+    root = parents.index(None)
+    if not set(out) <= set(atoms[root].vars):  # pragma: no cover - running intersection
         raise AssertionError("a hanging component's top atom must cover its head interface")
     bags = [a.vars for a in atoms]
     facts = [list(atom_candidates(db, a, {})) for a in atoms]
     rows = [[f.values for f in fs] for fs in facts]
-    order, kids, _, probe, groups = _reduce(bags, rows, td.rerooted(root).parents)
+    order, kids, _, probe, groups = _reduce(bags, rows, parents)
     interface = [bags[root].index(v) for v in out]
     for i in groups[root].pop((), ()):
         groups[root].setdefault(tuple([rows[root][i][j] for j in interface]), []).append(i)
@@ -500,7 +501,7 @@ class ProvenancePlan(_RankingPlan):
     """Next-answer ranking for the witness-fact volume.
 
     Works on self-join-free free-connex queries, and plans once over the
-    query's own join tree, `free_connex_subtree(q)`: the GYO tree rooted
+    query's own join tree, `free_connex_split(q)`: the GYO tree rooted
     at its connex part, else the extended GYO tree.  The atoms of the
     connex part are edges whose rows charge their own fact; every other
     atom belongs to a hanging component, whose rows charge the facts of
@@ -518,13 +519,13 @@ class ProvenancePlan(_RankingPlan):
         if not q.is_self_join_free:
             raise EngineCompatibilityError(
                 "provenance ranking needs a self-join-free query")
-        fc = free_connex_subtree(q)
-        if fc is None:
+        split = free_connex_split(q)
+        if split is None:
             raise EngineCompatibilityError(
                 "provenance ranking needs an acyclic query" if gyo_join_tree(q) is None
                 else "provenance ranking needs a free-connex query: no connected "
                      "subtree of bags covers exactly the head variables")
-        super().__init__(q, db, *_connex_split(q, fc), weight_of)
+        super().__init__(q, db, *split, weight_of)
 
     def next(self, covered: frozenset):
         """Best (answer, gain) where a fact weighs 0 once covered."""
@@ -554,17 +555,6 @@ class ProvenancePlan(_RankingPlan):
         return frozenset(facts)
 
     _ball = provenance_of
-
-
-def _connex_split(q: ConjunctiveQuery, fc) -> tuple[list[int], list[list[int]]]:
-    """Atom ids of the connex part, and of each hanging component."""
-    nodes = fc.td.nodes
-    atoms = sorted(i for u in fc.connex for i in nodes[u].atoms)
-    if any(not frozenset(q.atoms[i].vars) <= frozenset(q.head_vars)
-           for i in atoms):  # pragma: no cover
-        raise AssertionError("connex bags must sit inside the head set")
-    return atoms, [sorted(i for u in comp for i in nodes[u].atoms)
-                   for comp in fc.hanging_components()]
 
 
 # ---------------------------------------------------------------------------

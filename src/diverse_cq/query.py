@@ -6,6 +6,10 @@ single atom is rewritten to a fresh variable plus an equality filter on
 the two columns (`eq_positions` on the atom), which the engines apply
 when they pull candidate facts.  Flags such as `is_full` are defined on
 the variables as written, so `Q(x) <- R(x,x)` still counts as full.
+
+A join tree is a plain list of parent indices, None at the root, where
+node `i` holds atom `i`.  The extended GYO tree of a projected head has
+one more node, last, for the head edge; it holds no atom.
 """
 
 from __future__ import annotations
@@ -219,8 +223,7 @@ def _preorder(parents: Sequence[int | None]) -> tuple[list[int], list[list[int]]
     """Walk a forest given by parent indices (None at a root).
 
     Returns the nodes in preorder, roots and siblings in index order,
-    and each node's children in index order.  A node on a cycle is
-    never reached, so a short order also reveals cycles.
+    and each node's children in index order.
     """
     children: list[list[int]] = [[] for _ in parents]
     roots = []
@@ -245,52 +248,6 @@ def _reroot(parents: Sequence[int | None], new_root: int) -> list[int | None]:
         out[u] = below
         below, u = u, up
     return out
-
-
-@dataclass(frozen=True)
-class TDNode:
-    ident: int
-    bag: frozenset
-    parent: int | None
-    atoms: tuple[int, ...] = ()
-
-
-@dataclass(frozen=True)
-class TreeDecomposition:
-    """Rooted decomposition; node ids equal their positions in `nodes`."""
-
-    nodes: tuple[TDNode, ...]
-
-    def __post_init__(self):
-        roots = [n.ident for n in self.nodes if n.parent is None]
-        for i, n in enumerate(self.nodes):
-            if n.ident != i:
-                raise InputError("tree decomposition node ids must be 0..n-1 in order")
-            if n.parent is not None and not (0 <= n.parent < len(self.nodes)):
-                raise InputError(f"node {i}: parent {n.parent} out of range")
-            if n.parent == i:
-                raise InputError(f"node {i}: node cannot be its own parent")
-        if len(roots) != 1:
-            raise InputError(f"expected exactly one root, found {len(roots)}")
-        # Reachability from the root doubles as a cycle check.
-        if len(_preorder(self.parents)[0]) != len(self.nodes):
-            raise InputError("tree decomposition edges contain a cycle or disconnect")
-
-    @property
-    def root_id(self) -> int:
-        return next(n.ident for n in self.nodes if n.parent is None)
-
-    @property
-    def parents(self) -> list[int | None]:
-        """Parent index of every node, None at the root."""
-        return [n.parent for n in self.nodes]
-
-    def rerooted(self, new_root: int) -> "TreeDecomposition":
-        """Same tree with parent pointers oriented away from `new_root`."""
-        parents = _reroot(self.parents, new_root)
-        nodes = tuple(
-            TDNode(n.ident, n.bag, parents[n.ident], n.atoms) for n in self.nodes)
-        return TreeDecomposition(nodes)
 
 
 def _gyo_reduce(edges: Sequence[frozenset]) -> list[int | None] | None:
@@ -322,98 +279,74 @@ def _gyo_reduce(edges: Sequence[frozenset]) -> list[int | None] | None:
     return parent
 
 
-def gyo_join_tree(q: ConjunctiveQuery) -> TreeDecomposition | None:
-    """Width-1 join tree with one node per atom, or None when cyclic."""
-    edges = [frozenset(a.vars) for a in q.atoms]
-    parent = _gyo_reduce(edges)
-    if parent is None:
-        return None
-    nodes = tuple(
-        TDNode(i, edges[i], parent[i], (i,)) for i in range(len(edges)))
-    return TreeDecomposition(nodes)
+def gyo_join_tree(q: ConjunctiveQuery) -> list[int | None] | None:
+    """Width-1 join tree of the body as parent indices, node `i` holding
+    atom `i`; None when the body is cyclic."""
+    return _gyo_reduce([frozenset(a.vars) for a in q.atoms])
 
 
-@dataclass(frozen=True)
-class FreeConnexDecomposition:
-    """A decomposition plus the connected node set covering the head."""
-
-    td: TreeDecomposition
-    connex: frozenset  # node ids; contains td.root_id
-
-    def hanging_components(self) -> list[list[int]]:
-        """Connected groups of non-connex nodes, each hanging off the connex part."""
-        comps: dict[int, list[int]] = {}
-        top: dict[int, int] = {}
-        for u in _preorder(self.td.parents)[0]:
-            if u not in self.connex:
-                top[u] = top.get(self.td.nodes[u].parent, u)
-                comps.setdefault(top[u], []).append(u)
-        return sorted(sorted(c) for c in comps.values())
-
-
-def _connex_from_root(td: TreeDecomposition, headset: frozenset) -> frozenset | None:
-    """Maximal root-containing subtree with bags inside the head set."""
+def _connex_from_root(parents: Sequence[int | None], bags: Sequence[frozenset],
+                      headset: frozenset) -> frozenset | None:
+    """Maximal root-containing subtree with bags inside the head set, when
+    its bags union to exactly the head set; else None."""
     ids: set[int] = set()
-    for u in _preorder(td.parents)[0]:
-        node = td.nodes[u]
-        if node.bag <= headset and (node.parent is None or node.parent in ids):
+    for u in _preorder(parents)[0]:
+        if bags[u] <= headset and (parents[u] is None or parents[u] in ids):
             ids.add(u)
-    if td.root_id in ids and frozenset().union(*(td.nodes[u].bag for u in ids)) == headset:
+    # A non-empty `ids` holds the root, the first node of the preorder.
+    if ids and frozenset().union(*(bags[u] for u in ids)) == headset:
         return frozenset(ids)
     return None
 
 
-def free_connex_subtree(q: ConjunctiveQuery) -> FreeConnexDecomposition | None:
-    """The query's own join tree with a connex subtree covering the head.
+def _connex_rooting(parents: Sequence[int | None], bags: Sequence[frozenset],
+                    headset: frozenset) -> tuple[list[int | None], frozenset] | None:
+    """`parents` as given, else its first re-rooting in node order, with
+    its connex subtree from the root; None if no rooting has one."""
+    for r in [None] + [r for r, p in enumerate(parents) if p is not None]:
+        tree = list(parents) if r is None else _reroot(parents, r)
+        ids = _connex_from_root(tree, bags, headset)
+        if ids is not None:
+            return tree, ids
+    return None
+
+
+def free_connex_split(q: ConjunctiveQuery):
+    """The query's own join tree, split into its connex part and the
+    components hanging off it.
 
     Tries the GYO join tree as built, then every re-rooting of it, for a
     connex subtree from the root whose bags union to exactly the head
     variables; failing that, the extended GYO tree (the body plus one
-    edge for the head, Bagan, Durand and Grandjean 2007).  Node `i` of
-    either tree holds atom `i`.  Returns None for a cyclic body, and for
-    an acyclic one exactly when the query is not free-connex, which
-    means the head splits a join path.
+    edge for the head, Bagan, Durand and Grandjean 2007), rooted at the
+    head node, whose connex part always exists.  Returns (the connex
+    atom ids, [(a hanging component's atom ids, their parents within the
+    component)]), atom ids sorted and components in order of their ids,
+    a component's top atom having parent None.  Returns None for a cyclic
+    body, and for an acyclic one exactly when the query is not
+    free-connex, which means the head splits a join path.
     """
-    td = gyo_join_tree(q)
-    if td is None:
-        return None
-    fc = _connex_rooting(td, frozenset(q.head_vars))
-    return fc if fc is not None else extended_gyo_decomposition(q)
-
-
-def _connex_rooting(td: TreeDecomposition, headset: frozenset) -> FreeConnexDecomposition | None:
-    """`td` as given, else its first re-rooting, with a connex subtree
-    from the root whose bags union to exactly `headset`; None if none."""
-    ids = _connex_from_root(td, headset)
-    if ids is not None:
-        return FreeConnexDecomposition(td, ids)
-    for r in range(len(td.nodes)):
-        if r == td.root_id:
-            continue
-        td2 = td.rerooted(r)
-        ids = _connex_from_root(td2, headset)
-        if ids is not None:
-            return FreeConnexDecomposition(td2, ids)
-    return None
-
-
-def extended_gyo_decomposition(q: ConjunctiveQuery) -> FreeConnexDecomposition | None:
-    """Join tree of the body hypergraph extended with one edge for the head.
-
-    The head edge becomes the root, so the connex part always exists when
-    the extended hypergraph is acyclic; every non-connex node is a body
-    atom, which downstream planning relies on.
-    """
-    headset = frozenset(q.head_vars)
-    edges = [frozenset(a.vars) for a in q.atoms] + [headset]
-    parent = _gyo_reduce(edges)
-    if parent is None:
+    parents = gyo_join_tree(q)
+    if parents is None:
         return None
     m = len(q.atoms)
-    nodes = tuple(
-        TDNode(i, edges[i], parent[i], (i,) if i < m else ()) for i in range(len(edges)))
-    td3 = TreeDecomposition(nodes).rerooted(m)
-    ids = _connex_from_root(td3, headset)
-    if ids is None:  # pragma: no cover - root bag equals the head set
-        return None
-    return FreeConnexDecomposition(td3, ids)
+    headset = frozenset(q.head_vars)
+    bags = [frozenset(a.vars) for a in q.atoms] + [headset]
+    hit = _connex_rooting(parents, bags, headset)
+    if hit is None:
+        extended = _gyo_reduce(bags)
+        if extended is None:
+            return None
+        hit = _connex_rooting(_reroot(extended, m), bags, headset)
+    parents, connex = hit
+    top: dict[int, int] = {}
+    comps: dict[int, list[int]] = {}
+    for u in _preorder(parents)[0]:
+        if u not in connex:
+            top[u] = top.get(parents[u], u)
+            comps.setdefault(top[u], []).append(u)
+    split = []
+    for ids in sorted(sorted(c) for c in comps.values()):
+        at = {u: j for j, u in enumerate(ids)}
+        split.append((ids, [at.get(parents[u]) for u in ids]))
+    return sorted(u for u in connex if u < m), split

@@ -178,11 +178,11 @@ def provenance_volume(q, db: Database) -> VolumeAssignment:
     cyclic body gets both from one backtracking pass over every
     homomorphism, up to the extension cap of `provenance_map`.
     """
-    tree = gyo_join_tree(q)
-    if tree is None:
+    parents = gyo_join_tree(q)
+    if parents is None:
         prov = engine.provenance_map(q, db)
     else:
-        prov = dict(engine._tree_answers(q, tree, db, balls=True))
+        prov = dict(engine._tree_answers(q, parents, db, balls=True))
 
     def ball(t: Fact) -> frozenset:
         try:

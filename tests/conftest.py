@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from diverse_cq import (ConjunctiveQuery, Database, ExplicitMatrixDistance, Fact,
-                        Schema, UltraNode, UltrametricTree, free_connex_subtree, intern,
+                        Schema, UltraNode, UltrametricTree, free_connex_split, intern,
                         parse_cq)
 
 
@@ -171,7 +171,7 @@ def random_free_connex_instance(rng):
         q = ConjunctiveQuery.build("Q", head, [(a.relation,
                                                 [v.name for v in a.source_vars])
                                                for a in q.atoms])
-        if free_connex_subtree(q) is None:
+        if free_connex_split(q) is None:
             continue
         db = random_database(rng, rels, density=rng.uniform(0.4, 0.8))
         if enumerate_answers(q, db).answers:

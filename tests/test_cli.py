@@ -250,6 +250,19 @@ COMPARE = [*D1, "-k", "1", "--distance", "hamming"]
      "--lazy is read by discrete volumes only"),
     (["diversify", *D1, "-k", "1", "--mode", "greedy-combined", "--td", "td.json"],
      "unrecognized arguments: --td"),
+    (["diversify", *D1, "-k", "-1", "--volume", "elem"],
+     "argument -k: expected a non-negative integer, got '-1'"),
+    (["diversify", *D1, "-k", "1", "--volume", "elem", "--mode", "exact",
+      "--max-subsets", "-5"], "argument --max-subsets: expected a non-negative integer"),
+    (["compare", *D1, "-k", "-2", "--distance", "hamming", "--volume", "elem"],
+     "argument -k: expected a non-negative integer"),
+    (["compare", *COMPARE, "--volume", "elem", "--max-weitzman", "-1"],
+     "argument --max-weitzman: expected a non-negative integer"),
+    (["bench", "--edges", "-1"], "argument --edges: expected a non-negative integer"),
+    (["bench", "--nodes", "-3"], "argument --nodes: expected a non-negative integer"),
+    (["bench", "--cap", "-1"], "argument --cap: expected a non-negative integer"),
+    (["bench", "-k", "-1"], "argument -k: expected a non-negative integer"),
+    (["bench", "--cap", "ten"], "argument --cap: expected a non-negative integer, got 'ten'"),
 ])
 def test_flags_no_step_reads_exit_2(capsys, work, argv, message):
     files = {"<d1>": "d1", "<maw>": "maw.json", "<tree>": "tree.json", "<w>": "w.txt"}
@@ -269,10 +282,10 @@ def count_evaluations(monkeypatch) -> list:
         calls.append(q)
         return enumerate_(q, db)
 
-    def counting_walk(q, td, db, balls=False):
+    def counting_walk(q, parents, db, balls=False):
         if balls:
             calls.append(q)
-        return walk(q, td, db, balls)
+        return walk(q, parents, db, balls)
 
     monkeypatch.setattr(engine, "iter_answers", counting_enumerate)
     monkeypatch.setattr(engine, "_tree_answers", counting_walk)
@@ -432,6 +445,20 @@ def test_bench_small(capsys):
 
 def test_bench_rejects_impossible_graphs(capsys):
     assert run(capsys, ["bench", "--nodes", "2", "--edges", "100"])[0] == 2
+
+
+def test_bench_samples_edges_of_a_large_graph(capsys):
+    # The edges are drawn from 10^10 possible pairs without listing them.
+    payload = report(capsys, ["bench", "--nodes", "100000", "--edges", "50"])["payload"]
+    assert payload["nodes"] == 100000 and payload["edges"] == 50
+
+
+def test_bench_cap_zero_enumerates_nothing(capsys):
+    payload = report(capsys, ["bench", "--nodes", "6", "--edges", "12", "--path-length", "2",
+                              "--cap", "0"])["payload"]
+    assert payload["materialize_then_greedy"]["answers_enumerated"] == 0
+    assert payload["materialize_then_greedy"]["total_on_sample"] == "0"
+    assert payload["combined"]["rounds"] > 0
 
 
 def test_payloads_are_rerun_identical(capsys, work):

@@ -20,8 +20,9 @@ from diverse_cq import (EngineCompatibilityError, EuclideanBallVolume, InputErro
                         provenance_map, provenance_volume)
 
 from diverse_cq.engine import _tree_answers
-from diverse_cq.optimize import _connex_split, _witness_table
-from diverse_cq.query import ConjunctiveQuery, extended_gyo_decomposition, free_connex_subtree
+from diverse_cq.optimize import _witness_table
+from diverse_cq.query import (ConjunctiveQuery, free_connex_split, _connex_rooting, _gyo_reduce,
+                              _reroot)
 
 from conftest import (TRIANGLE, db_of, mk, random_database, random_fact_set,
                       random_free_connex_instance, random_tree_query)
@@ -376,39 +377,28 @@ def test_incremental_provenance_plan_matches_fresh_plan(seed, moves):
 
 def walked_witness_table(q, db, atom_ids):
     """Reference for `_witness_table`: the balls of the evaluator's walk
-    over the component's join tree, re-rooted at an atom that covers the
-    interface, one answer `Fact` per walk."""
+    over the component's own GYO tree, re-rooted at its first atom that
+    covers the interface, one answer `Fact` per walk."""
     atoms = tuple(q.atoms[i] for i in atom_ids)
     out = tuple(sorted({v for a in atoms for v in a.vars} & frozenset(q.head_vars)))
     component = ConjunctiveQuery(q.head_name, out, atoms)
-    td = gyo_join_tree(component)
-    if td is None:
-        raise AssertionError("a hanging component must be acyclic")
-    root = next((j for j, a in enumerate(atoms) if set(out) <= set(a.vars)), None)
-    if root is None:
-        raise AssertionError("a hanging component's top atom must cover its head interface")
+    root = next(j for j, a in enumerate(atoms) if set(out) <= set(a.vars))
+    parents = _reroot(gyo_join_tree(component), root)
     return out, {answer.values: ball for answer, ball in
-                 _tree_answers(component, td.rerooted(root), db, balls=True)}
+                 _tree_answers(component, parents, db, balls=True)}
 
 
-def _table_or_snag(table, q, db, atom_ids):
-    try:
-        return table(q, db, atom_ids)
-    except AssertionError as exc:
-        return str(exc)
-
-
-@settings(max_examples=150, deadline=None)
-@given(st.integers(0, 10 ** 9))
-def test_witness_fold_matches_walk(seed):
-    rng = random.Random(seed)
-    q, db, _ = random_free_connex_instance(rng)
-    groups = [ids for fc in (free_connex_subtree(q), extended_gyo_decomposition(q))
-              if fc is not None for ids in _connex_split(q, fc)[1]]
-    groups.append(sorted(rng.sample(range(len(q.atoms)), rng.randint(1, len(q.atoms)))))
-    for ids in groups:
-        want = _table_or_snag(walked_witness_table, q, db, ids)
-        assert _table_or_snag(_witness_table, q, db, ids) == want, (q.to_text(), ids)
+def test_witness_fold_matches_walk():
+    extended = components = 0
+    for seed in range(150):
+        q, db, _ = random_free_connex_instance(random.Random(seed))
+        bags = [frozenset(a.vars) for a in q.atoms]
+        extended += _connex_rooting(gyo_join_tree(q), bags, frozenset(q.head_vars)) is None
+        for ids, parents in free_connex_split(q)[1]:
+            components += 1
+            want = walked_witness_table(q, db, ids)
+            assert _witness_table(q, db, ids, parents) == want, (q.to_text(), ids)
+    assert extended and components  # the extended tree's components were checked too
 
 
 # Builds a seeded 3-edge path instance, runs ten greedy rounds through the
@@ -525,15 +515,16 @@ def test_provenance_plan_refuses_exactly_the_queries_without_a_free_connex_tree(
         db = random_database(rng, rels, density=rng.uniform(0.4, 0.8))
         # An acyclic body is free-connex exactly when adding the head edge
         # keeps it acyclic.
-        fc = free_connex_subtree(q)
-        assert (fc is None) == (extended_gyo_decomposition(q) is None)
+        split = free_connex_split(q)
+        edges = [frozenset(a.vars) for a in q.atoms] + [frozenset(q.head_vars)]
+        assert (split is None) == (_gyo_reduce(edges) is None)
         try:
             plan = ProvenancePlan(q, db)
         except EngineCompatibilityError:
-            assert fc is None, q.to_text()
+            assert split is None, q.to_text()
             refused += 1
             continue
-        assert fc is not None, q.to_text()
+        assert split is not None, q.to_text()
         nullary += not head
         fast = plan.next(frozenset())
         naive = cqnext_naive(q, db, [], provenance_volume(q, db))
