@@ -3,19 +3,21 @@
 Every cell is interned to one canonical `DataValue` per payload, and
 values compare and hash by identity: the intern pool is the dictionary
 encoding, so hashing a value, a row of values or a fact's values runs in
-C.  Databases are immutable once built: relations are deduplicated fact
-sets under set semantics, and every column carries a hash index so the
-join engines can probe by bound value instead of scanning.
+C.  A fact is the named tuple `(relation, values)`, and it hashes,
+compares and orders as that tuple, also in C.  Databases are immutable
+once built: relations are deduplicated fact sets under set semantics,
+and every column carries a hash index so the join engines can probe by
+bound value instead of scanning.
 """
 
 from __future__ import annotations
 
 import csv
 import re
+from collections import namedtuple
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
-from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Mapping
 
@@ -91,65 +93,41 @@ def intern(text: str) -> DataValue:
     raw = str(text)
     if _NUMBER_RE.match(raw):
         try:
-            payload = Fraction(Decimal(raw))
+            return _pooled(Fraction(Decimal(raw)))
         except InvalidOperation:  # pragma: no cover - regex forbids this
-            payload = raw
-    else:
-        payload = raw
-    value = DataValue._pool.get(payload)
-    if value is None:
-        value = DataValue(payload, _guard=_SENTINEL)
-        DataValue._pool[payload] = value
-    return value
+            pass
+    return _pooled(raw)
 
 
 def intern_number(number) -> DataValue:
     """Intern an int/Fraction directly (used by generators and tests)."""
-    payload = Fraction(number)
+    return _pooled(Fraction(number))
+
+
+def _pooled(payload) -> DataValue:
+    """The one value of `payload`, made on first use."""
     value = DataValue._pool.get(payload)
     if value is None:
-        value = DataValue(payload, _guard=_SENTINEL)
-        DataValue._pool[payload] = value
+        value = DataValue._pool[payload] = DataValue(payload, _guard=_SENTINEL)
     return value
 
 
-class Fact:
-    """A ground tuple R(a1, ..., an); relation name plus interned values."""
+class Fact(namedtuple("Fact", ("relation", "values"))):
+    """A ground tuple R(a1, ..., an): the pair (relation name, interned values).
 
-    __slots__ = ("relation", "values", "_key", "_hash")
+    Equality, hashing and ordering are the tuple's.  Values are interned,
+    so the first value in which two facts differ also differs in its
+    `sort_key`, and facts of one relation order by their values'.
+    """
 
-    def __init__(self, relation: str, values: Iterable[DataValue]):
-        vals = tuple(values)
-        self.relation = relation
-        self.values = vals
-        self._key = (relation, tuple(v.sort_key for v in vals))
-        self._hash = hash((relation, vals))
+    __slots__ = ()
+
+    def __new__(cls, relation: str, values: Iterable[DataValue]):
+        return super().__new__(cls, relation, tuple(values))
 
     @property
     def arity(self) -> int:
         return len(self.values)
-
-    @property
-    def sort_key(self):
-        return self._key
-
-    def __eq__(self, other):
-        if not isinstance(other, Fact):
-            return NotImplemented
-        return self.relation == other.relation and self.values == other.values
-
-    def __hash__(self):
-        return self._hash
-
-    def __lt__(self, other):
-        if not isinstance(other, Fact):
-            return NotImplemented
-        return self._key < other._key
-
-    def __le__(self, other):
-        if not isinstance(other, Fact):
-            return NotImplemented
-        return self._key <= other._key
 
     def __repr__(self):
         inner = ",".join(v.text() for v in self.values)
@@ -219,7 +197,8 @@ class Database:
         sets: dict[str, frozenset] = {}
         index: dict[str, tuple[dict, ...]] = {}
         for name in schema.arities:
-            facts = sorted(set(relations.get(name, ())), key=attrgetter("_key"))
+            facts = sorted(set(relations.get(name, ())),
+                           key=lambda f: [v.sort_key for v in f.values])
             arity = schema.arity(name)
             for f in facts:
                 if f.relation != name:

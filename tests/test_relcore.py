@@ -1,5 +1,7 @@
+import copy
 import json
 import os
+import pickle
 import subprocess
 import sys
 import textwrap
@@ -59,6 +61,34 @@ def test_fact_identity_and_order():
     assert hash(mk("R", "a")) == hash(mk("R", "a"))
     assert mk("R", "a", "b") < mk("R", "a", "c") < mk("S", "a", "a")
     assert mk("R", "a", "b").arity == 2
+
+
+def test_fact_is_the_named_tuple_of_relation_and_values():
+    f = Fact("R", [intern("a"), intern("2.5")])
+    assert f == ("R", f.values) and len(f) == 2 and f.arity == 2
+    assert f._fields == ("relation", "values") and repr(f) == "R(a,5/2)"
+    assert copy.copy(f) == f
+    g = pickle.loads(pickle.dumps(f))
+    assert type(g) is Fact and [v.text() for v in g.values] == ["a", "5/2"]
+
+
+FACT_ROWS = st.lists(st.tuples(st.sampled_from(["R", "S", "T"]),
+                               st.lists(st.sampled_from(["a", "b", "x1", "1x", "Z", "-3", "0",
+                                                         "2", "12", "0.5", "1.0", "2.50"]),
+                                        min_size=1, max_size=3)),
+                     max_size=30)
+
+
+@settings(max_examples=200, deadline=None)
+@given(FACT_ROWS)
+def test_facts_hash_and_order_as_before(rows):
+    facts = [Fact(rel, [intern(c) for c in cells]) for rel, cells in rows]
+    # The former cached sort key and hash of a fact
+    assert sorted(facts) == sorted(
+        facts, key=lambda f: (f.relation, [v.sort_key for v in f.values]))
+    for f in facts:
+        assert hash(f) == hash((f.relation, f.values))
+        assert f == Fact(f.relation, list(f.values))
 
 
 def test_schema_contains_and_arity():
