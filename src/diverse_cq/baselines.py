@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import itertools
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -18,7 +17,8 @@ from typing import Iterable, Mapping
 
 from .errors import InputError, LimitExceededError, LoadError, UniverseError
 from .relcore import Fact
-from .volume import VolumeAssignment, WeightedMeasure
+from .volume import (VolumeAssignment, WeightedMeasure, json_fraction, json_label, json_list,
+                     read_json)
 
 WEITZMAN_CAP = 15
 
@@ -251,32 +251,30 @@ class UltrametricTree:
         return self.radius - shared
 
     @classmethod
-    def from_json(cls, data) -> "UltrametricTree":
-        if isinstance(data, (str, Path)):
-            path = Path(data)
-            if not path.is_file():
-                raise LoadError(f"missing tree file {path}")
-            try:
-                data = json.loads(path.read_text(encoding="utf-8"),
-                                  parse_float=Fraction, parse_int=Fraction)
-            except json.JSONDecodeError as exc:
-                raise LoadError(f"{path}: invalid JSON ({exc})") from exc
+    def from_json(cls, path) -> "UltrametricTree":
+        """Read nodes `{"edge_length": l, "children": [...]}` and leaves
+        `{"edge_length": l, "label": x}`.
+
+        Anything malformed is a LoadError that names the file.
+        """
+        path = Path(path)
+        data = read_json(path, "tree")
 
         def build(obj) -> UltraNode:
             if not isinstance(obj, dict):
-                raise LoadError("tree nodes must be JSON objects")
-            length = Fraction(obj.get("edge_length", 0))
+                raise InputError("tree nodes must be JSON objects")
+            length = json_fraction(obj.get("edge_length", Fraction(0)), "edge lengths")
             if "children" in obj:
-                kids = tuple(build(c) for c in obj["children"])
+                kids = tuple(build(c) for c in json_list(obj["children"], "'children'"))
                 return UltraNode(length, None, kids)
             if "label" not in obj:
-                raise LoadError("tree leaves need a 'label'")
-            return UltraNode(length, str(obj["label"]), ())
+                raise InputError("tree leaves need a 'label'")
+            return UltraNode(length, json_label(obj["label"]), ())
 
         try:
             return cls(build(data))
         except InputError as exc:
-            raise LoadError(str(exc)) from exc
+            raise LoadError(f"{path}: {exc}") from None
 
 
 @dataclass(frozen=True)

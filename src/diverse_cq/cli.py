@@ -436,25 +436,9 @@ def cmd_convert(args, argv: list[str]) -> int:
 
     if args.multiattr:
         path = Path(args.multiattr)
-        if not path.is_file():
-            raise InputError(f"missing multi-attribute file {path}")
+        maw = MultiAttributeWeights.from_json(path)
         inputs["multiattr"] = _digest(path)
-        try:
-            data = json.loads(path.read_text(encoding="utf-8"),
-                              parse_float=Fraction, parse_int=Fraction)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"{path}: invalid JSON ({exc})") from None
-        if not isinstance(data, dict) or "universe" not in data or "lambda" not in data:
-            raise InputError(f"{path}: expected an object with 'universe' and 'lambda'")
-        universe = [str(x) for x in data["universe"]]
-        weights = {}
-        for entry in data["lambda"]:
-            try:
-                subset = frozenset(str(x) for x in entry["set"])
-                weights[subset] = Fraction(entry["weight"])
-            except (TypeError, KeyError) as exc:
-                raise InputError(f"{path}: malformed lambda entry ({exc})") from None
-        maw = MultiAttributeWeights(tuple(universe), weights)
+        universe = maw.universe
         vol = phases.run("convert", lambda: volume_from_multiattribute(maw))
         check = phases.run("check", lambda: _subset_check(
             universe, maw.diversity, vol.diversity))

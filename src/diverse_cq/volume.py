@@ -18,17 +18,19 @@ estimator for Euclidean ball unions.
 
 from __future__ import annotations
 
+import json
 import math
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 from typing import Callable, Hashable, Iterable, Mapping
 
 import numpy as np
 
 from . import engine
-from .errors import InputError, LimitExceededError, UniverseError
+from .errors import InputError, LimitExceededError, LoadError, UniverseError
 from .query import gyo_join_tree
 from .relcore import Database, Fact, fraction_text
 
@@ -259,6 +261,8 @@ def mc_ball_union_volume(balls: ContinuousBallSet, samples: int, seed: int = 0) 
     """
     if samples < 1:
         raise InputError("sample count must be positive")
+    if seed < 0:
+        raise InputError("seed must be non-negative")
     r = float(balls.radius)
     if balls.dimension == 1:
         length = _interval_union_length(balls)
@@ -320,6 +324,8 @@ class EuclideanBallVolume:
             raise InputError("ball radius must be positive and finite")
         if self.samples < 1:
             raise InputError("sample count must be positive")
+        if self.seed < 0:
+            raise InputError("seed must be non-negative")
 
     def center(self, t: Fact) -> tuple[float, ...]:
         if not all(v.is_number for v in t.values):
@@ -356,6 +362,40 @@ class EuclideanBallVolume:
 # Multi-attribute utility weights
 
 
+def read_json(path: Path, what: str):
+    """A JSON file's document, numbers read as exact Fractions."""
+    if not path.is_file():
+        raise LoadError(f"missing {what} file {path}")
+    try:
+        return json.loads(path.read_text(encoding="utf-8"),
+                          parse_float=Fraction, parse_int=Fraction)
+    except json.JSONDecodeError as exc:
+        raise LoadError(f"{path}: invalid JSON ({exc})") from None
+
+
+def json_list(x, what: str) -> list:
+    if not isinstance(x, list):
+        raise InputError(f"{what} must be a list, not {x!r}")
+    return x
+
+
+def json_label(x) -> str:
+    """A member or leaf label: a JSON string, or a number read as its text."""
+    if not isinstance(x, (str, Fraction)):
+        raise InputError(f"members and labels must be strings or numbers, not {x!r}")
+    return str(x)
+
+
+def json_fraction(x, what: str) -> Fraction:
+    """A JSON number, or a string that Fraction parses; never a bool."""
+    if isinstance(x, (str, Fraction)):
+        try:
+            return Fraction(x)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise InputError(f"{what} must be numbers or numeric strings, not {x!r}")
+
+
 @dataclass(frozen=True)
 class MultiAttributeWeights:
     """Non-negative weights on attribute subsets of a finite universe.
@@ -386,6 +426,28 @@ class MultiAttributeWeights:
             if a & chosen:
                 total += w
         return total
+
+    @classmethod
+    def from_json(cls, path) -> "MultiAttributeWeights":
+        """Read `{"universe": [...], "lambda": [{"set": [...], "weight": w}]}`.
+
+        Anything malformed is a LoadError that names the file.
+        """
+        path = Path(path)
+        data = read_json(path, "multi-attribute")
+        try:
+            if not isinstance(data, dict) or "universe" not in data or "lambda" not in data:
+                raise InputError("expected an object with 'universe' and 'lambda'")
+            weights = {}
+            for entry in json_list(data["lambda"], "'lambda'"):
+                if not isinstance(entry, dict) or "set" not in entry or "weight" not in entry:
+                    raise InputError(f"lambda entries need a 'set' and a 'weight', not {entry!r}")
+                subset = frozenset(map(json_label, json_list(entry["set"], "'set'")))
+                weights[subset] = json_fraction(entry["weight"], "weights")
+            return cls(tuple(map(json_label, json_list(data["universe"], "'universe'"))),
+                       weights)
+        except InputError as exc:
+            raise LoadError(f"{path}: {exc}") from None
 
 
 def volume_from_multiattribute(maw: MultiAttributeWeights,

@@ -38,6 +38,11 @@ def work(tmp_path_factory):
     (empty / "schema.txt").write_text("R/2\n")
     (empty / "R.csv").write_text("")
 
+    wide = root / "wide"  # 17 answers under IDENT
+    wide.mkdir()
+    (wide / "schema.txt").write_text("R/2\n")
+    (wide / "R.csv").write_text("".join(f"{i},{i % 3}\n" for i in range(17)))
+
     nums = root / "nums"
     nums.mkdir()
     (nums / "schema.txt").write_text("N/2\n")
@@ -352,6 +357,12 @@ NUMS_2D = ["--query", "P(x,y) <- N(x,y)."]
      "sample count must be positive"),
     (["diversify", *NUMS_2D, "-k", "0", "--volume", "ball:r=-1"], "radius must be positive"),
     (["diversify", *NUMS_2D, "-k", "0", "--volume", "ball:r=0"], "radius must be positive"),
+    (["diversify", *NUMS_2D, "-k", "1", "--volume", "ball:x=1"],
+     "cannot parse --volume 'ball:x=1'; expected ball:r=<r>"),
+    (["diversify", *NUMS_2D, "-k", "2", "--volume", "ball:r=1", "--seed", "-1"],
+     "error: seed must be non-negative"),
+    (["diversify", "--query", "P(x) <- N(x,y).", "-k", "2", "--volume", "ball:r=1",
+      "--seed", "-1"], "error: seed must be non-negative"),
     (["compare", *NUMS_2D, "-k", "2", "--distance", "hamming", "--volume", "ball:r=1e300"],
      "no finite box volume"),
     (["diversify", "--query", "P() <- N(x,y).", "-k", "2", "--volume", "ball:r=1"],
@@ -363,6 +374,51 @@ def test_bad_ball_parameters_exit_2(capsys, work, argv, message):
     code, out, err = run(capsys, [*argv, "--data", str(work / "nums")])
     assert code == 2 and out == ""
     assert message in err
+
+
+def test_combined_ball_volume_runs_the_naive_step(capsys, work):
+    base = ["diversify", "--data", str(work / "nums"), *NUMS_2D, "-k", "3",
+            "--volume", "ball:r=1", "--mc-samples", "2000", "--seed", "3"]
+    greedy = report(capsys, base)["payload"]
+    combined = report(capsys, base + ["--mode", "greedy-combined"])["payload"]
+    assert combined["engine_used"] == "naive"
+    # greedy-combined stops at the first pick that adds no volume
+    cut = next((i for i, g in enumerate(greedy["gains"]) if g <= 0), len(greedy["gains"]))
+    assert combined["selected"] == greedy["selected"][:cut]
+    assert combined["gains"] == greedy["gains"][:cut]
+
+
+@pytest.mark.parametrize("volume, line, message", [
+    ("elem-w", "a 3", "expected point,weight"),
+    ("elem-w", "a,heavy", "bad weight"),
+    ("pos-w", "a,3", "positional weights are written value@position"),
+    ("pos-w", "a@first,3", "bad position 'first'"),
+    ("pos-w", "a@0,3", "positions are 1-based"),
+])
+def test_bad_weight_file_lines_exit_2(capsys, work, tmp_path, volume, line, message):
+    path = tmp_path / "w.txt"
+    good = "b@1,1" if volume == "pos-w" else "b,1"
+    path.write_text(f"# one good line, then a bad one\n{good}\n{line}\n")
+    code, out, err = run(capsys, ["diversify", "--data", str(work / "d1"), "--query", IDENT,
+                                  "-k", "1", "--volume", volume,
+                                  "--measure", f"weighted:{path}"])
+    assert code == 2 and out == ""
+    assert f"{path}, line 3: {message}" in err
+
+
+def test_compare_skips_the_submodularity_search_above_10_answers(capsys, work):
+    doc = report(capsys, ["compare", "--data", str(work / "wide"), "--query", IDENT,
+                          "-k", "2", "--volume", "elem", "--distance", "hamming"])
+    assert doc["payload"]["answer_count"] == 17
+    assert doc["payload"]["anomalies"]["sum_submodularity"] == {
+        "skipped": "answer set larger than 10"}
+
+
+def test_compare_unknown_distance_exits_2(capsys, work):
+    code, out, err = run(capsys, ["compare", "--data", str(work / "d1"), "--query", IDENT,
+                                  "-k", "1", "--volume", "elem", "--distance", "cosine"])
+    assert code == 2 and out == ""
+    assert "unknown distance 'cosine'; expected hamming or matrix:<file>" in err
 
 
 def test_compare_single_answer(capsys, work):
@@ -426,6 +482,41 @@ def test_convert_volume_dump_round_trip(capsys, work):
                           "--query", IDENT, "--volume", "elem"])
     assert doc["payload"]["check"]["verdict"] == "PASS"
     assert doc["payload"]["check"]["subsets_checked"] == 3
+
+
+LEAF = {"edge_length": 1, "label": "a"}
+
+
+@pytest.mark.parametrize("flag, doc, message", [
+    ("--multiattr", {"universe": ["x"], "lambda": [{"set": ["x"], "weight": "abc"}]},
+     "weights must be numbers or numeric strings, not 'abc'"),
+    ("--multiattr", {"universe": ["x"], "lambda": [{"set": ["x"], "weight": "1/0"}]},
+     "weights must be numbers or numeric strings, not '1/0'"),
+    ("--multiattr", {"universe": ["x"], "lambda": [{"set": ["x"], "weight": True}]},
+     "weights must be numbers or numeric strings, not True"),
+    ("--multiattr", {"universe": ["x"], "lambda": 5}, "'lambda' must be a list"),
+    ("--multiattr", {"universe": 5, "lambda": []}, "'universe' must be a list"),
+    ("--multiattr", {"universe": ["a", "b"], "lambda": [{"set": "ab", "weight": 1}]},
+     "'set' must be a list, not 'ab'"),
+    ("--ultrametric", {"children": [{**LEAF, "edge_length": "abc"}]},
+     "edge lengths must be numbers or numeric strings, not 'abc'"),
+    ("--ultrametric", {"children": [{**LEAF, "edge_length": True}]},
+     "edge lengths must be numbers or numeric strings, not True"),
+    ("--ultrametric", {"children": 5}, "'children' must be a list"),
+])
+def test_convert_malformed_json_exits_2(capsys, tmp_path, flag, doc, message):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, ["convert", flag, str(path)])
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {path}: ") and message in err
+
+
+def test_convert_volume_dump_caps_the_answers(capsys, work):
+    code, out, err = run(capsys, ["convert", "--volume-dump", "--data", str(work / "wide"),
+                                  "--query", IDENT, "--volume", "elem"])
+    assert code == 2 and out == ""
+    assert "17 answers exceed the multi-attribute cap of 16" in err
 
 
 def test_convert_requires_exactly_one_source(capsys, work):

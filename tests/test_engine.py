@@ -147,6 +147,9 @@ def test_provenance_of_two_hop_answers(d1, q1):
 def test_provenance_map_rejects_non_answers(d1, q1):
     with pytest.raises(InputError, match="not an answer"):
         provenance_map(q1, d1, [mk("Q1", "c", "c")])
+    for shape in (mk("Q1", "a"), mk("P", "a", "a")):
+        with pytest.raises(InputError, match="does not have the query's head shape"):
+            provenance_map(q1, d1, [shape])
 
 
 def test_provenance_respects_extension_limit(d1, q1):

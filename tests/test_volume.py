@@ -100,6 +100,14 @@ def test_one_dimensional_union_is_exact():
     assert v.diversity(pts[:1]) == pytest.approx(1.0, abs=1e-12)
 
 
+def test_ball_marginal_is_a_difference_of_diversities():
+    v = EuclideanBallVolume(1.0, samples=2_000, seed=5)
+    s = [num_fact("P", 0, 0), num_fact("P", 1, 0)]
+    t = num_fact("P", 0, 1)
+    assert v.marginal(s, t) == v.diversity(s + [t]) - v.diversity(s)
+    assert v.marginal([], t) == v.diversity([t])
+
+
 def test_mc_estimate_is_seed_deterministic():
     v = EuclideanBallVolume(1.0, samples=20_000, seed=42)
     pts = [num_fact("P", 0, 0), num_fact("P", 1, 0)]
@@ -140,6 +148,7 @@ def test_empty_selection_has_zero_volume():
 @pytest.mark.parametrize("kwargs", [
     {"radius": 0.0}, {"radius": -1.0}, {"radius": float("inf")}, {"radius": float("nan")},
     {"radius": 1.0, "samples": 0}, {"radius": 1.0, "samples": -3},
+    {"radius": 1.0, "seed": -1},
 ])
 def test_ball_volume_rejects_bad_parameters_up_front(kwargs):
     with pytest.raises(InputError):
@@ -154,6 +163,13 @@ def test_ball_volume_rejects_bad_parameters_up_front(kwargs):
 def test_estimator_rejects_an_unbounded_box(centers, radius):
     with pytest.raises(InputError, match="finite"):
         mc_ball_union_volume(ContinuousBallSet(centers, radius), 100)
+
+
+@pytest.mark.parametrize("centers", [((0.0,), (5.0,)), ((0.0, 0.0), (1.0, 1.0))])
+def test_estimator_rejects_a_negative_seed(centers):
+    # one dimension never draws from the generator, and is rejected all the same
+    with pytest.raises(InputError, match="seed must be non-negative"):
+        mc_ball_union_volume(ContinuousBallSet(centers, 1.0), 100, seed=-1)
 
 
 def test_far_apart_intervals_need_only_a_finite_length():
