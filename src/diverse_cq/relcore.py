@@ -71,6 +71,10 @@ class DataValue:
             return NotImplemented
         return self.sort_key <= other.sort_key
 
+    def __reduce__(self):
+        # copies and unpickled values are the pooled value, so they stay equal
+        return _pooled, (self.payload,)
+
     def __repr__(self):
         return f"DataValue({self.text()!r})"
 

@@ -268,9 +268,14 @@ COMPARE = [*D1, "-k", "1", "--distance", "hamming"]
     (["bench", "--cap", "-1"], "argument --cap: expected a non-negative integer"),
     (["bench", "-k", "-1"], "argument -k: expected a non-negative integer"),
     (["bench", "--cap", "ten"], "argument --cap: expected a non-negative integer, got 'ten'"),
+    (["compare", *D1, "-k", "1", "--volume", "elem", "--distance", "cosine"],
+     "unknown distance 'cosine'; expected hamming or matrix:<file>"),
+    (["convert", "--volume-dump", "--data", "<wide>", "--query", IDENT, "--volume", "elem"],
+     "17 answers exceed the multi-attribute cap of 16"),
 ])
 def test_flags_no_step_reads_exit_2(capsys, work, argv, message):
-    files = {"<d1>": "d1", "<maw>": "maw.json", "<tree>": "tree.json", "<w>": "w.txt"}
+    files = {"<d1>": "d1", "<maw>": "maw.json", "<tree>": "tree.json", "<w>": "w.txt",
+             "<wide>": "wide"}
     argv = [str(work / files[a]) if a in files else a for a in argv]
     code, out, err = run(capsys, argv)
     assert code == 2 and out == ""
@@ -414,13 +419,6 @@ def test_compare_skips_the_submodularity_search_above_10_answers(capsys, work):
         "skipped": "answer set larger than 10"}
 
 
-def test_compare_unknown_distance_exits_2(capsys, work):
-    code, out, err = run(capsys, ["compare", "--data", str(work / "d1"), "--query", IDENT,
-                                  "-k", "1", "--volume", "elem", "--distance", "cosine"])
-    assert code == 2 and out == ""
-    assert "unknown distance 'cosine'; expected hamming or matrix:<file>" in err
-
-
 def test_compare_single_answer(capsys, work):
     doc = report(capsys, ["compare", "--data", str(work / "d3"), "--query",
                           "B(x) <- R(x,y).", "-k", "2", "--volume", "elem",
@@ -510,13 +508,6 @@ def test_convert_malformed_json_exits_2(capsys, tmp_path, flag, doc, message):
     code, out, err = run(capsys, ["convert", flag, str(path)])
     assert code == 2 and out == ""
     assert err.startswith(f"error: {path}: ") and message in err
-
-
-def test_convert_volume_dump_caps_the_answers(capsys, work):
-    code, out, err = run(capsys, ["convert", "--volume-dump", "--data", str(work / "wide"),
-                                  "--query", IDENT, "--volume", "elem"])
-    assert code == 2 and out == ""
-    assert "17 answers exceed the multi-attribute cap of 16" in err
 
 
 def test_convert_requires_exactly_one_source(capsys, work):
