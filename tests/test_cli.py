@@ -362,18 +362,18 @@ NUMS_2D = ["--query", "P(x,y) <- N(x,y)."]
      "sample count must be positive"),
     (["diversify", *NUMS_2D, "-k", "0", "--volume", "ball:r=-1"], "radius must be positive"),
     (["diversify", *NUMS_2D, "-k", "0", "--volume", "ball:r=0"], "radius must be positive"),
-    (["diversify", *NUMS_2D, "-k", "1", "--volume", "ball:x=1"],
-     "cannot parse --volume 'ball:x=1'; expected ball:r=<r>"),
-    (["diversify", *NUMS_2D, "-k", "2", "--volume", "ball:r=1", "--seed", "-1"],
-     "error: seed must be non-negative"),
-    (["diversify", "--query", "P(x) <- N(x,y).", "-k", "2", "--volume", "ball:r=1",
-      "--seed", "-1"], "error: seed must be non-negative"),
     (["compare", *NUMS_2D, "-k", "2", "--distance", "hamming", "--volume", "ball:r=1e300"],
      "no finite box volume"),
     (["diversify", "--query", "P() <- N(x,y).", "-k", "2", "--volume", "ball:r=1"],
      "error: ball centers need at least one coordinate"),
     (["compare", "--query", "P() <- N(x,y).", "-k", "2", "--distance", "hamming",
       "--volume", "ball:r=1"], "error: ball centers need at least one coordinate"),
+    (["diversify", *NUMS_2D, "-k", "1", "--volume", "ball:x=1"],
+     "cannot parse --volume 'ball:x=1'; expected ball:r=<r>"),
+    (["diversify", *NUMS_2D, "-k", "2", "--volume", "ball:r=1", "--seed", "-1"],
+     "error: seed must be non-negative"),
+    (["diversify", "--query", "P(x) <- N(x,y).", "-k", "2", "--volume", "ball:r=1",
+      "--seed", "-1"], "error: seed must be non-negative"),
 ])
 def test_bad_ball_parameters_exit_2(capsys, work, argv, message):
     code, out, err = run(capsys, [*argv, "--data", str(work / "nums")])
