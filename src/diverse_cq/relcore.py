@@ -121,7 +121,7 @@ class Fact(namedtuple("Fact", ("relation", "values"))):
 
     Equality, hashing and ordering are the tuple's.  Values are interned,
     so the first value in which two facts differ also differs in its
-    `sort_key`, and facts of one relation order by their values'.
+    `sort_key`, and facts of one relation order by their values' sort keys.
     """
 
     __slots__ = ()

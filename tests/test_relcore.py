@@ -82,7 +82,7 @@ FACT_ROWS = st.lists(st.tuples(st.sampled_from(["R", "S", "T"]),
 @given(FACT_ROWS)
 def test_facts_hash_and_order_as_before(rows):
     facts = [Fact(rel, [intern(c) for c in cells]) for rel, cells in rows]
-    # The former cached sort key and hash of a fact
+    # tuple order is the order of the values' sort keys; the hash is the tuple's
     assert sorted(facts) == sorted(
         facts, key=lambda f: (f.relation, [v.sort_key for v in f.values]))
     for f in facts:
