@@ -299,31 +299,43 @@ def _load_distance(args, answers, inputs: dict):
     raise InputError(f"unknown distance {spec!r}; expected hamming or matrix:<file>")
 
 
-def _sum_submodularity_witness(answers, dist):
-    """Largest pairwise violation of diminishing gains for the sum measure."""
-    from itertools import combinations
-    best = None
-    for t in answers:
-        rest = [x for x in answers if x != t]
-        for size in range(1, len(rest) + 1):
-            for combo in combinations(rest, size):
-                big = list(combo)
-                gain_large = delta_sum(big + [t], dist) - delta_sum(big, dist)
-                for u in big:
-                    small = [x for x in big if x != u]
-                    gain_small = delta_sum(small + [t], dist) - delta_sum(small, dist)
-                    diff = gain_large - gain_small
-                    if diff > 0 and (best is None or diff > best[0]):
-                        best = (diff, t, big, u, gain_large, gain_small)
-    if best is None:
-        return None
-    _, t, big, u, gain_large, gain_small = best
+def _anomalies(answers, dist) -> dict:
+    """Where sum stops being submodular and min stops being monotone.
+
+    Adding t to S | {u} gains exactly 2*d(t,u) more under sum than adding t
+    to S, so sum is supermodular and its largest violation of diminishing
+    gains is the farthest pair, with S empty.  That pair also has the largest
+    min, which adding answers can only lower.  One pass over the pairs finds
+    it (the first of ties) and the least distance.
+    """
+    far, least = None, None
+    for i, a in enumerate(answers):
+        for b in answers[i + 1:]:
+            d = dist.d(a, b)
+            if far is None or d > far[2]:
+                far = (a, b, d)
+            if least is None or d < least:
+                least = d
+    if far is None:
+        return {"sum_submodularity": None, "min_monotonicity": None}
+    a, b, d = far
+    sum_witness = None
+    if d > 0:
+        sum_witness = {
+            "element": _fact_values(a),
+            "larger_set": [_fact_values(b)],
+            "removed": _fact_values(b),
+            "gain_into_larger": _fmt(Fraction(2 * d)),
+            "gain_into_smaller": _fmt(Fraction(0)),
+        }
     return {
-        "element": _fact_values(t),
-        "larger_set": [_fact_values(x) for x in big],
-        "removed": _fact_values(u),
-        "gain_into_larger": _fmt(gain_large),
-        "gain_into_smaller": _fmt(gain_small),
+        "sum_submodularity": sum_witness,
+        "min_monotonicity": {
+            "pair": [_fact_values(a), _fact_values(b)],
+            "pair_min": _fmt(d),
+            "all_min": _fmt(least),
+            "violated": d > least,
+        },
     }
 
 
@@ -368,28 +380,7 @@ def cmd_compare(args, argv: list[str]) -> int:
 
     phases.run("compare", build_methods)
 
-    anomalies: dict = {}
-    if len(answers) > 10:
-        anomalies["sum_submodularity"] = {"skipped": "answer set larger than 10"}
-    else:
-        anomalies["sum_submodularity"] = phases.run(
-            "anomalies", lambda: _sum_submodularity_witness(answers, dist))
-    if len(answers) >= 2:
-        best_pair, best_d = None, None
-        for i, a in enumerate(answers):
-            for b in answers[i + 1:]:
-                d = dist.d(a, b)
-                if best_d is None or d > best_d:
-                    best_pair, best_d = (a, b), d
-        all_min = delta_min(answers, dist)
-        anomalies["min_monotonicity"] = {
-            "pair": [_fact_values(best_pair[0]), _fact_values(best_pair[1])],
-            "pair_min": _fmt(best_d),
-            "all_min": _fmt(all_min),
-            "violated": best_d > all_min,
-        }
-    else:
-        anomalies["min_monotonicity"] = None
+    anomalies = phases.run("anomalies", lambda: _anomalies(answers, dist))
 
     payload = {"k": k, "volume": args.volume, "distance": args.distance,
                "answer_count": len(answers), "methods": methods, "anomalies": anomalies}
@@ -461,6 +452,8 @@ def cmd_convert(args, argv: list[str]) -> int:
 
         def check_fn():
             from itertools import combinations
+            if len(leaves) > CONVERT_CHECK_LIMIT:
+                return {"skipped": f"universe larger than {CONVERT_CHECK_LIMIT}"}
             checked = 0
             for size in range(1, min(4, len(leaves)) + 1):
                 for combo in combinations(leaves, size):
@@ -516,6 +509,8 @@ def cmd_bench(args, argv: list[str]) -> int:
     phases = _Phases()
     rng = random.Random(args.seed)
     n, m, length = args.nodes, args.edges, args.path_length
+    if length < 1:
+        raise InputError(f"--path-length must be at least 1, got {length}")
     if m > n * (n - 1):
         raise InputError(f"{m} distinct edges do not fit on {n} nodes")
     # Sample positions in the row-major list of all n(n-1) pairs (u, v),

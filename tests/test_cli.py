@@ -1,5 +1,7 @@
+import itertools
 import json
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -8,9 +10,10 @@ from pathlib import Path
 import pytest
 from jsonschema import Draft7Validator
 
-from diverse_cq import cli, engine
+from diverse_cq import (ExplicitMatrixDistance, HammingDistance, cli, delta_min,
+                        delta_sum, engine)
 
-from conftest import TRIANGLE
+from conftest import TRIANGLE, mk
 
 Q1 = "Q1(x,y) <- R(x,z), R(z,y)."
 IDENT = "A(x,y) <- R(x,y)."
@@ -272,6 +275,8 @@ COMPARE = [*D1, "-k", "1", "--distance", "hamming"]
      "unknown distance 'cosine'; expected hamming or matrix:<file>"),
     (["convert", "--volume-dump", "--data", "<wide>", "--query", IDENT, "--volume", "elem"],
      "17 answers exceed the multi-attribute cap of 16"),
+    (["bench", "--path-length", "0"], "--path-length must be at least 1, got 0"),
+    (["bench", "--path-length", "-2"], "--path-length must be at least 1, got -2"),
 ])
 def test_flags_no_step_reads_exit_2(capsys, work, argv, message):
     files = {"<d1>": "d1", "<maw>": "maw.json", "<tree>": "tree.json", "<w>": "w.txt",
@@ -411,12 +416,90 @@ def test_bad_weight_file_lines_exit_2(capsys, work, tmp_path, volume, line, mess
     assert f"{path}, line 3: {message}" in err
 
 
-def test_compare_skips_the_submodularity_search_above_10_answers(capsys, work):
+def test_compare_reports_the_farthest_pair_on_any_answer_count(capsys, work):
     doc = report(capsys, ["compare", "--data", str(work / "wide"), "--query", IDENT,
                           "-k", "2", "--volume", "elem", "--distance", "hamming"])
     assert doc["payload"]["answer_count"] == 17
     assert doc["payload"]["anomalies"]["sum_submodularity"] == {
-        "skipped": "answer set larger than 10"}
+        "element": ["0", "0"], "larger_set": [["1", "1"]], "removed": ["1", "1"],
+        "gain_into_larger": "4", "gain_into_smaller": "0"}
+
+
+def exhaustive_anomalies(answers, dist) -> dict:
+    """The subset search `compare` once ran, kept as the oracle of
+    `cli._anomalies`: for every answer t, subset B of the others and u in B,
+    the first largest excess of t's sum gain into B over its gain into B - u;
+    then the first farthest pair against the minimum over all answers.
+    Sums are cached by subset, which changes no result."""
+    sums = {}
+
+    def total(s):
+        key = frozenset(s)
+        if key not in sums:
+            sums[key] = delta_sum(key, dist)
+        return sums[key]
+
+    best = None
+    for t in answers:
+        rest = [x for x in answers if x != t]
+        for size in range(1, len(rest) + 1):
+            for combo in itertools.combinations(rest, size):
+                big = list(combo)
+                gain_large = total(big + [t]) - total(big)
+                for u in big:
+                    small = [x for x in big if x != u]
+                    gain_small = total(small + [t]) - total(small)
+                    diff = gain_large - gain_small
+                    if diff > 0 and (best is None or diff > best[0]):
+                        best = (diff, t, big, u, gain_large, gain_small)
+    witness = None
+    if best is not None:
+        _, t, big, u, gain_large, gain_small = best
+        witness = {
+            "element": cli._fact_values(t),
+            "larger_set": [cli._fact_values(x) for x in big],
+            "removed": cli._fact_values(u),
+            "gain_into_larger": cli._fmt(gain_large),
+            "gain_into_smaller": cli._fmt(gain_small),
+        }
+    monotonicity = None
+    if len(answers) >= 2:
+        best_pair, best_d = None, None
+        for i, a in enumerate(answers):
+            for b in answers[i + 1:]:
+                d = dist.d(a, b)
+                if best_d is None or d > best_d:
+                    best_pair, best_d = (a, b), d
+        all_min = delta_min(answers, dist)
+        monotonicity = {
+            "pair": [cli._fact_values(best_pair[0]), cli._fact_values(best_pair[1])],
+            "pair_min": cli._fmt(best_d),
+            "all_min": cli._fmt(all_min),
+            "violated": best_d > all_min,
+        }
+    return {"sum_submodularity": witness, "min_monotonicity": monotonicity}
+
+
+@pytest.mark.parametrize("distance", ["hamming", "matrix"])
+def test_anomalies_match_the_exhaustive_search(distance):
+    # Few symbols and small integer distances, so farthest pairs tie often.
+    rng = random.Random(f"anomalies-{distance}")
+    names = tuple(f"e{i}" for i in range(8))
+    for _ in range(300):
+        if distance == "hamming":
+            symbols = "abcd"[:rng.randint(2, 4)]
+            pool = list(itertools.product(symbols, repeat=rng.randint(1, 3)))
+            dist = HammingDistance()
+        else:
+            pool = [(name,) for name in names]
+            rows = [[Fraction(0)] * len(names) for _ in names]
+            for i, j in itertools.combinations(range(len(names)), 2):
+                rows[i][j] = rows[j][i] = Fraction(rng.randint(0, 3))
+            dist = cli._MatrixAnswerDistance(
+                ExplicitMatrixDistance(names, tuple(map(tuple, rows))))
+        cells = rng.sample(pool, min(len(pool), rng.randint(0, 8)))
+        answers = sorted(mk("Q", *values) for values in cells)
+        assert cli._anomalies(answers, dist) == exhaustive_anomalies(answers, dist), answers
 
 
 def test_compare_single_answer(capsys, work):
@@ -465,6 +548,15 @@ def test_convert_ultrametric(capsys, work):
     assert payload["check"]["verdict"] == "PASS"
     assert payload["radius"] == "2"
     assert payload["leaves"] == ["a", "b", "c"]
+
+
+def test_convert_ultrametric_skips_the_check_above_the_limit(capsys, tmp_path):
+    leaves = [{"edge_length": 1, "label": f"l{i:02d}"} for i in range(11)]
+    path = tmp_path / "flat.json"
+    path.write_text(json.dumps({"edge_length": 0, "children": leaves}))
+    payload = report(capsys, ["convert", "--ultrametric", str(path)])["payload"]
+    assert len(payload["leaves"]) == 11
+    assert payload["check"] == {"skipped": "universe larger than 10"}
 
 
 def test_convert_single_weight(capsys, work):
