@@ -24,8 +24,8 @@ from .query import (Atom, ConjunctiveQuery, Variable, free_connex_split, gyo_joi
                     parse_cq)
 from .relcore import (DataValue, Database, Fact, Schema, fraction_text, intern,
                       intern_number, load_database)
-from .volume import (ContinuousBallSet, CountMeasure, EuclideanBallVolume, MCEstimate,
-                     MultiAttributeWeights, VolumeAssignment, WeightedMeasure,
+from .volume import (MC_SAMPLES_CAP, ContinuousBallSet, CountMeasure, EuclideanBallVolume,
+                     MCEstimate, MultiAttributeWeights, VolumeAssignment, WeightedMeasure,
                      elem_volume, elem_weighted, format_weight, mc_ball_union_volume,
                      multiattribute_from_volume, pos_volume, pos_weighted,
                      provenance_volume, volume_from_multiattribute)
@@ -37,9 +37,9 @@ __all__ = [
     "CountMeasure", "DataValue", "Database", "DiverseCQError", "DiverseResult",
     "EngineCompatibilityError", "EuclideanBallVolume", "ExplicitMatrixDistance",
     "Fact", "HammingDistance", "InputError", "LimitExceededError", "LoadError",
-    "MCEstimate", "MultiAttributeWeights", "ProvenancePlan", "QueryParseError", "Schema",
-    "TreeLeafDistance", "TropicalPlan", "UltraNode", "UltrametricTree",
-    "UltrametricViolation", "UniverseError", "Variable", "VolumeAssignment",
+    "MC_SAMPLES_CAP", "MCEstimate", "MultiAttributeWeights", "ProvenancePlan",
+    "QueryParseError", "Schema", "TreeLeafDistance", "TropicalPlan", "UltraNode",
+    "UltrametricTree", "UltrametricViolation", "UniverseError", "Variable", "VolumeAssignment",
     "WEITZMAN_CAP", "WeightedMeasure", "atom_candidates",
     "brute_force_diversify", "cqnext_naive", "delta_min", "delta_sum", "elem_volume",
     "elem_weighted", "enumerate_answers", "format_weight", "fraction_text",

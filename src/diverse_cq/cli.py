@@ -592,7 +592,8 @@ def _build_parser() -> argparse.ArgumentParser:
     vol_flags.add_argument("--measure",
                            help="weighted:<file>[:default=<w>] for elem-w/pos-w")
     vol_flags.add_argument("--mc-samples", type=int,
-                           help="Monte-Carlo samples for ball volumes (default 200000)")
+                           help="Monte-Carlo samples for ball volumes "
+                                "(default 200000, at most 10^8)")
 
     p = sub.add_parser("eval", parents=[common],
                        help="evaluate a query and report the answer count")

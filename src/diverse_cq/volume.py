@@ -18,6 +18,7 @@ estimator for Euclidean ball unions.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import numbers
@@ -35,6 +36,7 @@ from .query import gyo_join_tree
 from .relcore import Database, Fact, fraction_text
 
 MULTI_ATTRIBUTE_CAP = 16
+MC_SAMPLES_CAP = 10**8
 
 
 class CountMeasure:
@@ -229,6 +231,14 @@ class ContinuousBallSet:
         return len(self.centers[0])
 
 
+def _check_samples(samples: int) -> None:
+    if samples < 1:
+        raise InputError("sample count must be positive")
+    if samples > MC_SAMPLES_CAP:
+        raise LimitExceededError(
+            f"{samples} Monte-Carlo samples exceed the cap of {MC_SAMPLES_CAP}")
+
+
 def _interval_union_length(balls: ContinuousBallSet) -> float:
     points = sorted(c[0] for c in balls.centers)
     r = balls.radius
@@ -245,22 +255,64 @@ def _interval_union_length(balls: ContinuousBallSet) -> float:
     return total + (cur_hi - cur_lo)
 
 
+_BATCH = 1 << 18
+
+
+def _sorted_unit_draw(rng: np.random.Generator, n: int, dim: int) -> np.ndarray:
+    """`rng.random((n, dim))` with its rows sorted by their first
+    coordinate, stored one axis per row: a read-only (dim, n) array."""
+    unit = rng.random((n, dim))
+    draw = np.take(unit.T, np.argsort(unit[:, 0]), axis=1)
+    draw.flags.writeable = False
+    return draw
+
+
+@functools.lru_cache(maxsize=1)
+def _cached_unit_draw(seed: int, samples: int, dim: int) -> np.ndarray:
+    """The sorted draw of a one-batch estimate; greedy asks for the same
+    one on every call, so it is drawn and sorted once."""
+    return _sorted_unit_draw(np.random.default_rng(seed), samples, dim)
+
+
+def _unit_draws(seed: int, samples: int, dim: int):
+    """The estimate's unit draws, one sorted batch of at most 2**18 points
+    at a time.  Only a single-batch draw is cached, so memory stays
+    O(2**18 * d) however many samples are asked for."""
+    if samples <= _BATCH:
+        yield _cached_unit_draw(seed, samples, dim)
+        return
+    rng = np.random.default_rng(seed)
+    for start in range(0, samples, _BATCH):
+        yield _sorted_unit_draw(rng, min(_BATCH, samples - start), dim)
+
+
+def _slab_reach(r: float) -> float:
+    """Half-width of the first-axis slab around a center that holds every
+    point passing `d2 <= r * r`: r * 1e-9 covers the rounding of the
+    difference and of the squares, and 2**-536 a square that is subnormal."""
+    return r * (1 + 1e-9) + 2.0 ** -536
+
+
 def mc_ball_union_volume(balls: ContinuousBallSet, samples: int, seed: int = 0) -> MCEstimate:
     """Volume of a union of equal-radius balls.
 
     Dimension 1 is computed exactly by interval sweeping (stderr 0).
     Higher dimensions sample uniformly from the bounding box with a
     seeded generator, so results are deterministic per seed.  Points are
-    drawn in batches of at most 2**18 and tested against one center at a
-    time, OR-ing the hits into one mask: memory is O(samples * d) per
-    batch and time is O(samples * centers * d).  Each squared distance is
-    added up in the order numpy's `.sum(axis=-1)` uses, so the estimate
-    is the same float as a nearest-center test over `Generator.uniform`
-    points.  A union length or bounding-box volume that overflows a
-    float is an input error.
+    drawn in batches of at most 2**18 and each batch is sorted by its
+    first coordinate.  A center is tested only against the slab of
+    points whose first coordinate lies within the radius of its own,
+    found by binary search, and the hits are OR-ed into one mask.
+    Memory is O(2**18 * d); the last single-batch draw is cached, so
+    its O(n log n) sort is paid once per (seed, samples, d), and a call
+    then costs O(samples + sum of slab sizes * d).  Each squared
+    distance is added up in the order numpy's `.sum(axis=-1)` uses, so
+    the estimate is the same float as a nearest-center test over
+    `Generator.uniform` points.  A sample count above MC_SAMPLES_CAP is
+    a LimitExceededError; a union length or bounding-box volume that
+    overflows a float is an input error.
     """
-    if samples < 1:
-        raise InputError("sample count must be positive")
+    _check_samples(samples)
     if seed < 0:
         raise InputError("seed must be non-negative")
     r = float(balls.radius)
@@ -278,30 +330,29 @@ def mc_ball_union_volume(balls: ContinuousBallSet, samples: int, seed: int = 0) 
     if not math.isfinite(box):
         raise InputError(f"radius-{r!r} balls around these centers span no finite box volume")
     dim = balls.dimension
-    rng = np.random.default_rng(seed)
+    reach = _slab_reach(r)
     hits = 0
-    remaining = samples
-    batch_cap = 1 << 18
-    while remaining > 0:
-        n = min(remaining, batch_cap)
-        # lo + width * unit is what Generator.uniform(lo, hi) computes
-        unit = rng.random((n, dim))
-        inside = np.zeros(n, dtype=bool)
-        if dim < 8:
-            # below 8 terms numpy's row sum is a plain left fold: fold the axes
-            axes = [lo[j] + width[j] * unit[:, j] for j in range(dim)]
-            for c in centers:
-                d2 = (axes[0] - c[0]) ** 2
+    for unit in _unit_draws(seed, samples, dim):
+        # lo + width * unit is what Generator.uniform(lo, hi) computes;
+        # it keeps the draw's order, so first coordinates stay sorted
+        first = lo[0] + width[0] * unit[0]
+        starts = np.searchsorted(first, centers[:, 0] - reach, side="left")
+        stops = np.searchsorted(first, centers[:, 0] + reach, side="right")
+        inside = np.zeros(len(first), dtype=bool)
+        for c, a, b in zip(centers, starts, stops):
+            if dim < 8:
+                # below 8 terms numpy's row sum is a plain left fold: fold the axes
+                d2 = (first[a:b] - c[0]) ** 2
                 for j in range(1, dim):
-                    d2 += (axes[j] - c[j]) ** 2
-                inside |= d2 <= r * r
-        else:
-            # numpy's row sum adds 8 or more terms pairwise: let it sum them
-            pts = lo + width * unit
-            for c in centers:
-                inside |= ((pts - c) ** 2).sum(axis=1) <= r * r
+                    d2 += (lo[j] + width[j] * unit[j, a:b] - c[j]) ** 2
+            else:
+                # numpy's row sum adds 8 or more terms pairwise: let it sum
+                # them, along rows laid out as in an (n, d) draw
+                pts = lo + width * np.ascontiguousarray(unit[:, a:b].T)
+                d2 = ((pts - c) ** 2).sum(axis=1)
+            inside[a:b] |= d2 <= r * r
         hits += int(np.count_nonzero(inside))
-        remaining -= n
+        del unit, first, inside  # so the next batch can take their memory
     p = hits / samples
     value = box * p
     stderr = box * (p * (1 - p) / samples) ** 0.5
@@ -322,8 +373,7 @@ class EuclideanBallVolume:
     def __post_init__(self):
         if not (math.isfinite(self.radius) and self.radius > 0):
             raise InputError("ball radius must be positive and finite")
-        if self.samples < 1:
-            raise InputError("sample count must be positive")
+        _check_samples(self.samples)
         if self.seed < 0:
             raise InputError("seed must be non-negative")
 

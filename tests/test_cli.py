@@ -379,6 +379,8 @@ NUMS_2D = ["--query", "P(x,y) <- N(x,y)."]
      "error: seed must be non-negative"),
     (["diversify", "--query", "P(x) <- N(x,y).", "-k", "2", "--volume", "ball:r=1",
       "--seed", "-1"], "error: seed must be non-negative"),
+    (["diversify", *NUMS_2D, "-k", "2", "--volume", "ball:r=1", "--mc-samples", "100000001"],
+     "error: 100000001 Monte-Carlo samples exceed the cap of 100000000"),
 ])
 def test_bad_ball_parameters_exit_2(capsys, work, argv, message):
     code, out, err = run(capsys, [*argv, "--data", str(work / "nums")])

@@ -1,3 +1,4 @@
+import math
 import random
 import tracemalloc
 from fractions import Fraction
@@ -7,12 +8,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from diverse_cq import (ContinuousBallSet, CountMeasure, EuclideanBallVolume, InputError,
-                        LimitExceededError, MCEstimate, MultiAttributeWeights, UniverseError,
-                        VolumeAssignment, WeightedMeasure, elem_volume, elem_weighted,
-                        enumerate_answers, format_weight, intern,
+from diverse_cq import (MC_SAMPLES_CAP, ContinuousBallSet, CountMeasure, EuclideanBallVolume,
+                        InputError, LimitExceededError, MCEstimate, MultiAttributeWeights,
+                        UniverseError, VolumeAssignment, WeightedMeasure, elem_volume,
+                        elem_weighted, enumerate_answers, format_weight, intern,
                         mc_ball_union_volume, multiattribute_from_volume, pos_volume,
-                        pos_weighted, provenance_volume, volume_from_multiattribute)
+                        pos_weighted, provenance_volume, volume, volume_from_multiattribute)
 
 from conftest import mk
 
@@ -155,6 +156,16 @@ def test_ball_volume_rejects_bad_parameters_up_front(kwargs):
         EuclideanBallVolume(**kwargs)
 
 
+def test_sample_counts_above_the_cap_are_refused_before_any_draw():
+    assert EuclideanBallVolume(1.0, samples=MC_SAMPLES_CAP).samples == MC_SAMPLES_CAP
+    with pytest.raises(LimitExceededError, match="exceed the cap"):
+        EuclideanBallVolume(1.0, samples=MC_SAMPLES_CAP + 1)
+    # one dimension never draws, and is refused all the same
+    for centers in [((0.0,), (5.0,)), ((0.0, 0.0), (1.0, 1.0))]:
+        with pytest.raises(LimitExceededError, match="exceed the cap"):
+            mc_ball_union_volume(ContinuousBallSet(centers, 1.0), MC_SAMPLES_CAP + 1)
+
+
 @pytest.mark.parametrize("centers,radius", [
     (((0.0, 0.0), (1.0, 1.0)), 1e300),  # the box's area overflows
     (((0.0,), (5.0,)), 1e308),          # so does the union's length
@@ -235,17 +246,99 @@ def test_estimate_matches_the_broadcast_across_batches():
     assert (got.value, got.stderr) == (want.value, want.stderr)
 
 
-def test_estimator_memory_does_not_grow_with_the_centers():
+@settings(max_examples=300, deadline=None)
+@given(r=st.floats(1e-170, 1e8), c0=st.floats(-1e9, 1e9))
+@example(r=0.7781055420688421, c0=-0.3734003735053047)  # x - c0 rounds down to r
+@example(r=2.5570491153510456e-161, c0=0.0)  # r * r is subnormal
+def test_points_beyond_a_slab_fail_the_ball_test(r, c0):
+    # the nearest floats outside the slab; every point farther out has a
+    # first-axis square at least as large
+    reach = volume._slab_reach(r)
+    for x in (math.nextafter(c0 - reach, -math.inf), math.nextafter(c0 + reach, math.inf)):
+        d = x - c0
+        assert d * d > r * r
+
+
+@st.composite
+def slab_edge_sets(draw, dims=st.integers(2, 9), max_centers=8):
+    """Ball sets whose slabs sit where rounding decides: centers up to 1e8
+    from the origin against radii down to 1e-7, so that first coordinates
+    fall on a coarse float grid, and centers that share a first coordinate."""
+    dim = draw(dims)
+    radius = draw(st.floats(1e-7, 10))
+    offset = draw(st.floats(-1e8, 1e8))
+    spread = st.floats(-3, 3)
+    firsts = draw(st.lists(spread, min_size=1, max_size=3))
+    centers = [
+        tuple(offset + radius * x
+              for x in [draw(st.sampled_from(firsts))] + draw(st.lists(
+                  spread, min_size=dim - 1, max_size=dim - 1)))
+        for _ in range(draw(st.integers(1, max_centers)))]
+    return ContinuousBallSet(tuple(centers), radius)
+
+
+@settings(max_examples=150, deadline=None)
+@given(balls=slab_edge_sets(), samples=st.integers(1, 5000), seed=st.integers(0, 5))
+@example(  # the radius's square is subnormal
+    balls=ContinuousBallSet(((0.0, 0.0), (1e-160, 0.0), (1e-160, 2e-160)), 1e-160),
+    samples=5000, seed=0)
+@example(  # first coordinates on a grid of 2**-26 against a radius of 3 steps
+    balls=ContinuousBallSet(((1e8, 1e8), (1e8 + 2 ** -25, 1e8)), 3 * 2 ** -26),
+    samples=5000, seed=1)
+def test_slab_edges_keep_the_broadcast_estimators_float(balls, samples, seed):
+    got = mc_ball_union_volume(balls, samples, seed)
+    want = _broadcast_estimate(balls, samples, seed)
+    assert (got.value, got.stderr) == (want.value, want.stderr)
+
+
+@settings(max_examples=4, deadline=None)
+@given(balls=slab_edge_sets(dims=st.integers(8, 9), max_centers=2),
+       extra=st.integers(1, 3000), seed=st.integers(0, 5))
+def test_row_sums_across_batches_keep_the_broadcast_estimators_float(balls, extra, seed):
+    samples = (1 << 18) + extra
+    got = mc_ball_union_volume(balls, samples, seed)
+    want = _broadcast_estimate(balls, samples, seed)
+    assert (got.value, got.stderr) == (want.value, want.stderr)
+
+
+def test_cached_draws_give_the_floats_of_fresh_ones():
+    square = ContinuousBallSet(((0.0, 0.0), (1.0, 2.0), (4.0, 1.0)), 1.5)
+    cube = ContinuousBallSet(((0.0, 0.0, 0.0), (1.0, 2.0, 0.5)), 1.5)
+    calls = [(square, 2000, 0), (square, 2000, 0), (square, 2000, 1), (cube, 2000, 0),
+             (square, 3000, 0), (square, 2000, 0), (cube, 2000, 1), (cube, 2000, 1)]
+    interleaved = [mc_ball_union_volume(*call) for call in calls]
+    fresh = []
+    for call in calls:
+        volume._cached_unit_draw.cache_clear()
+        fresh.append(mc_ball_union_volume(*call))
+    assert interleaved == fresh
+
+
+def test_cached_draws_are_read_only():
+    with pytest.raises(ValueError):
+        volume._cached_unit_draw(7, 100, 2)[0, 0] = 0.5
+
+
+def _estimator_peak(samples, dim):
     rng = random.Random(0)
     balls = ContinuousBallSet(
-        tuple((rng.uniform(0, 100), rng.uniform(0, 100)) for _ in range(600)), 2.0)
+        tuple(tuple(rng.uniform(0, 100) for _ in range(dim)) for _ in range(600)), 2.0)
     tracemalloc.start()
     try:
-        mc_ball_union_volume(balls, 200_000, 0)
-        peak = tracemalloc.get_traced_memory()[1]
+        mc_ball_union_volume(balls, samples, 0)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 32 * 2 ** 20
+
+
+def test_estimator_memory_does_not_grow_with_the_centers():
+    assert _estimator_peak(200_000, 2) < 32 * 2 ** 20
+
+
+def test_estimator_memory_does_not_grow_with_the_batches():
+    # 10**6 four-dimensional samples are 32 MiB in four batches: one batch
+    # at a time is held, and none of them is cached
+    assert _estimator_peak(1_000_000, 4) < 32 * 2 ** 20
 
 
 # Multi-attribute conversions ------------------------------------------------
