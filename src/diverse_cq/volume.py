@@ -258,32 +258,31 @@ def _interval_union_length(balls: ContinuousBallSet) -> float:
 _BATCH = 1 << 18
 
 
-def _sorted_unit_draw(rng: np.random.Generator, n: int, dim: int) -> np.ndarray:
-    """`rng.random((n, dim))` with its rows sorted by their first
-    coordinate, stored one axis per row: a read-only (dim, n) array."""
-    unit = rng.random((n, dim))
+@functools.lru_cache(maxsize=1)
+def _cached_unit_draw(seed: int, samples: int, dim: int) -> np.ndarray:
+    """`rng.random((samples, dim))` with its rows sorted by their first
+    coordinate, stored one axis per row as a read-only (dim, samples)
+    array.  Greedy asks for the same one-batch draw on every call, so it
+    is drawn and sorted once."""
+    unit = np.random.default_rng(seed).random((samples, dim))
     draw = np.take(unit.T, np.argsort(unit[:, 0]), axis=1)
     draw.flags.writeable = False
     return draw
 
 
-@functools.lru_cache(maxsize=1)
-def _cached_unit_draw(seed: int, samples: int, dim: int) -> np.ndarray:
-    """The sorted draw of a one-batch estimate; greedy asks for the same
-    one on every call, so it is drawn and sorted once."""
-    return _sorted_unit_draw(np.random.default_rng(seed), samples, dim)
-
-
 def _unit_draws(seed: int, samples: int, dim: int):
-    """The estimate's unit draws, one sorted batch of at most 2**18 points
-    at a time.  Only a single-batch draw is cached, so memory stays
-    O(2**18 * d) however many samples are asked for."""
+    """The estimate's unit draws as (dim, n) arrays of at most 2**18
+    points each, with whether each is sorted by its first coordinate.
+    A single-batch draw is sorted once and cached.  A larger draw is
+    drawn batch by batch on every call and left unsorted: sorting every
+    batch again would cost more than the center tests it saves, and
+    caching them all would take O(samples * d) memory."""
     if samples <= _BATCH:
-        yield _cached_unit_draw(seed, samples, dim)
+        yield _cached_unit_draw(seed, samples, dim), True
         return
     rng = np.random.default_rng(seed)
     for start in range(0, samples, _BATCH):
-        yield _sorted_unit_draw(rng, min(_BATCH, samples - start), dim)
+        yield rng.random((min(_BATCH, samples - start), dim)).T, False
 
 
 def _slab_reach(r: float) -> float:
@@ -293,24 +292,51 @@ def _slab_reach(r: float) -> float:
     return r * (1 + 1e-9) + 2.0 ** -536
 
 
+def _box_points(unit: np.ndarray, first: np.ndarray, lo: np.ndarray,
+                width: np.ndarray, a: int, b: int):
+    """Points a..b of a (d, n) unit draw mapped to the box as
+    `Generator.uniform(lo, hi)` maps them, given the mapped first axis:
+    a list of one array per axis below 8 dimensions, an (n, d) array of
+    C-ordered rows from 8 on."""
+    if len(lo) < 8:
+        return [first[a:b]] + [lo[j] + width[j] * unit[j, a:b] for j in range(1, len(lo))]
+    return lo + width * np.ascontiguousarray(unit[:, a:b].T)
+
+
+def _in_ball(pts: np.ndarray, c: np.ndarray, r: float) -> np.ndarray:
+    """Which of `_box_points`' points lie in the radius-r ball around c,
+    with each squared distance added up in the order numpy's
+    `.sum(axis=-1)` uses over an (n, d) array."""
+    if len(c) < 8:
+        # below 8 terms numpy's row sum is a plain left fold: fold the axes
+        d2 = (pts[0] - c[0]) ** 2
+        for j in range(1, len(c)):
+            d2 += (pts[j] - c[j]) ** 2
+    else:
+        # numpy's row sum adds 8 or more terms pairwise: let it sum them
+        d2 = ((pts - c) ** 2).sum(axis=1)
+    return d2 <= r * r
+
+
 def mc_ball_union_volume(balls: ContinuousBallSet, samples: int, seed: int = 0) -> MCEstimate:
     """Volume of a union of equal-radius balls.
 
     Dimension 1 is computed exactly by interval sweeping (stderr 0).
     Higher dimensions sample uniformly from the bounding box with a
-    seeded generator, so results are deterministic per seed.  Points are
-    drawn in batches of at most 2**18 and each batch is sorted by its
-    first coordinate.  A center is tested only against the slab of
-    points whose first coordinate lies within the radius of its own,
-    found by binary search, and the hits are OR-ed into one mask.
-    Memory is O(2**18 * d); the last single-batch draw is cached, so
-    its O(n log n) sort is paid once per (seed, samples, d), and a call
-    then costs O(samples + sum of slab sizes * d).  Each squared
-    distance is added up in the order numpy's `.sum(axis=-1)` uses, so
-    the estimate is the same float as a nearest-center test over
-    `Generator.uniform` points.  A sample count above MC_SAMPLES_CAP is
-    a LimitExceededError; a union length or bounding-box volume that
-    overflows a float is an input error.
+    seeded generator, so results are deterministic per seed.  A draw of
+    at most 2**18 points is sorted by its first coordinate and cached, so
+    its O(n log n) sort is paid once per (seed, samples, d).  A center is
+    then tested only against the slab of points whose first coordinate
+    lies within the radius of its own, found by binary search, and the
+    hits are OR-ed into one mask: a call costs O(samples + sum of slab
+    sizes * d).  A larger draw is drawn again on every call in batches of
+    2**18 that are not sorted, and every center is tested against every
+    point, in O(samples * centers * d).  Memory is O(2**18 * d) either
+    way.  Each squared distance is added up in the order numpy's
+    `.sum(axis=-1)` uses, so the estimate is the same float as a
+    nearest-center test over `Generator.uniform` points.  A sample count
+    above MC_SAMPLES_CAP is a LimitExceededError; a union length or
+    bounding-box volume that overflows a float is an input error.
     """
     _check_samples(samples)
     if seed < 0:
@@ -332,27 +358,23 @@ def mc_ball_union_volume(balls: ContinuousBallSet, samples: int, seed: int = 0) 
     dim = balls.dimension
     reach = _slab_reach(r)
     hits = 0
-    for unit in _unit_draws(seed, samples, dim):
-        # lo + width * unit is what Generator.uniform(lo, hi) computes;
-        # it keeps the draw's order, so first coordinates stay sorted
+    for unit, is_sorted in _unit_draws(seed, samples, dim):
+        # lo + width * unit is what Generator.uniform(lo, hi) computes; it
+        # keeps the draw's order, so sorted first coordinates stay sorted
         first = lo[0] + width[0] * unit[0]
-        starts = np.searchsorted(first, centers[:, 0] - reach, side="left")
-        stops = np.searchsorted(first, centers[:, 0] + reach, side="right")
+        if is_sorted:  # each center's slab is one binary search away
+            starts = np.searchsorted(first, centers[:, 0] - reach, side="left")
+            stops = np.searchsorted(first, centers[:, 0] + reach, side="right")
+        else:  # an unsorted batch is one slab that every center tests
+            starts = np.zeros(len(centers), dtype=np.intp)
+            stops = np.full(len(centers), len(first))
         inside = np.zeros(len(first), dtype=bool)
-        for c, a, b in zip(centers, starts, stops):
-            if dim < 8:
-                # below 8 terms numpy's row sum is a plain left fold: fold the axes
-                d2 = (first[a:b] - c[0]) ** 2
-                for j in range(1, dim):
-                    d2 += (lo[j] + width[j] * unit[j, a:b] - c[j]) ** 2
-            else:
-                # numpy's row sum adds 8 or more terms pairwise: let it sum
-                # them, along rows laid out as in an (n, d) draw
-                pts = lo + width * np.ascontiguousarray(unit[:, a:b].T)
-                d2 = ((pts - c) ** 2).sum(axis=1)
-            inside[a:b] |= d2 <= r * r
+        slab = None
+        for c, a, b in zip(centers, starts.tolist(), stops.tolist()):
+            if slab != (a, b):  # map each slab to the box once
+                slab, pts = (a, b), _box_points(unit, first, lo, width, a, b)
+            inside[a:b] |= _in_ball(pts, c, r)
         hits += int(np.count_nonzero(inside))
-        del unit, first, inside  # so the next batch can take their memory
     p = hits / samples
     value = box * p
     stderr = box * (p * (1 - p) / samples) ** 0.5

@@ -319,26 +319,49 @@ def test_cached_draws_are_read_only():
         volume._cached_unit_draw(7, 100, 2)[0, 0] = 0.5
 
 
-def _estimator_peak(samples, dim):
+def _estimator_memory(samples, dim):
+    """Peak bytes of one estimate from an empty cache, and the bytes it
+    leaves allocated when it returns."""
     rng = random.Random(0)
     balls = ContinuousBallSet(
         tuple(tuple(rng.uniform(0, 100) for _ in range(dim)) for _ in range(600)), 2.0)
+    volume._cached_unit_draw.cache_clear()
     tracemalloc.start()
     try:
         mc_ball_union_volume(balls, samples, 0)
-        return tracemalloc.get_traced_memory()[1]
+        kept, peak = tracemalloc.get_traced_memory()
+        return peak, kept
     finally:
         tracemalloc.stop()
 
 
 def test_estimator_memory_does_not_grow_with_the_centers():
-    assert _estimator_peak(200_000, 2) < 32 * 2 ** 20
+    peak, _ = _estimator_memory(200_000, 2)
+    assert peak < 32 * 2 ** 20
 
 
 def test_estimator_memory_does_not_grow_with_the_batches():
     # 10**6 four-dimensional samples are 32 MiB in four batches: one batch
     # at a time is held, and none of them is cached
-    assert _estimator_peak(1_000_000, 4) < 32 * 2 ** 20
+    peak, kept = _estimator_memory(1_000_000, 4)
+    assert peak < 32 * 2 ** 20
+    assert kept < 2 ** 20
+
+
+def test_the_cache_keeps_one_draw_of_at_most_one_batch():
+    _, kept = _estimator_memory(200_000, 2)
+    assert 200_000 * 2 * 8 <= kept < 200_000 * 2 * 8 + 2 ** 20
+    assert volume._cached_unit_draw.cache_info().currsize == 1
+
+
+@settings(max_examples=4, deadline=None)
+@given(balls=slab_edge_sets(dims=st.integers(2, 7), max_centers=3),
+       extra=st.integers(1, 3000), seed=st.integers(0, 5))
+def test_axis_folds_across_batches_keep_the_broadcast_estimators_float(balls, extra, seed):
+    samples = (1 << 18) + extra
+    got = mc_ball_union_volume(balls, samples, seed)
+    want = _broadcast_estimate(balls, samples, seed)
+    assert (got.value, got.stderr) == (want.value, want.stderr)
 
 
 # Multi-attribute conversions ------------------------------------------------
