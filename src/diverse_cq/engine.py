@@ -2,12 +2,18 @@
 
 Acyclic queries are evaluated over their GYO join tree, one node per
 atom.  One bottom-up semijoin pass, `_reduce`, keeps the rows of every
-node that extend into its subtrees; the join-tree rankers in `optimize`
-take their live rows from it as well.  One preorder walk from the root
-then probes each node's rows on its parent key.  Rooted at the connex
-subtree of a free-connex head, the walk is linear in input plus output.
-When asked, the same walk also folds up each answer's ball for the
-provenance volume: the facts of all of the answer's witnesses.
+node that extend into its subtrees.  It runs set-at-a-time on the
+database's int64 code columns (Yannakakis' reduction as vectorized
+column operations): packed join keys, sorted searches for the semijoin,
+and one stable sort per node that makes its groups contiguous segments.
+The join-tree rankers in `optimize` and their witness tables take their
+live rows, groups and joins from it as well.  One preorder walk from the
+root then follows each chosen row's joins.  Rooted at the connex subtree
+of a free-connex head, the walk is linear in input plus output.  When
+asked, the same walk also gathers each answer's ball for the provenance
+volume, the facts of all of the answer's witnesses, from one top-down
+array pass, `_fold`, per skipped subtree; the witness tables of the
+provenance ranker come from that pass too.
 
 Cyclic bodies fall back to the backtracking join, which is also the
 semantics oracle every other path is tested against.  It orders atoms
@@ -18,8 +24,9 @@ and deduplicates head projections.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import itemgetter
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, NamedTuple, Sequence
+
+import numpy as np
 
 from .errors import InputError, LimitExceededError
 from .query import Atom, ConjunctiveQuery, gyo_join_tree, _connex_rooting, _preorder
@@ -134,51 +141,154 @@ def enumerate_answers(q: ConjunctiveQuery, db: Database) -> AnswerSet:
     return AnswerSet(q, frozenset(iter_answers(q, db)))
 
 
-def _picker(positions: list[int]) -> Callable:
-    """Row -> its values at `positions`, as a hashable key: a tuple, or
-    the bare value for a single position."""
-    return itemgetter(*positions) if positions else (lambda row: ())
+class _Groups(NamedTuple):
+    """A node's live rows after the semijoin pass, as the segments of one
+    stable sort by key: group `g` is `rows[starts[g]:starts[g + 1]]`, in
+    row order, and `keys[g]` is its packed key; keys ascend."""
+
+    rows: np.ndarray
+    starts: np.ndarray
+    keys: np.ndarray
 
 
-def _reduce(bags: Sequence[tuple], rows: Sequence[list[tuple]],
-            parents: Sequence[int | None]):
-    """The one bottom-up semijoin pass over the join tree `parents`,
-    whose node `u` has the rows `rows[u]` over the variables `bags[u]`.
+# Packed keys stay below this bound, so key arithmetic never overflows int64.
+_KEY_BOUND = 2 ** 62
 
-    Returns the preorder and children; per node, the key picker on its
-    rows and the probe picker on its parent's rows, over the variables it
-    shares with the parent in its own bag order (none at a root); and per
-    node its live rows, which join a live row of every child, as row
-    indices grouped by key in row order.
+
+def _atom_rows(db: Database, atom: Atom) -> tuple[np.ndarray, np.ndarray]:
+    """The atom's candidate facts, in fact order, as their row ids in the
+    relation and their code columns, one per variable of `atom.vars`;
+    a repeated variable is a column-equality mask."""
+    codes = db.codes(atom.relation)
+    if not atom.eq_positions:
+        return np.arange(codes.shape[1]), codes
+    keep = np.ones(codes.shape[1], dtype=bool)
+    for p1, p2 in atom.eq_positions:
+        keep &= codes[p1] == codes[p2]
+    rows = np.flatnonzero(keep)
+    return rows, codes[:, rows]
+
+
+def _pack(blocks: Sequence[np.ndarray], radix: int) -> list[np.ndarray]:
+    """One int64 key per row of each code block, all blocks (columns x
+    rows, codes below `radix`) over the same variables: equal rows get
+    equal keys, and keys order as the rows do, lexicographically.  When
+    the next column could overflow, the keys so far are re-ranked densely
+    over all blocks first."""
+    keys = [np.zeros(b.shape[1], dtype=np.int64) for b in blocks]
+    span = 1  # every key is below `span`
+    for j in range(blocks[0].shape[0]):
+        if span > _KEY_BOUND // radix:
+            uniq, dense = np.unique(np.concatenate(keys), return_inverse=True)
+            keys = np.split(dense.reshape(-1).astype(np.int64),
+                            np.cumsum([len(k) for k in keys])[:-1])
+            span = len(uniq)
+        keys = [k * radix + b[j] for k, b in zip(keys, blocks)]
+        span *= radix
+    return keys
+
+
+def _find(keys: np.ndarray, probes: np.ndarray) -> np.ndarray:
+    """Per probe, the index of the equal key in the ascending `keys`, or -1."""
+    at = np.searchsorted(keys, probes)
+    if not len(keys):
+        return np.full(len(probes), -1)
+    hit = keys[np.minimum(at, len(keys) - 1)] == probes
+    return np.where(hit, at, -1)
+
+
+def _ranges(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """The concatenation of range(s, s + n) over the starts `s` and sizes `n`."""
+    ends = np.cumsum(sizes)
+    return np.repeat(starts - ends + sizes, sizes) + np.arange(ends[-1] if len(ends) else 0)
+
+
+def _stable_order(keys: np.ndarray) -> np.ndarray:
+    """`np.argsort(keys, kind="stable")` for non-negative keys, in linear
+    time when they fit in 16 bits: numpy radix-sorts those."""
+    if len(keys) and keys.max() < 2 ** 16:
+        return np.argsort(keys.astype(np.uint16), kind="stable")
+    return np.argsort(keys, kind="stable")
+
+
+def _segments(keys: np.ndarray) -> np.ndarray:
+    """Start of every run of equal values in the sorted `keys`, then its length."""
+    if not len(keys):
+        return np.zeros(1, dtype=np.intp)
+    return np.concatenate(([0], np.flatnonzero(keys[1:] != keys[:-1]) + 1, [len(keys)]))
+
+
+def _reduce(bags: Sequence[tuple], codes: Sequence[np.ndarray],
+            parents: Sequence[int | None], radix: int):
+    """The one bottom-up semijoin pass over the join tree `parents`, whose
+    node `u` has rows with the codes `codes[u]` (one column per variable
+    of `bags[u]`, codes below `radix`).
+
+    A node's key packs the variables it shares with its parent, in its own
+    bag order (none at a root, so a root is one group).  Bottom-up, each
+    child's sorted group keys are searched for the packed probe of every
+    parent row: a row is live when it finds a group in every child.  A
+    node's live rows are then stably sorted by key, so each group is a
+    segment, rows in row order.
+
+    Returns the preorder and children; per node its `_Groups`; and per
+    non-root node `u` its join: for each row of `u`'s parent, the id of
+    the group of `u` the row joins, or -1 (None at a root).
     """
     order, kids = _preorder(parents)
-    key, probe = [], []
+    key: list = [None] * len(parents)
+    probe: list = [None] * len(parents)  # per child, the packed key of each parent row
     for u, p in enumerate(parents):
-        shared = [] if p is None else [v for v in bags[u] if v in bags[p]]
-        key.append(_picker([bags[u].index(v) for v in shared]))
-        probe.append(_picker([bags[p].index(v) for v in shared]))
-    groups: list[dict] = [{} for _ in rows]
+        if p is None:
+            key[u] = np.zeros(codes[u].shape[1], dtype=np.int64)
+            continue
+        shared = [v for v in bags[u] if v in bags[p]]
+        key[u], probe[u] = _pack([codes[u][[bags[u].index(v) for v in shared]],
+                                  codes[p][[bags[p].index(v) for v in shared]]], radix)
+    groups: list = [None] * len(parents)
+    join: list = [None] * len(parents)
     for u in reversed(order):
-        live = range(len(rows[u]))
+        live = np.ones(codes[u].shape[1], dtype=bool)
         for c in kids[u]:
-            live = [i for i in live if probe[c](rows[u][i]) in groups[c]]
-        for i in live:
-            groups[u].setdefault(key[u](rows[u][i]), []).append(i)
-    return order, kids, key, probe, groups
+            join[c] = _find(groups[c].keys, probe[c])
+            live &= join[c] >= 0
+        rows = np.flatnonzero(live)
+        k = key[u][rows]
+        by_key = _stable_order(k)
+        rows, k = rows[by_key], k[by_key]
+        starts = _segments(k)
+        groups[u] = _Groups(rows, starts, k[starts[:-1]])
+    return order, kids, groups, join
 
 
-def _fold(nodes: Iterable[int], groups: Sequence[dict], kids, probe, rows, facts) -> dict:
-    """Per node `u` of `nodes` (children first) and per key of `groups[u]`,
-    the facts of every extension of `u`'s subtree from that group's rows."""
-    fold: dict[int, dict] = {}
-    for u in nodes:
-        fold[u] = {}
-        for k, ids in groups[u].items():
-            got = {facts[u][i] for i in ids}
-            for c in kids[u]:
-                got.update(*(fold[c][probe[c](rows[u][i])] for i in ids))
-            fold[u][k] = frozenset(got)
-    return fold
+def _fold(top: int, at: np.ndarray, here: np.ndarray, n: int, kids,
+          groups: Sequence[_Groups], join, ids) -> tuple[np.ndarray, np.ndarray]:
+    """Per slot, the facts of every extension of the subtree at `top`,
+    whose rows `here` start in the slots `at` (below `n`); `ids[u]` maps
+    node `u`'s rows to fact ids.
+
+    One top-down pass over unique (slot, group) pairs reaches every row
+    of the subtree once per slot.  Returns `(ptr, facts)`, compressed
+    sparse rows: slot `s` has the fact ids `facts[ptr[s]:ptr[s + 1]]`,
+    nodes in preorder.
+    """
+    slots, facts = [], []
+    stack = [(top, at, here)]
+    while stack:
+        u, at, here = stack.pop()
+        slots.append(at)
+        facts.append(ids[u][here])
+        for c in reversed(kids[u]):
+            m = max(1, len(groups[c].keys))
+            pairs = at * m + join[c][here]
+            pairs = pairs[_stable_order(pairs)]
+            pairs = pairs[_segments(pairs)[:-1]]  # each (slot, group) once
+            g = pairs % m
+            first, sizes = groups[c].starts[g], np.diff(groups[c].starts)[g]
+            stack.append((c, np.repeat(pairs // m, sizes), groups[c].rows[_ranges(first, sizes)]))
+    slots = np.concatenate(slots)
+    by_slot = _stable_order(slots)
+    return np.searchsorted(slots[by_slot], np.arange(n + 1)), np.concatenate(facts)[by_slot]
 
 
 def _tree_answers(q: ConjunctiveQuery, parents: Sequence[int | None], db: Database,
@@ -188,44 +298,57 @@ def _tree_answers(q: ConjunctiveQuery, parents: Sequence[int | None], db: Databa
 
     Node `i` holds atom `i`'s variables and facts.  The tree is re-rooted
     at a node whose connex subtree covers the head, when one exists.  After
-    `_reduce` every row extends into all of its node's subtrees, so one
-    preorder walk that probes each node's groups with its parent key, and
-    skips every subtree binding no new head variable, finds the answers.
-    For a free-connex head each walk is a distinct answer and the walk is
+    `_reduce` every live row extends into all of its node's subtrees, so
+    one preorder walk that follows each chosen row's joins, and skips
+    every subtree binding no new head variable, finds the answers.  For a
+    free-connex head each walk is a distinct answer and the walk is
     linear in input plus output; otherwise answers are deduplicated.
 
     With `balls` it yields instead, once the walk is done, each answer
     with its ball: the facts of every homomorphism that yields it.  Such
     a homomorphism extends a walk into each skipped subtree on its own,
     so the ball holds the walks' facts and, per skipped subtree, the
-    facts of all of its extensions, folded bottom-up once per group key.
+    facts of all of its extensions, which `_fold` gathers once per group.
     """
     headset = frozenset(q.head_vars)
     hit = _connex_rooting(parents, [frozenset(a.vars) for a in q.atoms], headset)
     if hit is not None:
         parents = hit[0]
     bags = [a.vars for a in q.atoms]
-    facts = [list(atom_candidates(db, a, {})) for a in q.atoms]
-    rows = [[f.values for f in fs] for fs in facts]
-    order, kids, key, probe, groups = _reduce(bags, rows, parents)
+    rows, codes = zip(*(_atom_rows(db, a) for a in q.atoms))
+    order, kids, groups, join = _reduce(bags, codes, parents, max(1, len(db.values)))
+    if any(p is None and not len(groups[u].rows) for u, p in enumerate(parents)):
+        return
+    facts = [list(map(db.relation(a.relation).__getitem__, r.tolist()))
+             for a, r in zip(q.atoms, rows)]
     below: dict[int, frozenset] = {}  # head variables bound in u's subtree
     for u in reversed(order):
         below[u] = headset.intersection(bags[u]).union(*(below[c] for c in kids[u]))
 
-    # One step per walked node, in preorder: its groups, rows and facts,
-    # its probe, and the depth whose chosen row it probes (any at a root).
+    # One step per walked node, in preorder: its group segments and facts,
+    # its join, and the depth whose chosen row it joins (none at a root).
     depth_of: dict = {}
     steps = []
     for u in order:
         p = parents[u]
         if p is None or (p in depth_of and below[u] - set(bags[p])):
             depth_of[u] = len(steps)
-            steps.append((groups[u], rows[u], facts[u], probe[u], depth_of.get(p, 0)))
+            steps.append((groups[u].rows.tolist(), groups[u].starts.tolist(), facts[u],
+                          None if p is None else join[u].tolist(), depth_of.get(p)))
     home = {v: (depth_of[u], i) for u in depth_of for i, v in enumerate(bags[u])}
     head = [home[v] for v in q.head_vars]
-    fold = _fold([u for u in reversed(order) if balls and u not in depth_of],
-                 groups, kids, probe, rows, facts)
-    hang = [(depth_of[u], probe[c], fold[c]) for u in depth_of for c in kids[u] if c in fold]
+    hang = []  # per skipped subtree below the walk: its join and its facts per group
+    if balls:
+        every = db.facts()
+        ids = [db.offset(a.relation) + r for a, r in zip(q.atoms, rows)]
+        for c, p in enumerate(parents):
+            if p in depth_of and c not in depth_of:
+                n = len(groups[c].keys)
+                ptr, got = _fold(c, np.repeat(np.arange(n), np.diff(groups[c].starts)),
+                                 groups[c].rows, n, kids, groups, join, ids)
+                got, ptr = list(map(every.__getitem__, got.tolist())), ptr.tolist()
+                hang.append((depth_of[p], join[c].tolist(),
+                             [frozenset(got[a:b]) for a, b in zip(ptr, ptr[1:])]))
     distinct = all(headset.issuperset(bags[u]) for u in depth_of)
     chosen: list = [None] * len(steps)  # the walk's rows
     picked: list = [None] * len(steps)  # and their facts
@@ -234,15 +357,16 @@ def _tree_answers(q: ConjunctiveQuery, parents: Sequence[int | None], db: Databa
 
     def walk(depth: int):
         if depth < len(steps):
-            group, rows, facts, pick, up = steps[depth]
-            for i in group.get(pick(chosen[up]), ()):
-                chosen[depth] = rows[i]
+            rows, starts, facts, to, up = steps[depth]
+            g = 0 if to is None else to[chosen[up]]
+            for i in rows[starts[g]:starts[g + 1]]:
+                chosen[depth] = i
                 picked[depth] = facts[i]
                 yield from walk(depth + 1)
             return
-        ans = Fact(q.head_name, [chosen[d][i] for d, i in head])
+        ans = Fact(q.head_name, [picked[d].values[i] for d, i in head])
         if balls:
-            folds = [table[pick(chosen[d])] for d, pick, table in hang]
+            folds = [table[to[chosen[d]]] for d, to, table in hang]
             if distinct:
                 lineage[ans] = frozenset(picked).union(*folds)
             else:

@@ -5,18 +5,20 @@ Greedy selection over a materialized answer set carries the usual
 avoid materialization altogether.  Whenever an answer's marginal is a
 sum over the edges of a join tree, "which answer gains the most" is one
 max-plus dynamic program over that tree, and one plan, `_RankingPlan`,
-builds the edges and runs the program.  Its live rows come from the
-evaluator's semijoin pass, and each hanging component's witness table
-from the evaluator's subtree fold.  It keeps its tables between
-rounds, re-scores only the rows a pick uncovered, adds integer-scaled
-weights and returns Fractions.  Two thin subclasses decide only which
-ground points a row charges: `TropicalPlan`, for positional volumes
-over full acyclic queries, and `ProvenancePlan`, for the witness-fact
-volume over free-connex queries with projections.  Both plan once over
-the join tree the query itself determines: its GYO tree, rooted at the
-connex part for a projected head, else the extended GYO tree.  Every greedy
-selection here runs through one round loop, `_greedy`, which asks a
-step for the next best answer and commits it.
+builds the edges and runs the program.  Its live rows, groups and joins
+come from the evaluator's semijoin pass over the database's code
+columns, and so do each hanging component's, whose witness table the
+evaluator's top-down array fold gathers.  It builds its tables as
+arrays, keeps them between rounds, re-scores only the rows a pick
+uncovered, adds integer-scaled weights and returns Fractions.  Two thin
+subclasses decide only which ground points a row charges:
+`TropicalPlan`, for positional volumes over full acyclic queries, and
+`ProvenancePlan`, for the witness-fact volume over free-connex queries
+with projections.  Both plan once over the join tree the query itself
+determines: its GYO tree, rooted at the connex part for a projected
+head, else the extended GYO tree.  Every greedy selection here runs
+through one round loop, `_greedy`, which asks a step for the next best
+answer and commits it.
 """
 
 from __future__ import annotations
@@ -25,16 +27,24 @@ import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, repeat
 from typing import Callable, Iterable, Sequence
 
-from .engine import atom_candidates, enumerate_answers, _fold, _reduce
+import numpy as np
+
+from .engine import (enumerate_answers, _atom_rows, _fold, _pack, _ranges, _reduce,
+                     _segments, _stable_order)
 from .errors import EngineCompatibilityError, InputError, LimitExceededError
 from .query import ConjunctiveQuery, free_connex_split, gyo_join_tree, _gyo_reduce
 from .relcore import Database, Fact
 from .volume import VolumeAssignment, provenance_volume, scaled_weights
 
 BRUTE_FORCE_CAP = 10 ** 7
+# A ranking group of more rows than this re-takes its maximum with a numpy
+# argmax, a smaller one with Python's `max` over the score list.  Time in
+# `_lower` on tropical-path requests was flat for cutoffs 64 to 256, and
+# about 30% higher with numpy on every group or 47% with Python on every group.
+_PYTHON_MAX_ROWS = 64
 POSITIONAL_VOLUMES = ("pos", "pos-w")
 ENGINES = ("auto", "naive", "tropical", "provenance")
 
@@ -241,14 +251,16 @@ class _RankingPlan:
     """Next-answer ranking for a volume whose marginal is a sum over the
     edges of a join tree, kept up to date as the covered region grows.
 
-    The edges are the body atoms `atoms`, each holding its sorted facts as
-    rows over its variables, and then one witness table per hanging
+    The edges are the body atoms `atoms`, each holding its candidate facts
+    as rows over its variables, and then one witness table per hanging
     component in `components`, given as its atom ids and their parents
-    within it, from the component's head variables to the facts of its
-    witnesses.  Parents come from GYO over the edges.  The volume decides
-    only which ground points a row charges: by default its witness facts,
-    and `TropicalPlan` overrides `_charge`.  Subclasses define `_ball`,
-    the ground points an answer covers.
+    within it, whose rows are the component's head-interface tuples.
+    Parents come from GYO over the edges.  Every edge keeps its rows as
+    the database's int64 code columns.  The volume decides only which
+    ground points a row charges, as integer point ids: by default its
+    witness facts, by their index in `Database.facts()`, and
+    `TropicalPlan` overrides `_charge`, `_pid` and `_point`.  Subclasses
+    define `_ball`, the ground points an answer covers.
 
     The best answer falls out of one max-plus dynamic program.  A row is
     live when it joins some live row of every child edge; liveness never
@@ -257,17 +269,24 @@ class _RankingPlan:
     the maximum of every child group it joins, where a group is the live
     rows of an edge sharing one parent key.  Each group keeps its first
     row of maximal score, in row order, and the best answer takes that row
-    in every root group and then in every group its parent's pick joins.
+    in every root group and then in every group its parent's pick joins;
+    only then are its codes decoded into values.
 
-    Arithmetic is in integers: every weight the plan reads is scaled by
-    the lcm of their denominators, and `best` turns the total back into a
-    Fraction.  A request whose region contains the last one lowers only
-    the rows that hold a newly covered point, re-scores them, re-takes the
-    maximum of each of their groups whose top row fell, and pushes every
-    group whose maximum fell to the parent rows that join it.  Any other
-    request rebuilds every score from scratch.  The tables are built on
-    the first `best` call, and `rows_rescored` counts the rows whose score
-    either path computed.
+    The first `best` call builds the tables from the evaluator's semijoin
+    pass, as arrays: each row's group, each parent row's child group, the
+    point -> rows holders sorted by point, and the integer weights.  Every
+    weight the plan reads is scaled by the lcm of their denominators, and
+    `best` turns the total back into a Fraction; scores are int64 unless
+    the scaled weights of all held points sum past 2^62, and exact Python
+    ints then.  A request whose region contains the last one lowers only
+    the rows that hold a newly covered point, re-scores them in Python over
+    list copies of the annotations, scores and group tops, re-takes the
+    maximum of each of their groups whose top row fell (with one numpy
+    argmax over a group of more than `_PYTHON_MAX_ROWS` rows), and pushes
+    every group whose maximum fell to the parent rows that join it.  Any
+    other request rebuilds every score from scratch, group maxima
+    included, with array operations.
+    `rows_rescored` counts the rows whose score either path computed.
     """
 
     def __init__(self, q: ConjunctiveQuery, db: Database, atoms: Iterable[int],
@@ -276,65 +295,89 @@ class _RankingPlan:
         self.q = q
         self.db = db
         self._atoms = list(atoms)
+        self._radix = max(1, len(db.values))
         cols: list[tuple] = []
-        rows: list[list[tuple]] = []
-        witnesses: list[Callable] = []
+        codes: list[np.ndarray] = []
+        self._rows: list[np.ndarray] = []  # per atom edge, its rows' ids in the relation
         for i in self._atoms:
-            facts = list(atom_candidates(db, q.atoms[i], {}))  # sorted already
+            rows, atom_codes = _atom_rows(db, q.atoms[i])
             cols.append(q.atoms[i].vars)
-            rows.append([f.values for f in facts])
-            witnesses.append(lambda r, facts=facts: (facts[r],))
+            codes.append(atom_codes)
+            self._rows.append(rows)
         self._tables = [_witness_table(q, db, ids, parents) for ids, parents in components]
-        for edge, table in self._tables:
-            keys = sorted(table)
-            cols.append(edge)
-            rows.append(keys)
-            witnesses.append(lambda r, keys=keys, table=table: table[keys[r]])
+        for out, keys, _, _ in self._tables:
+            cols.append(out)
+            codes.append(keys)
         self._parents = _gyo_reduce([frozenset(c) for c in cols])
         if self._parents is None:  # pragma: no cover - see ProvenancePlan
             raise AssertionError("the projected hypergraph must be acyclic")
         self._cols = cols
-        self._rows = rows
-        self._fragments = self._charge(cols, rows, witnesses)
+        self._codes = codes
         self._weight_of = weight_of
-        self._holders: list[dict] | None = None  # built by the first `best`
+        self._best: list[list[int]] | None = None  # built by the first `best`
         self._covered: frozenset | None = None
         self.rows_rescored = 0
 
-    def _charge(self, cols, rows, witnesses) -> list[Callable]:
-        """Per edge, the ground points of a row, by row index."""
-        return witnesses
+    def _charge(self, u: int, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The ground points the `rows` of edge `u` charge, as parallel
+        arrays of rows and point ids."""
+        if u < len(self._atoms):
+            first = self.db.offset(self.q.atoms[self._atoms[u]].relation)
+            return rows, first + self._rows[u][rows]
+        _, _, ptr, ids = self._tables[u - len(self._atoms)]
+        sizes = ptr[rows + 1] - ptr[rows]
+        return np.repeat(rows, sizes), ids[_ranges(ptr[rows], sizes)]
+
+    def _pid(self, point) -> int | None:
+        """The id of a ground point, or None when no row can charge it."""
+        return self.db.fact_id(point) if isinstance(point, Fact) else None
+
+    def _point(self, pid: int):
+        return self.db.facts()[pid]
 
     def _index(self) -> None:
-        """Liveness, groups, joins, the inverted index and integer weights."""
-        rows = self._rows
-        (self._order, self._kids, self._group_key, self._probe,
-         self._groups) = _reduce(self._cols, rows, self._parents)
-        n = len(rows)
-        self._joins: list[dict] = [{} for _ in range(n)]  # key -> parent rows
-        index: list[dict] = [{} for _ in range(n)]  # ground point -> live rows
-        for u in range(n):
-            for ids in self._groups[u].values():
-                for i in ids:
-                    for point in self._fragments[u](i):
-                        index[u].setdefault(point, []).append(i)
-                    for c in self._kids[u]:
-                        self._joins[c].setdefault(self._probe[c](rows[u][i]), []).append(i)
-        self._weight: dict | None = None  # None: every point weighs 1
+        """Liveness, groups, joins, the holders and integer weights."""
+        (self._order, self._kids, groups, join) = _reduce(
+            self._cols, self._codes, self._parents, self._radix)
+        self._join = join
+        self._live = [g.rows for g in groups]
+        # Edge u's rows are the slots base[u]...base[u + 1] - 1 of one row space.
+        self._base = np.cumsum([0] + [c.shape[1] for c in self._codes]).tolist()
+        self._group_starts = [g.starts for g in groups]
+        self._group_of: list[np.ndarray] = []  # row -> its group, -1 when dead
+        for u, g in enumerate(groups):
+            of = np.full(self._codes[u].shape[1], -1)
+            of[g.rows] = np.repeat(np.arange(len(g.keys)), np.diff(g.starts))
+            self._group_of.append(of)
+        self._joined: list = [None] * len(groups)  # built by `_lower` when first needed
+        # The holders of every edge: (point id, slot) pairs sorted by point.
+        charged = [self._charge(u, rows) for u, rows in enumerate(self._live)]
+        pids = np.concatenate([pids for _, pids in charged])
+        by_point = _stable_order(pids)
+        self._hold_pid = pids[by_point]
+        self._hold_slot = np.concatenate([self._base[u] + rows for u, (rows, _) in
+                                          enumerate(charged)])[by_point]
+        self._weight: np.ndarray | None = None  # None: every point weighs 1
         self._scale = 1
+        self._dtype = np.int64
         if self._weight_of is not None:
-            self._weight, self._scale = scaled_weights(
-                self._weight_of, (point for holders in index for point in holders))
-        self._annot: list[list[int]] = [[] for _ in range(n)]
-        self._score: list[list[int]] = [[] for _ in range(n)]
-        self._best: list[dict] = [{} for _ in range(n)]  # group key -> top row
-        self._holders = index
-        self._fragments = self._weight_of = None
+            starts = _segments(self._hold_pid)  # one run per held point
+            weight, self._scale = scaled_weights(
+                self._weight_of, map(self._point, self._hold_pid[starts[:-1]].tolist()))
+            scaled = list(weight.values())  # in point order
+            if sum(scaled) >= 2 ** 62:
+                self._dtype = object
+            self._weight = np.repeat(np.array(scaled, dtype=self._dtype), np.diff(starts))
+        self._annot: list[list] = [[] for _ in groups]
+        self._score: list[list] = [[] for _ in groups]
+        self._scores: list = [None] * len(groups)  # `_score` as arrays
+        self._best = [[] for _ in groups]  # group -> its top row
+        self._weight_of = None
 
     def best(self, covered: frozenset):
         """Best (answer, gain) once the ground points in `covered` weigh 0,
         or None when the query has no answer."""
-        if self._holders is None:
+        if self._best is None:
             self._index()
         covered = frozenset(covered)
         if self._covered is not None and covered >= self._covered:
@@ -344,83 +387,118 @@ class _RankingPlan:
         self._covered = covered
         return self._answer()
 
+    def _pids(self, points: Iterable) -> list[int]:
+        return [p for p in map(self._pid, points) if p is not None]
+
     def _rebuild(self, covered: frozenset) -> None:
-        weight = self._weight
+        slots, weight = self._hold_slot, self._weight
+        gone = np.array(self._pids(covered), dtype=np.int64)
+        if len(gone):
+            keep = ~np.isin(self._hold_pid, gone)
+            slots = slots[keep]
+            weight = weight if weight is None else weight[keep]
+        if weight is None:
+            annots = np.bincount(slots, minlength=self._base[-1]).astype(np.int64)
+        else:
+            annots = np.zeros(self._base[-1], dtype=self._dtype)
+            np.add.at(annots, slots, weight)
+        top: list = [None] * len(self._cols)  # group -> top score, then a 0 for row -1
         for u in reversed(self._order):
-            annot = [0] * len(self._rows[u])
-            for point, ids in self._holders[u].items():
-                if point not in covered:
-                    w = 1 if weight is None else weight[point]
-                    for i in ids:
-                        annot[i] += w
-            score = list(annot)
+            annot = annots[self._base[u]:self._base[u + 1]]
+            score = annot.copy()
             for c in self._kids[u]:
-                best, child = self._best[c], self._score[c]
-                for key, ids in self._joins[c].items():
-                    s = child[best[key]]
-                    for i in ids:
-                        score[i] += s
-            self._annot[u] = annot
-            self._score[u] = score
-            self._best[u] = {key: max(ids, key=score.__getitem__)
-                             for key, ids in self._groups[u].items()}
-            self.rows_rescored += sum(map(len, self._groups[u].values()))
+                score += top[c][self._join[c]]
+            live, starts = self._live[u], self._group_starts[u]
+            ranked = score[live]
+            if len(live):
+                peak = np.maximum.reduceat(ranked, starts[:-1])
+                at = np.flatnonzero(ranked == np.repeat(peak, np.diff(starts)))
+                best = live[at[np.searchsorted(at, starts[:-1])]]
+            else:
+                peak = best = live
+            top[u] = np.append(peak, 0).astype(self._dtype)
+            self._annot[u] = annot.tolist()
+            self._score[u] = score.tolist()
+            self._scores[u] = score
+            self._best[u] = best.tolist()
+            self.rows_rescored += len(live)
 
     def _lower(self, fresh: frozenset) -> None:
-        weight = self._weight
-        dirty: list[set] = [set() for _ in self._rows]
-        for point in fresh:
-            for u, holders in enumerate(self._holders):
-                ids = holders.get(point)
-                if ids:
-                    w = 1 if weight is None else weight[point]
-                    annot = self._annot[u]
-                    for i in ids:
-                        annot[i] -= w
-                    dirty[u].update(ids)
+        dirty: list[set] = [set() for _ in self._cols]
+        gone = np.array(self._pids(fresh), dtype=np.int64)
+        lo = np.searchsorted(self._hold_pid, gone)
+        at = _ranges(lo, np.searchsorted(self._hold_pid, gone, "right") - lo)
+        slots = self._hold_slot[at]
+        edges = np.searchsorted(self._base, slots, "right") - 1
+        held = zip(edges.tolist(), (slots - np.take(self._base, edges)).tolist(),
+                   repeat(1) if self._weight is None else self._weight[at].tolist())
+        annot = self._annot
+        for u, i, w in held:
+            annot[u][i] -= w
+            dirty[u].add(i)
         # Children before parents, so each row is re-scored at most once.
         for u in reversed(self._order):
             ids = dirty[u]
             if not ids:
                 continue
-            row, score, best = self._rows[u], self._score[u], self._best[u]
-            key = self._group_key[u]
+            ids = list(ids)
+            rows = np.array(ids)
+            score, best = self._score[u], self._best[u]
             top_before = {}
-            for i in ids:
-                k = key(row[i])
-                if k not in top_before:
-                    top_before[k] = score[best[k]]
-            kids = [(self._probe[c], self._best[c], self._score[c]) for c in self._kids[u]]
+            for g in self._group_of[u][rows].tolist():
+                if g not in top_before:
+                    top_before[g] = score[best[g]]
             annot = self._annot[u]
-            for i in ids:
-                s = annot[i]
-                for probe, kid_best, kid_score in kids:
-                    s += kid_score[kid_best[probe(row[i])]]
+            new = [annot[i] for i in ids]
+            for c in self._kids[u]:
+                kid_best, kid_score = self._best[c], self._score[c]
+                new = [s + kid_score[kid_best[g]]
+                       for s, g in zip(new, self._join[c][rows].tolist())]
+            for i, s in zip(ids, new):
                 score[i] = s
+            self._scores[u][rows] = new
             self.rows_rescored += len(ids)
             # Scores only fall, so a group changes only when its top row fell.
             p = self._parents[u]
-            for k, before in top_before.items():
-                if score[best[k]] < before:
-                    top = best[k] = max(self._groups[u][k], key=score.__getitem__)
+            starts = self._group_starts[u]
+            for g, before in top_before.items():
+                if score[best[g]] < before:
+                    group = self._live[u][starts[g]:starts[g + 1]]
+                    top = best[g] = (int(group[np.argmax(self._scores[u][group])])
+                                     if len(group) > _PYTHON_MAX_ROWS else
+                                     max(group.tolist(), key=score.__getitem__))
                     if score[top] < before and p is not None:
-                        dirty[p].update(self._joins[u].get(k, ()))
+                        parents, first = self._parent_rows(u)
+                        dirty[p].update(parents[first[g]:first[g + 1]])
+
+    def _parent_rows(self, u: int) -> tuple[list[int], list[int]]:
+        """The live rows of `u`'s parent grouped by the group of `u` they
+        join: group `g`'s are `rows[first[g]:first[g + 1]]`."""
+        if self._joined[u] is None:
+            rows = self._live[self._parents[u]]
+            to = self._join[u][rows]
+            by_group = _stable_order(to)
+            self._joined[u] = (rows[by_group].tolist(), np.searchsorted(
+                to[by_group], np.arange(len(self._group_starts[u]))).tolist())
+        return self._joined[u]
 
     def _answer(self):
         total = 0
-        picked: list = [None] * len(self._rows)
+        picked: list = [None] * len(self._cols)
         assignment: dict = {}
+        values = self.db.values
         for u in self._order:
             p = self._parents[u]
             if p is None:
-                i = self._best[u].get(())
-                if i is None:
+                if not self._best[u]:
                     return None
+                i = self._best[u][0]
                 total += self._score[u][i]
             else:
-                i = self._best[u][self._probe[u](self._rows[p][picked[p]])]
+                i = self._best[u][self._join[u][picked[p]]]
             picked[u] = i
-            assignment.update(zip(self._cols[u], self._rows[u][i]))
+            assignment.update(zip(self._cols[u], map(values.__getitem__,
+                                                     self._codes[u][:, i].tolist())))
         answer = Fact(self.q.head_name, tuple(assignment[hv] for hv in self.q.head_vars))
         return answer, Fraction(total, self._scale)
 
@@ -428,23 +506,34 @@ class _RankingPlan:
 def _witness_table(q: ConjunctiveQuery, db: Database, atom_ids: list[int],
                    parents: list[int | None]):
     """Collapse one hanging component, the atoms `atom_ids` joined by the
-    subtree `parents` of the query's join tree, into (interface variables,
-    {interface tuple: facts of the witnesses}): the evaluator's subtree
-    fold from the component's top atom, with the top's live rows grouped
-    by interface tuple."""
+    subtree `parents` of the query's join tree, into a table from its
+    interface, the head variables it binds, to the facts of its witnesses.
+
+    After the semijoin pass the top atom's live rows are grouped by
+    interface tuple, one table row per tuple in value order, and `_fold`
+    collects the facts of each table row's witnesses.  Returns the
+    interface variables, their codes per table row (variables x rows),
+    and each table row's witness facts as `Database.facts()` indexes in
+    compressed sparse rows: row `r` has `ids[ptr[r]:ptr[r + 1]]`.
+    """
     atoms = [q.atoms[i] for i in atom_ids]
     out = tuple(sorted({v for a in atoms for v in a.vars} & frozenset(q.head_vars)))
     root = parents.index(None)
     if not set(out) <= set(atoms[root].vars):  # pragma: no cover - running intersection
         raise AssertionError("a hanging component's top atom must cover its head interface")
     bags = [a.vars for a in atoms]
-    facts = [list(atom_candidates(db, a, {})) for a in atoms]
-    rows = [[f.values for f in fs] for fs in facts]
-    order, kids, _, probe, groups = _reduce(bags, rows, parents)
-    interface = [bags[root].index(v) for v in out]
-    for i in groups[root].pop((), ()):
-        groups[root].setdefault(tuple([rows[root][i][j] for j in interface]), []).append(i)
-    return out, _fold(reversed(order), groups, kids, probe, rows, facts)[root]
+    radix = max(1, len(db.values))
+    rows, codes = zip(*(_atom_rows(db, a) for a in atoms))
+    _, kids, groups, join = _reduce(bags, codes, parents, radix)
+    live = groups[root].rows
+    interface = codes[root][[bags[root].index(v) for v in out]][:, live]
+    (key,) = _pack([interface], radix)
+    by_key = _stable_order(key)
+    starts = _segments(key[by_key])
+    n = len(starts) - 1
+    ptr, ids = _fold(root, np.repeat(np.arange(n), np.diff(starts)), live[by_key], n, kids,
+                     groups, join, [db.offset(a.relation) + r for a, r in zip(atoms, rows)])
+    return out, interface[:, by_key[starts[:-1]]], ptr, ids
 
 
 class TropicalPlan(_RankingPlan):
@@ -472,14 +561,24 @@ class TropicalPlan(_RankingPlan):
         super().__init__(q, db, range(len(q.atoms)), (),
                          getattr(volume.measure, "weight_of", None))
 
-    def _charge(self, cols, rows, witnesses):
-        # (column, 1-based head position) of each head position an edge is charged
-        charge: list[list[tuple[int, int]]] = [[] for _ in cols]
-        for pos, hv in enumerate(self.q.head_vars, start=1):
-            home = next(e for e, c in enumerate(cols) if hv in c)
-            charge[home].append((cols[home].index(hv), pos))
-        return [lambda i, rows=r, charge=c: [(rows[i][j], pos) for j, pos in charge]
-                for r, c in zip(rows, charge)]
+    def _charge(self, u, rows):
+        # A head position's (value, position) point has the id
+        # (position - 1) * radix + code, charged to the first atom holding its variable.
+        pids = [(pos - 1) * self._radix + self._codes[u][self._cols[u].index(hv)][rows]
+                for pos, hv in enumerate(self.q.head_vars, start=1)
+                if next(e for e, c in enumerate(self._cols) if hv in c) == u]
+        return np.tile(rows, len(pids)), np.concatenate(pids or [rows[:0]])
+
+    def _pid(self, point):
+        value, pos = point
+        code = self.db.code(value)
+        if code is None or not 1 <= pos <= len(self.q.head_vars):
+            return None
+        return (pos - 1) * self._radix + code
+
+    def _point(self, pid):
+        pos, code = divmod(pid, self._radix)
+        return self.db.values[code], pos + 1
 
     def _ball(self, answer: Fact) -> frozenset:
         return self.volume.ball(answer)
@@ -547,11 +646,18 @@ class ProvenancePlan(_RankingPlan):
             if f not in self.db:
                 raise InputError(f"{answer!r} is not an answer of the query")
             facts.add(f)
-        for out_cols, table in self._tables:
-            got = table.get(tuple(binding[v] for v in out_cols))
-            if got is None:
+        every = self.db.facts()
+        for out, keys, ptr, ids in self._tables:
+            # Table rows are in value order, so narrow to the binding column by column.
+            lo, hi = 0, keys.shape[1]
+            for col, v in zip(keys, out):
+                code = self.db.code(binding[v])
+                code = -1 if code is None else code  # a value no fact holds matches no row
+                span = col[lo:hi]
+                lo, hi = lo + span.searchsorted(code), lo + span.searchsorted(code, "right")
+            if lo == hi:
                 raise InputError(f"{answer!r} is not an answer of the query")
-            facts |= got
+            facts.update(map(every.__getitem__, ids[ptr[lo]:ptr[lo + 1]].tolist()))
         return frozenset(facts)
 
     _ball = provenance_of

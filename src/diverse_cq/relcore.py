@@ -6,8 +6,18 @@ encoding, so hashing a value, a row of values or a fact's values runs in
 C.  A fact is the named tuple `(relation, values)`, and it hashes,
 compares and orders as that tuple, also in C.  Databases are immutable
 once built: relations are deduplicated fact sets under set semantics,
-and every column carries a hash index so the join engines can probe by
-bound value instead of scanning.
+and every column carries a hash index, built on the relation's first
+probe, so the backtracking join can probe by bound value instead of
+scanning.
+
+For the set-at-a-time steps of the join-tree evaluator and rankers, a
+database also keeps one int64 numpy code column per relation position:
+a value's code is its rank in the database's sorted value order, so
+code order is value order and a row of codes orders as its facts do.
+The columns are built on first use, never at load.  They serve only
+vectorized joins, groupings and sorts; answers, ball points and dict
+keys stay identity-hashed `DataValue`s, decoded from a code by one list
+index, so no Python-level code layer sits beside the intern pool.
 """
 
 from __future__ import annotations
@@ -18,8 +28,12 @@ from collections import namedtuple
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
+from itertools import chain
+from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import Iterable, Mapping
+
+import numpy as np
 
 from .errors import LoadError
 
@@ -190,16 +204,16 @@ class Schema:
 
 
 class Database:
-    """Immutable collection of relations with per-column value indexes."""
+    """Immutable collection of relations with per-column value indexes,
+    each relation's built on its first probe."""
 
-    __slots__ = ("schema", "_relations", "_sets", "_index", "load_report")
+    __slots__ = ("schema", "_relations", "_index", "load_report",
+                 "_values", "_code", "_codes", "_offsets", "_rows", "_facts")
 
     def __init__(self, schema: Schema, relations: Mapping[str, Iterable[Fact]],
                  load_report: Mapping[str, dict] | None = None):
         self.schema = schema
         rels: dict[str, tuple[Fact, ...]] = {}
-        sets: dict[str, frozenset] = {}
-        index: dict[str, tuple[dict, ...]] = {}
         for name in schema.arities:
             facts = sorted(set(relations.get(name, ())),
                            key=lambda f: [v.sort_key for v in f.values])
@@ -210,18 +224,15 @@ class Database:
                 if f.arity != arity:
                     raise LoadError(f"fact {f!r}: expected arity {arity}, got {f.arity}")
             rels[name] = tuple(facts)
-            sets[name] = frozenset(facts)
-            cols = []
-            for c in range(arity):
-                col: dict = {}
-                for f in facts:
-                    col.setdefault(f.values[c], []).append(f)
-                cols.append({v: tuple(fs) for v, fs in col.items()})
-            index[name] = tuple(cols)
         self._relations = rels
-        self._sets = sets
-        self._index = index
+        self._index: dict[str, tuple[dict, ...]] = {}  # built by the first `lookup`
         self.load_report = dict(load_report or {})
+        self._values: list[DataValue] | None = None  # built on first use
+        self._code: dict[DataValue, int] = {}
+        self._codes: dict[str, np.ndarray] = {}
+        self._offsets: dict[str, int] | None = None  # built by the first `offset`
+        self._rows: dict[str, dict] = {}  # per relation, fact -> row; built by `_row`
+        self._facts: tuple[Fact, ...] | None = None
 
     def relation(self, name: str) -> tuple[Fact, ...]:
         """All facts of a relation in sorted order."""
@@ -235,17 +246,87 @@ class Database:
 
     def lookup(self, name: str, column: int, value: DataValue) -> tuple[Fact, ...]:
         """Facts of `name` whose `column` holds `value` (hash probe)."""
-        return self._index[name][column].get(value, ())
+        index = self._index.get(name)
+        if index is None:
+            cols = []
+            for c in range(self.schema.arity(name)):
+                col: dict = {}
+                for f in self.relation(name):
+                    col.setdefault(f.values[c], []).append(f)
+                cols.append({v: tuple(fs) for v, fs in col.items()})
+            index = self._index[name] = tuple(cols)
+        return index[column].get(value, ())
 
     def __contains__(self, fact: Fact) -> bool:
-        rel = self._sets.get(fact.relation)
-        return rel is not None and fact in rel
+        return self._row(fact) is not None
+
+    def _row(self, fact: Fact) -> int | None:
+        """The fact's index in its relation, or None when it is not stored."""
+        rows = self._rows.get(fact.relation)
+        if rows is None:
+            facts = self._relations.get(fact.relation)
+            if facts is None:
+                return None
+            rows = self._rows[fact.relation] = dict(zip(facts, range(len(facts))))
+        return rows.get(fact)
+
+    def _encoding(self) -> tuple[list[DataValue], dict[DataValue, int]]:
+        if self._values is None:
+            cells = chain.from_iterable(map(itemgetter(1), chain.from_iterable(
+                self._relations.values())))
+            self._values = sorted(set(cells), key=attrgetter("sort_key"))
+            self._code = dict(zip(self._values, range(len(self._values))))
+        return self._values, self._code
+
+    @property
+    def values(self) -> list[DataValue]:
+        """Every value of the database in sorted order: code -> value."""
+        return self._encoding()[0]
+
+    def code(self, value: DataValue) -> int | None:
+        """The value's code, or None when no fact holds it."""
+        return self._encoding()[1].get(value)
+
+    def codes(self, name: str) -> np.ndarray:
+        """The relation's code columns as one read-only int64 array of
+        shape (arity, facts): row `j` is position `j`, in fact order."""
+        got = self._codes.get(name)
+        if got is None:
+            facts = self.relation(name)
+            cells = chain.from_iterable(map(itemgetter(1), facts))
+            arity = self.schema.arity(name)
+            flat = np.fromiter(map(self._encoding()[1].__getitem__, cells), np.int64,
+                               count=arity * len(facts))
+            got = self._codes[name] = np.ascontiguousarray(flat.reshape(-1, arity).T)
+            got.setflags(write=False)
+        return got
+
+    def offset(self, name: str) -> int:
+        """Index in `facts()` of the relation's first fact."""
+        if self._offsets is None:
+            self._offsets, at = {}, 0
+            for rel in sorted(self._relations):
+                self._offsets[rel] = at
+                at += len(self._relations[rel])
+        try:
+            return self._offsets[name]
+        except KeyError:
+            raise LoadError(f"unknown relation {name!r}") from None
+
+    def fact_id(self, fact: Fact) -> int | None:
+        """The fact's index in `facts()`, or None when it is not stored."""
+        row = self._row(fact)
+        return None if row is None else self.offset(fact.relation) + row
+
+    def facts(self) -> tuple[Fact, ...]:
+        """Every fact, relations in name order and each in sorted order."""
+        if self._facts is None:
+            self._facts = tuple(chain.from_iterable(
+                self._relations[name] for name in sorted(self._relations)))
+        return self._facts
 
     def all_facts(self) -> list[Fact]:
-        out: list[Fact] = []
-        for name in sorted(self._relations):
-            out.extend(self._relations[name])
-        return out
+        return list(self.facts())
 
     @classmethod
     def from_facts(cls, schema: Schema, facts: Iterable[Fact]) -> "Database":

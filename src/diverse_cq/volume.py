@@ -22,7 +22,7 @@ import functools
 import json
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
@@ -383,11 +383,14 @@ def mc_ball_union_volume(balls: ContinuousBallSet, samples: int, seed: int = 0) 
 
 @dataclass(frozen=True)
 class EuclideanBallVolume:
-    """Diversity as Lebesgue volume of radius-r balls around numeric tuples."""
+    """Diversity as Lebesgue volume of radius-r balls around numeric tuples.
+
+    Each answer's center is converted to floats once per volume and kept."""
 
     radius: float
     samples: int = 200_000
     seed: int = 0
+    _centers: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     name = "ball"
     is_discrete = False
@@ -400,12 +403,16 @@ class EuclideanBallVolume:
             raise InputError("seed must be non-negative")
 
     def center(self, t: Fact) -> tuple[float, ...]:
+        got = self._centers.get(t)
+        if got is not None:
+            return got
         if not all(v.is_number for v in t.values):
             raise InputError(f"{t!r} has non-numeric values; ball volumes need numbers")
         try:
-            return tuple(float(v.payload) for v in t.values)
+            got = self._centers[t] = tuple(float(v.payload) for v in t.values)
         except OverflowError:
             raise InputError(f"{t!r} has a value too large for a ball center") from None
+        return got
 
     def ball(self, t: Fact) -> ContinuousBallSet:
         return ContinuousBallSet((self.center(t),), self.radius)

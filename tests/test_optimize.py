@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import random
 import subprocess
@@ -6,6 +7,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -388,6 +390,15 @@ def walked_witness_table(q, db, atom_ids):
                  _tree_answers(component, parents, db, balls=True)}
 
 
+def decoded_witness_table(db, table):
+    """`_witness_table`'s arrays as (interface, {interface values: facts})."""
+    out, keys, ptr, ids = table
+    facts = db.facts()
+    return out, {tuple(db.values[c] for c in keys[:, r].tolist()):
+                 frozenset(facts[i] for i in ids[ptr[r]:ptr[r + 1]].tolist())
+                 for r in range(keys.shape[1])}
+
+
 def test_witness_fold_matches_walk():
     extended = components = 0
     for seed in range(150):
@@ -397,7 +408,9 @@ def test_witness_fold_matches_walk():
         for ids, parents in free_connex_split(q)[1]:
             components += 1
             want = walked_witness_table(q, db, ids)
-            assert _witness_table(q, db, ids, parents) == want, (q.to_text(), ids)
+            got = decoded_witness_table(db, _witness_table(q, db, ids, parents))
+            assert got == want, (q.to_text(), ids)
+            assert list(got[1]) == sorted(got[1])  # table rows in value order
     assert extended and components  # the extended tree's components were checked too
 
 
@@ -642,3 +655,64 @@ def test_combined_auto_falls_back_to_naive_for_elem(d1):
     q = parse_cq("Q(x,y) <- R(x,y).")
     res = greedy_combined(q, d1, 3, volume=elem_volume())
     assert res.total == 2
+
+
+# Six primes near 10^6: weights over them scale by about 10^36, past int64.
+PRIMES = (1000003, 1000033, 1000037, 1000039, 1000081, 1000099)
+
+
+def test_scores_past_int64_stay_exact():
+    db = db_of({"A": 2}, [mk("A", x, y) for x in "ab" for y in "ab"])
+    q = parse_cq("P(x,y,z) <- A(x,y), A(y,z).")
+    points = [(intern(v), pos) for pos in (1, 2, 3) for v in "ab"]
+    pos_w = pos_weighted({point: Fraction(p + 7 * i + 1, p) for i, (point, p) in
+                          enumerate(zip(points, PRIMES))}, Fraction(0))
+    naive = greedy_combined(q, db, 4, volume=pos_w, engine="naive")
+    tropical = greedy_combined(q, db, 4, volume=pos_w, engine="tropical")
+    assert (tropical.selected, tropical.gains, tropical.total) == \
+        (naive.selected, naive.gains, naive.total)
+    assert tropical.total == sum(pos_w.measure.weights.values())
+    plan = TropicalPlan(q, db, pos_w)
+    plan.next(())
+    assert plan._dtype is object and plan._scale == math.prod(PRIMES)
+
+    projected = parse_cq("Q(x) <- A(x,y).")
+    base = provenance_volume(projected, db)
+    facts = db.all_facts()
+    weights = {f: Fraction(p + 5 * i + 1, p) for i, (f, p) in enumerate(zip(facts, PRIMES))}
+    prov_w = VolumeAssignment("provenance", base.ball_fn, WeightedMeasure(weights, Fraction(0)),
+                              universe=base.universe)
+    naive = greedy_combined(projected, db, 2, volume=prov_w, engine="naive")
+    ranked = greedy_combined(projected, db, 2, volume=prov_w, engine="provenance")
+    assert (ranked.selected, ranked.gains, ranked.total) == \
+        (naive.selected, naive.gains, naive.total)
+    assert ranked.total == sum(weights.values())
+    plan = ProvenancePlan(projected, db, weight_of=prov_w.measure.weight_of)
+    plan.next(frozenset())
+    assert plan._dtype is object
+
+    counted = TropicalPlan(q, db, pos_volume())  # count measures keep int64 scores
+    counted.next(())
+    assert counted._dtype is np.int64
+
+
+@pytest.mark.parametrize("volume", [pos_volume(), None])
+def test_group_maxima_in_numpy_pick_the_rows_python_picks(monkeypatch, volume):
+    # Unit weights tie often; a re-taken group maximum must be its first
+    # row of maximal score whichever way it is computed.
+    rng = random.Random(12)
+    pairs = rng.sample([(u, v) for u in range(30) for v in range(30) if u != v], 300)
+    db = db_of({"E": 2, "F": 2}, [mk(r, f"n{u:02d}", f"n{v:02d}") for u, v in pairs
+                                  for r in "EF"])
+    q = parse_cq("P(a,b,c) <- E(a,b), F(b,c)." if volume else "Q(a,b) <- E(a,b), F(b,c).")
+    runs = []
+    for cutoff in (0, 10 ** 9):
+        monkeypatch.setattr(diverse_cq.optimize, "_PYTHON_MAX_ROWS", cutoff)
+        plan = TropicalPlan(q, db, volume) if volume else ProvenancePlan(q, db)
+        covered, picks = frozenset(), []
+        for _ in range(12):
+            answer, gain = plan.best(covered)
+            picks.append((answer, gain))
+            covered |= plan._ball(answer)
+        runs.append((picks, plan.rows_rescored))
+    assert runs[0] == runs[1]

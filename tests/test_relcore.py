@@ -8,6 +8,7 @@ import textwrap
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -100,8 +101,10 @@ def test_database_from_facts_dedups_and_sorts():
     db = db_of({"R": 1}, [mk("R", "b"), mk("R", "a"), mk("R", "b")])
     assert [f.values[0].text() for f in db.relation("R")] == ["a", "b"]
     assert db.size("R") == 2
+    assert not db._rows  # membership needs no hash structure at load
     assert mk("R", "a") in db
-    assert mk("R", "c") not in db
+    assert mk("R", "c") not in db and mk("U", "a") not in db
+    assert list(db._rows) == ["R"]  # one fact -> row dict, built by the first `in`
 
 
 CELLS = st.one_of(st.sampled_from(["a", "b", "x1", "1x", "Z"]),
@@ -127,6 +130,25 @@ def test_database_lookup_index():
     hits = db.lookup("R", 0, intern("a"))
     assert sorted(hits) == [mk("R", "a", "b"), mk("R", "a", "c")]
     assert db.lookup("R", 1, intern("z")) == ()
+
+
+def test_code_columns_rank_values_and_are_built_on_first_use():
+    db = db_of({"R": 2, "S": 1, "T": 3}, [mk("R", "b", "10"), mk("R", "2", "a"),
+                                          mk("R", "b", "2"), mk("S", "c")])
+    assert not db._codes and db._values is None  # nothing at load
+    assert db.values == sorted({v for f in db.all_facts() for v in f.values})
+    assert [v.text() for v in db.values] == ["2", "10", "a", "b", "c"]  # numbers first
+    codes = db.codes("R")
+    assert codes.dtype == np.int64 and codes.shape == (2, 3) and not codes.flags.writeable
+    assert [[db.values[c] for c in col] for col in codes.tolist()] == \
+        [[f.values[j] for f in db.relation("R")] for j in range(2)]
+    assert db.codes("R") is codes and db.codes("T").shape == (3, 0)
+    assert db.code(intern("a")) == 2 and db.code(intern("zz")) is None
+    for i, f in enumerate(db.facts()):
+        assert db.fact_id(f) == i
+    assert db.facts() == tuple(db.all_facts())
+    assert db.fact_id(mk("S", "b")) is None and db.fact_id(mk("U", "b")) is None
+    assert db.offset("S") == 3
 
 
 def test_load_database_round_trip(tmp_path):

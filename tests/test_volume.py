@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 from diverse_cq import (MC_SAMPLES_CAP, ContinuousBallSet, CountMeasure, EuclideanBallVolume,
                         InputError, LimitExceededError, MCEstimate, MultiAttributeWeights,
                         UniverseError, VolumeAssignment, WeightedMeasure, elem_volume,
-                        elem_weighted, enumerate_answers, format_weight, intern,
-                        mc_ball_union_volume, multiattribute_from_volume, pos_volume,
+                        elem_weighted, enumerate_answers, format_weight, greedy_diversify,
+                        intern, mc_ball_union_volume, multiattribute_from_volume, pos_volume,
                         pos_weighted, provenance_volume, volume, volume_from_multiattribute)
 
 from conftest import mk
@@ -115,6 +115,27 @@ def test_mc_estimate_is_seed_deterministic():
     assert v.diversity(pts) == v.diversity(pts)
     e = v.diversity_estimate(pts)
     assert e.value > 0 and e.stderr > 0
+
+
+def test_centers_are_converted_once_and_estimates_stay_bit_identical(monkeypatch):
+    rng = random.Random(7)
+    pts = [num_fact("P", rng.randint(0, 9), f"{rng.randint(0, 90) / 7:.4f}") for _ in range(12)]
+    v = EuclideanBallVolume(1.5, samples=5_000, seed=3)
+    got = greedy_diversify(pts, 4, v)
+    assert len(v._centers) == len(set(pts))
+    conversions = []
+    real = Fraction.__float__
+    monkeypatch.setattr(Fraction, "__float__", lambda q: conversions.append(q) or real(q))
+    for k in range(len(got.selected) + 1):
+        picks = list(got.selected[:k])
+        centers = tuple(sorted({tuple(map(real, (x.payload for x in t.values)))
+                                for t in picks}))
+        want = (mc_ball_union_volume(ContinuousBallSet(centers, 1.5), 5_000, 3).value
+                if centers else 0.0)
+        assert v.diversity(picks) == want  # bit for bit, from the cached centers
+    assert not conversions
+    monkeypatch.undo()
+    assert greedy_diversify(pts, 4, EuclideanBallVolume(1.5, samples=5_000, seed=3)) == got
 
 
 def test_ball_volume_rejects_text_values():
