@@ -27,7 +27,7 @@ from .errors import DiverseCQError, InputError
 from .optimize import (BRUTE_FORCE_CAP, ENGINES, brute_force_diversify,
                        greedy_by_objective, greedy_combined, greedy_diversify)
 from .query import ConjunctiveQuery, parse_cq
-from .relcore import Database, Fact, Schema, fraction_text, intern, load_database
+from .relcore import Database, Fact, Schema, fact_key, fraction_text, intern, load_database
 from .volume import (EuclideanBallVolume, MULTI_ATTRIBUTE_CAP, MultiAttributeWeights,
                      elem_volume, elem_weighted, multiattribute_from_volume,
                      pos_volume, pos_weighted, provenance_volume,
@@ -196,7 +196,7 @@ def _volume_and_answers(args, q, db, inputs: dict, phases):
     """The volume and the ordered answers, evaluating the query once."""
     vol = phases.run("volume", lambda: _build_volume(args, q, db, inputs))
     if args.volume == "provenance":
-        return vol, sorted(vol.universe)
+        return vol, sorted(vol.universe, key=fact_key)
     return vol, phases.run("evaluate", lambda: enumerate_answers(q, db)).ordered()
 
 

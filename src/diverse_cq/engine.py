@@ -9,11 +9,12 @@ and one stable sort per node that makes its groups contiguous segments.
 The join-tree rankers in `optimize` and their witness tables take their
 live rows, groups and joins from it as well.  One preorder walk from the
 root then follows each chosen row's joins.  Rooted at the connex subtree
-of a free-connex head, the walk is linear in input plus output.  When
-asked, the same walk also gathers each answer's ball for the provenance
-volume, the facts of all of the answer's witnesses, from one top-down
-array pass, `_fold`, per skipped subtree; the witness tables of the
-provenance ranker come from that pass too.
+of a free-connex head, the walk is linear in input plus output.  For the
+provenance volume, `_tree_balls` expands the same walks as columns of
+row ids instead and gathers each answer's ball, the facts of all of the
+answer's witnesses, as a sorted row of fact ids, adding the facts of
+every skipped subtree from one top-down array pass, `_fold`; the witness
+tables of the provenance ranker come from that pass too.
 
 Cyclic bodies fall back to the backtracking join, which is also the
 semantics oracle every other path is tested against.  It orders atoms
@@ -24,13 +25,14 @@ and deduplicates head projections.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import InputError, LimitExceededError
 from .query import Atom, ConjunctiveQuery, gyo_join_tree, _connex_rooting, _preorder
-from .relcore import Database, Fact
+from .relcore import Database, Fact, fact_key
 
 PROVENANCE_EXTENSION_LIMIT = 10 ** 7
 
@@ -42,7 +44,7 @@ class AnswerSet:
 
     def ordered(self) -> list[Fact]:
         """Answers sorted lexicographically by value sequence."""
-        return sorted(self.answers)
+        return sorted(self.answers, key=fact_key)
 
     def __len__(self):
         return len(self.answers)
@@ -291,25 +293,29 @@ def _fold(top: int, at: np.ndarray, here: np.ndarray, n: int, kids,
     return np.searchsorted(slots[by_slot], np.arange(n + 1)), np.concatenate(facts)[by_slot]
 
 
-def _tree_answers(q: ConjunctiveQuery, parents: Sequence[int | None], db: Database,
-                  balls: bool = False) -> Iterator:
-    """Distinct answers of `q` over the join tree `parents`: its GYO tree
-    or a re-rooting of it.
+class _Walk(NamedTuple):
+    """The semijoin-reduced join tree that a walk follows.
 
-    Node `i` holds atom `i`'s variables and facts.  The tree is re-rooted
-    at a node whose connex subtree covers the head, when one exists.  After
-    `_reduce` every live row extends into all of its node's subtrees, so
-    one preorder walk that follows each chosen row's joins, and skips
-    every subtree binding no new head variable, finds the answers.  For a
-    free-connex head each walk is a distinct answer and the walk is
-    linear in input plus output; otherwise answers are deduplicated.
+    `walked` lists, in preorder, the nodes the walk chooses a row of: the
+    root, and every node below a walked one whose subtree binds a head
+    variable its parent does not.  A walked node's index in it is its
+    depth.  `head` places each head variable at (depth, position in that
+    node's bag)."""
 
-    With `balls` it yields instead, once the walk is done, each answer
-    with its ball: the facts of every homomorphism that yields it.  Such
-    a homomorphism extends a walk into each skipped subtree on its own,
-    so the ball holds the walks' facts and, per skipped subtree, the
-    facts of all of its extensions, which `_fold` gathers once per group.
-    """
+    parents: list
+    rows: tuple
+    codes: tuple
+    kids: list
+    groups: list
+    join: list
+    walked: list
+    head: list
+
+
+def _walk(q: ConjunctiveQuery, parents: Sequence[int | None], db: Database) -> _Walk | None:
+    """The walk over the join tree `parents`, re-rooted at a node whose
+    connex subtree covers the head when one exists; None when a root has
+    no live row, so the query has no answer."""
     headset = frozenset(q.head_vars)
     hit = _connex_rooting(parents, [frozenset(a.vars) for a in q.atoms], headset)
     if hit is not None:
@@ -318,42 +324,48 @@ def _tree_answers(q: ConjunctiveQuery, parents: Sequence[int | None], db: Databa
     rows, codes = zip(*(_atom_rows(db, a) for a in q.atoms))
     order, kids, groups, join = _reduce(bags, codes, parents, max(1, len(db.values)))
     if any(p is None and not len(groups[u].rows) for u, p in enumerate(parents)):
-        return
-    facts = [list(map(db.relation(a.relation).__getitem__, r.tolist()))
-             for a, r in zip(q.atoms, rows)]
+        return None
     below: dict[int, frozenset] = {}  # head variables bound in u's subtree
     for u in reversed(order):
         below[u] = headset.intersection(bags[u]).union(*(below[c] for c in kids[u]))
-
-    # One step per walked node, in preorder: its group segments and facts,
-    # its join, and the depth whose chosen row it joins (none at a root).
     depth_of: dict = {}
-    steps = []
     for u in order:
         p = parents[u]
         if p is None or (p in depth_of and below[u] - set(bags[p])):
-            depth_of[u] = len(steps)
-            steps.append((groups[u].rows.tolist(), groups[u].starts.tolist(), facts[u],
-                          None if p is None else join[u].tolist(), depth_of.get(p)))
+            depth_of[u] = len(depth_of)
     home = {v: (depth_of[u], i) for u in depth_of for i, v in enumerate(bags[u])}
-    head = [home[v] for v in q.head_vars]
-    hang = []  # per skipped subtree below the walk: its join and its facts per group
-    if balls:
-        every = db.facts()
-        ids = [db.offset(a.relation) + r for a, r in zip(q.atoms, rows)]
-        for c, p in enumerate(parents):
-            if p in depth_of and c not in depth_of:
-                n = len(groups[c].keys)
-                ptr, got = _fold(c, np.repeat(np.arange(n), np.diff(groups[c].starts)),
-                                 groups[c].rows, n, kids, groups, join, ids)
-                got, ptr = list(map(every.__getitem__, got.tolist())), ptr.tolist()
-                hang.append((depth_of[p], join[c].tolist(),
-                             [frozenset(got[a:b]) for a, b in zip(ptr, ptr[1:])]))
-    distinct = all(headset.issuperset(bags[u]) for u in depth_of)
+    return _Walk(list(parents), rows, codes, kids, groups, join, list(depth_of),
+                 [home[v] for v in q.head_vars])
+
+
+def _tree_answers(q: ConjunctiveQuery, parents: Sequence[int | None],
+                  db: Database) -> Iterator[Fact]:
+    """Distinct answers of `q` over the join tree `parents`: its GYO tree
+    or a re-rooting of it, streamed.
+
+    Node `i` holds atom `i`'s variables and facts.  After `_reduce` every
+    live row extends into all of its node's subtrees, so one preorder walk
+    that follows each chosen row's joins, and skips every subtree binding
+    no new head variable, finds the answers.  For a free-connex head each
+    walk is a distinct answer and the walk is linear in input plus
+    output; otherwise answers are deduplicated.
+    """
+    w = _walk(q, parents, db)
+    if w is None:
+        return
+    depth = {u: d for d, u in enumerate(w.walked)}
+    # One step per walked node: its group segments and facts, its join,
+    # and the depth whose chosen row it joins (none at a root).
+    steps = []
+    for u in w.walked:
+        p = w.parents[u]
+        facts = list(map(db.relation(q.atoms[u].relation).__getitem__, w.rows[u].tolist()))
+        steps.append((w.groups[u].rows.tolist(), w.groups[u].starts.tolist(), facts,
+                      None if p is None else w.join[u].tolist(), depth.get(p)))
+    head = w.head
     chosen: list = [None] * len(steps)  # the walk's rows
     picked: list = [None] * len(steps)  # and their facts
     seen: set = set()
-    lineage: dict = {}
 
     def walk(depth: int):
         if depth < len(steps):
@@ -365,13 +377,7 @@ def _tree_answers(q: ConjunctiveQuery, parents: Sequence[int | None], db: Databa
                 yield from walk(depth + 1)
             return
         ans = Fact(q.head_name, [picked[d].values[i] for d, i in head])
-        if balls:
-            folds = [table[to[chosen[d]]] for d, to, table in hang]
-            if distinct:
-                lineage[ans] = frozenset(picked).union(*folds)
-            else:
-                lineage.setdefault(ans, set()).update(picked, *folds)
-        elif ans not in seen:
+        if ans not in seen:
             seen.add(ans)
             yield ans
 
@@ -379,8 +385,150 @@ def _tree_answers(q: ConjunctiveQuery, parents: Sequence[int | None], db: Databa
         yield from walk(0)
     finally:
         del walk  # the recursive closure is a cycle; free its tables now
-    for ans, got in lineage.items():
-        yield ans, frozenset(got)
+
+
+# A ball build expands this many walks at a time, or a quarter as many as
+# the (answer, fact) pairs it has gathered when that is more, so a batch's
+# arrays stay within a constant factor of its result.
+_WALK_BATCH = 1 << 10
+
+
+def _distinct(keys: np.ndarray) -> np.ndarray:
+    """The distinct values of `keys`, ascending, by sort and compare;
+    sorts `keys` in place."""
+    keys.sort()
+    return keys[np.concatenate(([True], keys[1:] != keys[:-1]))] if len(keys) else keys
+
+
+def _tree_balls(q: ConjunctiveQuery, parents: Sequence[int | None],
+                db: Database) -> tuple[list[Fact], np.ndarray, np.ndarray]:
+    """Every answer of `q` with its ball, the facts of every homomorphism
+    that yields it, over the join tree `parents`, as arrays.
+
+    Returns (answers, ptr, ids): the answers in value order, which is
+    `Fact` order, and answer `j`'s ball as the `db.facts()` ids
+    `ids[ptr[j]:ptr[j + 1]]`, ascending, which is fact order.
+
+    A homomorphism extends a walk of `_walk` into each skipped subtree on
+    its own, so a ball holds its walks' facts and, per skipped subtree,
+    the facts of every extension of the group the walk joins, which one
+    `_fold` gathers per subtree.  The walks are expanded as columns of row
+    ids, depth by depth (`_expand`), and each walk's answer is found by
+    its packed head codes.  (answer, fact id) pairs are packed into one
+    int64 and deduplicated by sort and compare; a skipped subtree's facts
+    are added once per distinct (answer, group) pair.  The first root's
+    rows are expanded in batches of about `_WALK_BATCH` walks, or a
+    quarter of the pairs gathered so far when that is more, sized by one
+    bottom-up walk count per walked node.  Each batch's new pairs are
+    merged into the sorted pairs before it, so a query with many walks
+    per answer never holds all of its walks at once.  Answers are
+    numbered as they are found and renumbered in value order at the end.
+    """
+    empty = np.zeros(0, dtype=np.int64)
+    w = _walk(q, parents, db)
+    if w is None:
+        return [], np.zeros(1, dtype=np.int64), empty
+    groups, join, walked = w.groups, w.join, w.walked
+    depth = {u: d for d, u in enumerate(walked)}
+    ids = [db.offset(a.relation) + r for a, r in zip(q.atoms, w.rows)]
+    hang = []  # per skipped subtree below the walk: its parent's depth, join and folds
+    for c, p in enumerate(w.parents):
+        if p in depth and c not in depth:
+            n = len(groups[c].keys)
+            ptr, got = _fold(c, np.repeat(np.arange(n), np.diff(groups[c].starts)),
+                             groups[c].rows, n, w.kids, groups, join, ids)
+            hang.append((depth[p], join[c], ptr, got))
+
+    top = groups[walked[0]].rows
+    cumulative = np.cumsum(_walk_counts(w, depth)[top])
+    radix, nfacts = max(1, len(db.values)), max(1, len(db.facts()))
+    heads = np.zeros((len(w.head), 0), dtype=np.int64)  # per answer id, its head codes
+    # answer id * nfacts + fact id, ascending and distinct; the product of
+    # two counts of objects held in memory stays far below 2^63
+    pairs = empty
+    at = 0
+    while at < len(top):
+        spent = cumulative[at - 1] if at else 0.0
+        end = max(at + 1, int(np.searchsorted(
+            cumulative, spent + max(_WALK_BATCH, len(pairs) // 4), "right")))
+        cols = _expand(w, depth, top[at:end])
+        found = np.empty((len(w.head), len(cols[0])), dtype=np.int64)
+        for j, (d, i) in enumerate(w.head):
+            found[j] = w.codes[walked[d]][i][cols[d]]
+        # A walk's answer keeps its id; answers new to this batch take the next ids.
+        known, seen = _pack([heads, found], radix)
+        by_known = _stable_order(known)
+        hit = _find(known[by_known], seen)
+        new = hit < 0
+        fresh = _distinct(seen[new])
+        answer = np.empty(len(seen), dtype=np.int64)
+        answer[~new] = by_known[hit[~new]]
+        answer[new] = len(known) + np.searchsorted(fresh, seen[new])
+        sample = np.empty(len(fresh), dtype=np.int64)  # a walk of each new answer
+        sample[answer[new] - len(known)] = np.flatnonzero(new)
+        heads = np.concatenate((heads, found[:, sample]), axis=1)
+        got = [answer * nfacts + ids[u][cols[d]] for d, u in enumerate(walked)]
+        for d, to, fold_ptr, fold in hang:
+            m = max(1, len(fold_ptr) - 1)
+            a, g = np.divmod(_distinct(answer * m + to[cols[d]]), m)
+            first = fold_ptr[g]
+            sizes = fold_ptr[g + 1] - first
+            got.append(np.repeat(a, sizes) * nfacts + fold[_ranges(first, sizes)])
+        got = np.concatenate(got)  # frees the parts before the sort
+        got = _distinct(got)
+        if len(pairs):
+            got = got[_find(pairs, got) < 0]
+            got = np.insert(pairs, np.searchsorted(pairs, got), got)
+        pairs = got
+        at = end
+    ptr = np.searchsorted(pairs, np.arange(heads.shape[1] + 1) * nfacts)
+    pairs %= nfacts
+    (key,) = _pack([heads], radix)
+    by_value = _stable_order(key)
+    if (np.diff(by_value) < 0).any():
+        # Renumber the answers in value order, moving each one's run of fact ids.
+        first, sizes = ptr[:-1][by_value], np.diff(ptr)[by_value]
+        pairs = pairs[_ranges(first, sizes)]
+        ptr = np.concatenate(([0], np.cumsum(sizes)))
+    values = db.values
+    rows = (zip(*(map(values.__getitem__, col) for col in heads[:, by_value].tolist()))
+            if len(heads) else repeat((), heads.shape[1]))
+    return list(map(Fact._make, zip(repeat(q.head_name), rows))), ptr, pairs
+
+
+def _walk_counts(w: _Walk, depth: dict) -> np.ndarray:
+    """Per row of the first root, the number of walks that start at it,
+    as floats: a batch budget only.  One bottom-up pass counts the walks
+    below every row of a walked node, and sums them per group."""
+    total: list = [None] * len(w.walked)
+    for d in reversed(range(len(w.walked))):
+        u = w.walked[d]
+        count = np.ones(w.codes[u].shape[1])
+        for c in w.kids[u]:
+            if c in depth:
+                count *= np.append(total[depth[c]], 0.0)[w.join[c]]
+        g = w.groups[u]
+        total[d] = (np.add.reduceat(count[g.rows], g.starts[:-1]) if len(g.rows)
+                    else np.zeros(0))
+    # every later root multiplies the walks, once for each of its own
+    return count * np.prod([total[d][0] for d, u in enumerate(w.walked)
+                            if d and w.parents[u] is None])
+
+
+def _expand(w: _Walk, depth: dict, top: np.ndarray) -> list[np.ndarray]:
+    """Every walk that starts at the `top` rows of the first root, as one
+    column of chosen rows per depth."""
+    cols = [top]
+    for u in w.walked[1:]:
+        p = w.parents[u]
+        g = np.zeros(len(cols[0]), dtype=np.int64) if p is None else w.join[u][cols[depth[p]]]
+        starts = w.groups[u].starts
+        first = starts[g]
+        sizes = starts[g + 1] - first
+        keep = np.repeat(np.arange(len(cols[0])), sizes)
+        cols = [col[keep] for col in cols]
+        cols.append(w.groups[u].rows[_ranges(first, sizes)])
+    return cols
 
 
 def provenance_map(q: ConjunctiveQuery, db: Database, answers=None,

@@ -1,7 +1,10 @@
 """Diversity maximization over query answers.
 
 Greedy selection over a materialized answer set carries the usual
-(1 - 1/e) guarantee for monotone submodular objectives.  The rankers
+(1 - 1/e) guarantee for monotone submodular objectives.  It keeps every
+ball as a row of integer point ids and every gain in one integer array,
+and a pick lowers only the gains of the answers sharing a point it newly
+covered, through a point -> answers index.  The rankers
 avoid materialization altogether.  Whenever an answer's marginal is a
 sum over the edges of a join tree, "which answer gains the most" is one
 max-plus dynamic program over that tree, and one plan, `_RankingPlan`,
@@ -36,8 +39,8 @@ from .engine import (enumerate_answers, _atom_rows, _fold, _pack, _ranges, _redu
                      _segments, _stable_order)
 from .errors import EngineCompatibilityError, InputError, LimitExceededError
 from .query import ConjunctiveQuery, free_connex_split, gyo_join_tree, _gyo_reduce
-from .relcore import Database, Fact
-from .volume import VolumeAssignment, provenance_volume, scaled_weights
+from .relcore import Database, Fact, fact_key
+from .volume import ProvenanceBalls, VolumeAssignment, provenance_volume, scaled_weights
 
 BRUTE_FORCE_CAP = 10 ** 7
 # A ranking group of more rows than this re-takes its maximum with a numpy
@@ -119,7 +122,7 @@ def brute_force_diversify(answers: Iterable[Fact], k: int, v: VolumeAssignment,
     Monotonicity means some best subset has size min(k, n), so only that
     layer is scanned.  The subset count is checked before any work.
     """
-    items = sorted(set(answers))
+    items = sorted(set(answers), key=fact_key)
     m = min(k, len(items))
     if m <= 0:
         return _make_result((), ())
@@ -136,67 +139,126 @@ def brute_force_diversify(answers: Iterable[Fact], k: int, v: VolumeAssignment,
     return DiverseResult(best, tuple(_sequential_gains(best, v)), best_val)
 
 
+def _ball_rows(answers: set, v: VolumeAssignment):
+    """The answers in `Fact` order, with their balls as rows of point ids:
+    answer `i` owns `points[pts[ptr[i]:ptr[i + 1]]]`.
+
+    A provenance volume's rows are its `ProvenanceBalls` fact-id rows, and
+    its points `Database.facts()`.  Any other discrete volume's ball
+    points are interned once, in order of first appearance.  An answer
+    outside the volume's universe raises its `UniverseError`, the smallest
+    such answer first.
+    """
+    balls = v.ball_fn
+    rows = (list(map(balls.row.get, answers)) if isinstance(balls, ProvenanceBalls)
+            else [None])
+    if None not in rows and (v.universe is None or v.universe >= answers):
+        rows = np.array(sorted(rows), dtype=np.int64)
+        first = balls.ptr[rows]
+        sizes = balls.ptr[rows + 1] - first
+        return (list(map(balls.answers.__getitem__, rows.tolist())),
+                np.concatenate(([0], np.cumsum(sizes))), balls.ids[_ranges(first, sizes)],
+                balls.facts)
+    items = sorted(answers, key=fact_key)
+    regions = [v.ball(t) for t in items]
+    point_id: dict = {}
+    pts = np.fromiter((point_id.setdefault(p, len(point_id)) for r in regions for p in r),
+                      dtype=np.int64, count=sum(map(len, regions)))
+    return (items, np.concatenate(([0], np.cumsum([len(r) for r in regions], dtype=np.int64))),
+            pts, list(point_id))
+
+
+def _holders(ptr: np.ndarray, pts: np.ndarray):
+    """The point -> candidates index of the ball rows `ptr`, `pts`: the
+    distinct point ids `ids`, ascending, and the candidates holding point
+    `ids[j]`, `holders[start[j]:start[j + 1]]`."""
+    by_point = _stable_order(pts)
+    held = pts[by_point]
+    start = _segments(held)
+    return held[start[:-1]], start, np.searchsorted(ptr, by_point, "right") - 1
+
+
 def greedy_diversify(answers: Iterable[Fact], k: int, v: VolumeAssignment,
                      lazy: bool = False) -> DiverseResult:
     """Greedy argmax of the marginal gain, smallest answer on ties.
 
-    Always makes min(k, n) picks, zero gains included.  Gains are plain
-    integers while the loop runs: a count measure's gain is the number
-    of uncovered points, and a weighted measure's adds the integers
-    `scaled_weights` gives every point in the union of the balls; each
-    gain turns back into a Fraction only in the result.  With `lazy` the
-    stored gains are treated as upper bounds (valid by submodularity) and
-    only re-evaluated when popped; the selection is identical to the plain
-    scan, round for round.  A volume that is not discrete (the Euclidean
-    estimate) runs `greedy_by_objective` on its diversity and rejects `lazy`.
+    Always makes min(k, n) picks, zero gains included.  Each ball is a row
+    of point ids (`_ball_rows`), and every candidate's gain is kept in one
+    integer array: a count measure's gain is the number of its uncovered
+    points, and a weighted measure's adds the integers `scaled_weights`
+    gives every point in the union of the balls, int64 unless they sum
+    past 2^62, exact Python ints then.  A pick marks its points covered
+    and lowers the gains of every candidate holding a newly covered point,
+    through a point -> candidates index, so a round costs what the pick
+    newly covered plus the search for the next best.  Plain greedy takes
+    the first maximum of the gains, which is the smallest answer.  With
+    `lazy`, a heap of stored gains, upper bounds by submodularity, is
+    read instead: its top is picked once its stored gain is still
+    current, and a stale top is re-read from the array and sifted down;
+    the selection is identical to the plain scan, round for round.  Each
+    gain turns back into a Fraction only in the result.  A volume that is
+    not discrete (the Euclidean estimate) runs `greedy_by_objective` on
+    its diversity and rejects `lazy`.
     """
     if lazy and not v.is_discrete:
         raise InputError("lazy greedy needs a discrete volume")
-    items = sorted(set(answers))
-    m = min(k, len(items))
+    pool = set(answers)
+    m = min(k, len(pool))
     if m <= 0:
         return _make_result((), ())
     if not v.is_discrete:
-        return greedy_by_objective(items, m, v.diversity)
+        return greedy_by_objective(pool, m, v.diversity)
 
-    # Steps work on indices into `items`, so no answer is hashed per candidate.
-    balls = [v.ball(t) for t in items]
-    covered: set = set()
-    remaining = list(range(len(items)))
+    items, ptr, pts, points = _ball_rows(pool, v)
+    n = len(items)
+    ids, start, holders = _holders(ptr, pts)
     if v.measure.kind == "count":
-        scale = 1
-
-        def gain(i):
-            return len(balls[i] - covered)
+        weight, scale = None, 1
+        gains = np.diff(ptr).astype(np.int64)
     else:
-        weight, scale = scaled_weights(v.measure.weight_of, set().union(*balls))
+        scaled, scale = scaled_weights(v.measure.weight_of,
+                                       map(points.__getitem__, ids.tolist()))
+        scaled = list(scaled.values())  # in point order
+        weight = np.array(scaled, dtype=object if sum(scaled) >= 2 ** 62 else np.int64)
+        gains = np.zeros(n, dtype=weight.dtype)
+        np.add.at(gains, holders, np.repeat(weight, np.diff(start)))
+    covered = np.zeros(len(ids), dtype=bool)
 
-        def gain(i):
-            return sum(map(weight.__getitem__, balls[i] - covered))
+    def commit(i):
+        fresh = np.searchsorted(ids, pts[ptr[i]:ptr[i + 1]])
+        fresh = fresh[~covered[fresh]]
+        covered[fresh] = True
+        first = start[fresh]
+        counts = start[fresh + 1] - first
+        who = holders[_ranges(first, counts)]
+        if weight is None:
+            np.subtract(gains, np.bincount(who, minlength=n), out=gains)
+        else:
+            np.subtract.at(gains, who, np.repeat(weight[fresh], counts))
+        gains[i] = -1  # picked: below every candidate's gain
+
     if lazy:
-        heap = [(-gain(i), i, 0) for i in remaining]
+        heap = list(zip((-gains).tolist(), range(n)))
         heapq.heapify(heap)
 
         def best(picks):
+            now = gains.tolist()
             while heap:
-                neg, i, stamp = heapq.heappop(heap)
-                if stamp == len(picks):
+                neg, i = heap[0]
+                if now[i] == -neg:  # current, and every other stored gain bounds its own
+                    heapq.heappop(heap)
                     return i, -neg
-                heapq.heappush(heap, (-gain(i), i, len(picks)))
+                heapq.heapreplace(heap, (-now[i], i))
             return None
     else:
         def best(picks):
-            i = max(remaining, key=gain)  # the first maximum: smallest answer on ties
-            return i, gain(i)
+            i = int(np.argmax(gains))  # the first maximum: smallest answer on ties
+            return i, int(gains[i])
 
-    def commit(i):
-        covered.update(balls[i])
-        remaining.remove(i)
-
-    picks, gains = _greedy(m, best, commit)
-    if any(b > a for a, b in zip(gains, gains[1:])):  # pragma: no cover
+    picks, gains_of = _greedy(m, best, commit)
+    if any(b > a for a, b in zip(gains_of, gains_of[1:])):  # pragma: no cover
         raise AssertionError("greedy gains increased; objective is not submodular")
-    return _make_result([items[i] for i in picks], [Fraction(g, scale) for g in gains])
+    return _make_result([items[i] for i in picks], [Fraction(g, scale) for g in gains_of])
 
 
 def greedy_by_objective(answers: Iterable, k: int, objective: Callable) -> DiverseResult:
@@ -210,7 +272,7 @@ def greedy_by_objective(answers: Iterable, k: int, objective: Callable) -> Diver
     monotonicity, so it serves the Euclidean estimate and the
     sum/min/Weitzman baselines alike.
     """
-    remaining = sorted(set(answers))
+    remaining = sorted(set(answers), key=fact_key)
     picks, values = _greedy(
         min(k, len(remaining)),
         lambda picks: _argmax(remaining, lambda t: objective(picks + [t])),
@@ -723,7 +785,7 @@ def greedy_combined(q: ConjunctiveQuery, db: Database, k: int,
 
     if volume is None:
         volume = provenance_volume(q, db)
-        answers = sorted(volume.universe)  # the volume evaluated the query already
+        answers = sorted(volume.universe, key=fact_key)  # the volume evaluated the query
     else:
         answers = enumerate_answers(q, db).ordered()
     return run("naive", lambda picks: _naive_best(answers, volume, picks))

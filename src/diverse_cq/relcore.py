@@ -152,6 +152,13 @@ class Fact(namedtuple("Fact", ("relation", "values"))):
         return f"{self.relation}({inner})"
 
 
+def fact_key(fact: Fact) -> tuple:
+    """A key that orders facts as `sorted()` does, with every comparison
+    in C: the relation, then its values' sort keys.  Values are interned,
+    so two facts first differ in a value whose sort key differs too."""
+    return fact.relation, tuple([v.sort_key for v in fact.values])
+
+
 _SCHEMA_LINE_RE = re.compile(r"([A-Za-z_]\w*)\s*/\s*(\d+)\Z")
 
 

@@ -5,15 +5,19 @@ over some ground-point space; the diversity of a set is the measure of
 the union of its balls.  That shape makes every diversity function here
 monotone and submodular by construction, and marginal gains are plain
 measures of set differences rather than re-evaluations.  The provenance
-volume takes its answers and balls from the evaluator in `engine`.
+volume takes its answers and balls from the evaluator in `engine`; over
+an acyclic body it keeps each ball as a row of database fact ids
+(`ProvenanceBalls`), which materialized greedy scores as they are, and
+decodes a row into a frozenset of facts only when `ball` asks for it.
 
 All discrete arithmetic is exact: a weighted measure stores its weights
 as Fractions and measures return Fractions.  Materialized greedy and the
-join-tree rankers in `optimize` add integers instead: `scaled_weights`
-reads point weights through `WeightedMeasure.weight_of` and scales them
-by the lcm of their denominators, and each converts back to Fractions
-at its result.  The only floating-point path is the Monte-Carlo
-estimator for Euclidean ball unions.
+join-tree rankers in `optimize` add integers instead, over integer point
+ids: `scaled_weights` reads point weights through
+`WeightedMeasure.weight_of` and scales them by the lcm of their
+denominators, and each converts back to Fractions at its result.  The
+only floating-point path is the Monte-Carlo estimator for Euclidean ball
+unions.
 """
 
 from __future__ import annotations
@@ -172,21 +176,51 @@ def pos_weighted(weights: Mapping, default=Fraction(1)) -> VolumeAssignment:
         measure)
 
 
+class ProvenanceBalls:
+    """The provenance volume's ball function over an acyclic body.
+
+    Holds every answer, in value order, with its ball as a row of
+    `Database.facts()` ids: answer `j` = `answers[j]` has the fact ids
+    `ids[ptr[j]:ptr[j + 1]]`, ascending.  Greedy scores the rows as they
+    are.  Calling it with an answer decodes that answer's row into a
+    frozenset of facts, once, and keeps it.
+    """
+
+    def __init__(self, answers: list, ptr: np.ndarray, ids: np.ndarray, facts: tuple):
+        self.answers = answers
+        self.row = dict(zip(answers, range(len(answers))))
+        self.ptr = ptr
+        self.ids = ids
+        self.facts = facts
+        self._decoded: dict = {}
+
+    def __call__(self, t: Fact) -> frozenset:
+        got = self._decoded.get(t)
+        if got is None:
+            r = self.row.get(t)
+            if r is None:
+                raise UniverseError(f"{t!r} is not an answer of the query")
+            got = self._decoded[t] = frozenset(
+                map(self.facts.__getitem__, self.ids[self.ptr[r]:self.ptr[r + 1]].tolist()))
+        return got
+
+
 def provenance_volume(q, db: Database) -> VolumeAssignment:
     """Ball of an answer = all database facts appearing in any witness.
 
     Materializes the answer set and its provenance once; the universe is
     exactly the query's answers, and asking for anything else is an error.
-    An acyclic body gets both from one walk over its join tree, which
-    folds each answer's witness facts as it enumerates the answers.  A
-    cyclic body gets both from one backtracking pass over every
-    homomorphism, up to the extension cap of `provenance_map`.
+    An acyclic body gets both as arrays from its join tree
+    (`engine._tree_balls`), kept as the fact-id rows of a
+    `ProvenanceBalls`.  A cyclic body gets both from one backtracking pass
+    over every homomorphism, up to the extension cap of `provenance_map`.
     """
     parents = gyo_join_tree(q)
-    if parents is None:
-        prov = engine.provenance_map(q, db)
-    else:
-        prov = dict(engine._tree_answers(q, parents, db, balls=True))
+    if parents is not None:
+        balls = ProvenanceBalls(*engine._tree_balls(q, parents, db), db.facts())
+        return VolumeAssignment("provenance", balls, CountMeasure(),
+                                universe=frozenset(balls.answers))
+    prov = engine.provenance_map(q, db)
 
     def ball(t: Fact) -> frozenset:
         try:

@@ -289,21 +289,20 @@ def test_flags_no_step_reads_exit_2(capsys, work, argv, message):
 
 def count_evaluations(monkeypatch) -> list:
     """Record each evaluation of a query: an answer enumeration, or the
-    join-tree walk that builds the provenance volume's balls with them."""
+    join-tree pass that builds the provenance volume's balls with them."""
     calls = []
-    enumerate_, walk = engine.iter_answers, engine._tree_answers
+    enumerate_, balls = engine.iter_answers, engine._tree_balls
 
     def counting_enumerate(q, db):
         calls.append(q)
         return enumerate_(q, db)
 
-    def counting_walk(q, parents, db, balls=False):
-        if balls:
-            calls.append(q)
-        return walk(q, parents, db, balls)
+    def counting_balls(q, parents, db):
+        calls.append(q)
+        return balls(q, parents, db)
 
     monkeypatch.setattr(engine, "iter_answers", counting_enumerate)
-    monkeypatch.setattr(engine, "_tree_answers", counting_walk)
+    monkeypatch.setattr(engine, "_tree_balls", counting_balls)
     return calls
 
 

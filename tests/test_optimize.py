@@ -21,7 +21,7 @@ from diverse_cq import (EngineCompatibilityError, EuclideanBallVolume, InputErro
                         gyo_join_tree, intern, parse_cq, pos_volume, pos_weighted,
                         provenance_map, provenance_volume)
 
-from diverse_cq.engine import _tree_answers
+from diverse_cq.engine import _tree_balls
 from diverse_cq.optimize import _witness_table
 from diverse_cq.query import (ConjunctiveQuery, free_connex_split, _connex_rooting, _gyo_reduce,
                               _reroot)
@@ -378,16 +378,18 @@ def test_incremental_provenance_plan_matches_fresh_plan(seed, moves):
 
 
 def walked_witness_table(q, db, atom_ids):
-    """Reference for `_witness_table`: the balls of the evaluator's walk
-    over the component's own GYO tree, re-rooted at its first atom that
-    covers the interface, one answer `Fact` per walk."""
+    """Reference for `_witness_table`: the evaluator's provenance balls
+    (`_tree_balls`) over the component's own GYO tree, re-rooted at its
+    first atom that covers the interface, one per interface tuple."""
     atoms = tuple(q.atoms[i] for i in atom_ids)
     out = tuple(sorted({v for a in atoms for v in a.vars} & frozenset(q.head_vars)))
     component = ConjunctiveQuery(q.head_name, out, atoms)
     root = next(j for j, a in enumerate(atoms) if set(out) <= set(a.vars))
     parents = _reroot(gyo_join_tree(component), root)
-    return out, {answer.values: ball for answer, ball in
-                 _tree_answers(component, parents, db, balls=True)}
+    answers, ptr, ids = _tree_balls(component, parents, db)
+    facts = db.facts()
+    return out, {answer.values: frozenset(facts[i] for i in ids[ptr[j]:ptr[j + 1]].tolist())
+                 for j, answer in enumerate(answers)}
 
 
 def decoded_witness_table(db, table):

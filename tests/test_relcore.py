@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 import diverse_cq
 from diverse_cq import (Database, Fact, LoadError, Schema, fraction_text, intern,
                         intern_number, load_database)
+from diverse_cq.relcore import fact_key
 
 from conftest import db_of, mk
 
@@ -89,6 +90,14 @@ def test_facts_hash_and_order_as_before(rows):
     for f in facts:
         assert hash(f) == hash((f.relation, f.values))
         assert f == Fact(f.relation, list(f.values))
+
+
+@settings(max_examples=200, deadline=None)
+@given(FACT_ROWS, st.randoms(use_true_random=False))
+def test_fact_key_orders_as_sorted(rows, rng):
+    facts = [Fact(rel, [intern(c) for c in cells]) for rel, cells in rows]
+    rng.shuffle(facts)
+    assert sorted(facts, key=fact_key) == sorted(facts)
 
 
 def test_schema_contains_and_arity():
