@@ -389,7 +389,12 @@ def _tree_answers(q: ConjunctiveQuery, parents: Sequence[int | None],
 
 # A ball build expands this many walks at a time, or a quarter as many as
 # the (answer, fact) pairs it has gathered when that is more, so a batch's
-# arrays stay within a constant factor of its result.
+# arrays stay within a constant factor of its result.  Expanding every walk
+# at once holds O(walks) ids, which outgrows the balls when walks per
+# answer outnumber a ball's facts: on `Q(v0,v4) <- R(v0,v1), S(v1,v2),
+# T(v2,v3), U(v3,v4)` over complete bipartite relations on d values, a
+# one-pass build's tracemalloc peak was 1.5x (d = 6) to 4.9x (d = 16) that
+# of a walk building one frozenset per answer; batched, it is 0.3-0.4x.
 _WALK_BATCH = 1 << 10
 
 
@@ -421,8 +426,9 @@ def _tree_balls(q: ConjunctiveQuery, parents: Sequence[int | None],
     quarter of the pairs gathered so far when that is more, sized by one
     bottom-up walk count per walked node.  Each batch's new pairs are
     merged into the sorted pairs before it, so a query with many walks
-    per answer never holds all of its walks at once.  Answers are
-    numbered as they are found and renumbered in value order at the end.
+    per answer never holds all of its walks at once.  Answers are kept
+    numbered in value order: a batch's new answers are inserted among the
+    earlier ones, whose pairs move up past them.
     """
     empty = np.zeros(0, dtype=np.int64)
     w = _walk(q, parents, db)
@@ -442,9 +448,9 @@ def _tree_balls(q: ConjunctiveQuery, parents: Sequence[int | None],
     top = groups[walked[0]].rows
     cumulative = np.cumsum(_walk_counts(w, depth)[top])
     radix, nfacts = max(1, len(db.values)), max(1, len(db.facts()))
-    heads = np.zeros((len(w.head), 0), dtype=np.int64)  # per answer id, its head codes
-    # answer id * nfacts + fact id, ascending and distinct; the product of
-    # two counts of objects held in memory stays far below 2^63
+    heads = np.zeros((len(w.head), 0), dtype=np.int64)  # per answer, value order: head codes
+    # answer * nfacts + fact id, ascending and distinct; the product of two
+    # counts of objects held in memory stays far below 2^63
     pairs = empty
     at = 0
     while at < len(top):
@@ -455,18 +461,16 @@ def _tree_balls(q: ConjunctiveQuery, parents: Sequence[int | None],
         found = np.empty((len(w.head), len(cols[0])), dtype=np.int64)
         for j, (d, i) in enumerate(w.head):
             found[j] = w.codes[walked[d]][i][cols[d]]
-        # A walk's answer keeps its id; answers new to this batch take the next ids.
-        known, seen = _pack([heads, found], radix)
-        by_known = _stable_order(known)
-        hit = _find(known[by_known], seen)
-        new = hit < 0
-        fresh = _distinct(seen[new])
-        answer = np.empty(len(seen), dtype=np.int64)
-        answer[~new] = by_known[hit[~new]]
-        answer[new] = len(known) + np.searchsorted(fresh, seen[new])
-        sample = np.empty(len(fresh), dtype=np.int64)  # a walk of each new answer
-        sample[answer[new] - len(known)] = np.flatnonzero(new)
-        heads = np.concatenate((heads, found[:, sample]), axis=1)
+        known, seen = _pack([heads, found], radix)  # `known` ascends, as `heads` do
+        by_seen = _stable_order(seen)
+        keys = seen[by_seen]
+        new = np.concatenate(([True], keys[1:] != keys[:-1]))  # an answer's first walk
+        new &= _find(known, keys) < 0  # of an answer earlier batches did not find
+        where = np.searchsorted(known, keys[new])
+        heads = np.insert(heads, where, found[:, by_seen[new]], axis=1)
+        # An older answer moves up past the new answers below it.
+        pairs += np.searchsorted(keys[new], known)[pairs // nfacts] * nfacts
+        answer = np.searchsorted(np.insert(known, where, keys[new]), seen)
         got = [answer * nfacts + ids[u][cols[d]] for d, u in enumerate(walked)]
         for d, to, fold_ptr, fold in hang:
             m = max(1, len(fold_ptr) - 1)
@@ -483,15 +487,8 @@ def _tree_balls(q: ConjunctiveQuery, parents: Sequence[int | None],
         at = end
     ptr = np.searchsorted(pairs, np.arange(heads.shape[1] + 1) * nfacts)
     pairs %= nfacts
-    (key,) = _pack([heads], radix)
-    by_value = _stable_order(key)
-    if (np.diff(by_value) < 0).any():
-        # Renumber the answers in value order, moving each one's run of fact ids.
-        first, sizes = ptr[:-1][by_value], np.diff(ptr)[by_value]
-        pairs = pairs[_ranges(first, sizes)]
-        ptr = np.concatenate(([0], np.cumsum(sizes)))
     values = db.values
-    rows = (zip(*(map(values.__getitem__, col) for col in heads[:, by_value].tolist()))
+    rows = (zip(*(map(values.__getitem__, col) for col in heads.tolist()))
             if len(heads) else repeat((), heads.shape[1]))
     return list(map(Fact._make, zip(repeat(q.head_name), rows))), ptr, pairs
 

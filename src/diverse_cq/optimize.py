@@ -242,13 +242,13 @@ def greedy_diversify(answers: Iterable[Fact], k: int, v: VolumeAssignment,
         heapq.heapify(heap)
 
         def best(picks):
-            now = gains.tolist()
             while heap:
                 neg, i = heap[0]
-                if now[i] == -neg:  # current, and every other stored gain bounds its own
+                now = int(gains[i])
+                if now == -neg:  # current, and every other stored gain bounds its own
                     heapq.heappop(heap)
-                    return i, -neg
-                heapq.heapreplace(heap, (-now[i], i))
+                    return i, now
+                heapq.heapreplace(heap, (-now, i))
             return None
     else:
         def best(picks):

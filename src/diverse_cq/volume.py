@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
-from typing import Callable, Hashable, Iterable, Mapping
+from typing import AbstractSet, Callable, Hashable, Iterable, Mapping
 
 import numpy as np
 
@@ -117,7 +117,7 @@ class VolumeAssignment:
     name: str
     ball_fn: Callable[[Hashable], frozenset]
     measure: CountMeasure | WeightedMeasure
-    universe: frozenset | None = None
+    universe: AbstractSet | None = None
 
     is_discrete = True
 
@@ -181,9 +181,10 @@ class ProvenanceBalls:
 
     Holds every answer, in value order, with its ball as a row of
     `Database.facts()` ids: answer `j` = `answers[j]` has the fact ids
-    `ids[ptr[j]:ptr[j + 1]]`, ascending.  Greedy scores the rows as they
-    are.  Calling it with an answer decodes that answer's row into a
-    frozenset of facts, once, and keeps it.
+    `ids[ptr[j]:ptr[j + 1]]`, ascending, and `row` maps it back to `j`;
+    the keys of `row` are the volume's universe.  Greedy scores the rows
+    as they are.  Calling it with an answer decodes that answer's row into
+    a frozenset of facts, once, and keeps it.
     """
 
     def __init__(self, answers: list, ptr: np.ndarray, ids: np.ndarray, facts: tuple):
@@ -219,7 +220,7 @@ def provenance_volume(q, db: Database) -> VolumeAssignment:
     if parents is not None:
         balls = ProvenanceBalls(*engine._tree_balls(q, parents, db), db.facts())
         return VolumeAssignment("provenance", balls, CountMeasure(),
-                                universe=frozenset(balls.answers))
+                                universe=balls.row.keys())
     prov = engine.provenance_map(q, db)
 
     def ball(t: Fact) -> frozenset:

@@ -4,7 +4,8 @@ On an acyclic body the provenance volume keeps every answer's ball as a
 row of `Database.facts()` ids, built with array operations over the join
 tree.  Decoded, the rows must be `provenance_map`'s balls, answer for
 answer, on random bodies: free-connex or not, with self-joins and
-repeated variables.
+repeated variables.  On paths with many walks per answer, the batched
+build must also peak below the per-answer frozenset walk it replaced.
 """
 
 import tracemalloc
@@ -13,8 +14,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 
-from diverse_cq import (Fact, UniverseError, enumerate_answers, intern, parse_cq,
-                        provenance_map, provenance_volume)
+from diverse_cq import (Fact, UniverseError, engine, enumerate_answers, gyo_join_tree,
+                        intern, parse_cq, provenance_map, provenance_volume)
 from diverse_cq.volume import ProvenanceBalls
 
 from conftest import db_of, mk
@@ -54,14 +55,63 @@ def test_a_non_answer_raises_the_universe_error(d1, q1):
         v.ball_fn(stranger)
 
 
-def _dense_path(d: int):
-    """Three complete bipartite relations over `d` values joined into a
-    path whose join variables are projected out: not free-connex, and
-    each of the d^2 answers has d^2 walks that share their facts."""
+def frozenset_balls(q, db) -> dict:
+    """Every answer's ball as a frozenset of facts, built the way the
+    provenance volume built it before its fact-id rows: a Python walk of
+    the join tree that adds each walk's facts, and per skipped subtree the
+    frozenset of its group's `_fold` facts, to one set per answer.  The
+    memory reference for the array build."""
+    w = engine._walk(q, gyo_join_tree(q), db)
+    if w is None:
+        return {}
+    depth = {u: d for d, u in enumerate(w.walked)}
+    every = db.facts()
+    ids = [db.offset(a.relation) + r for a, r in zip(q.atoms, w.rows)]
+    hang = []  # per skipped subtree: its parent's depth, join, and facts per group
+    for c, p in enumerate(w.parents):
+        if p in depth and c not in depth:
+            n = len(w.groups[c].keys)
+            ptr, got = engine._fold(c, np.repeat(np.arange(n), np.diff(w.groups[c].starts)),
+                                    w.groups[c].rows, n, w.kids, w.groups, w.join, ids)
+            got, ptr = list(map(every.__getitem__, got.tolist())), ptr.tolist()
+            hang.append((depth[p], w.join[c].tolist(),
+                         [frozenset(got[a:b]) for a, b in zip(ptr, ptr[1:])]))
+    steps = []  # per walked node: its group segments, facts, join and parent's depth
+    for u in w.walked:
+        p = w.parents[u]
+        steps.append((w.groups[u].rows.tolist(), w.groups[u].starts.tolist(),
+                      list(map(db.relation(q.atoms[u].relation).__getitem__, w.rows[u].tolist())),
+                      None if p is None else w.join[u].tolist(), depth.get(p)))
+    chosen = [None] * len(steps)
+    picked = [None] * len(steps)
+    lineage: dict = {}
+
+    def walk(d):
+        if d < len(steps):
+            rows, starts, facts, to, up = steps[d]
+            g = 0 if to is None else to[chosen[up]]
+            for i in rows[starts[g]:starts[g + 1]]:
+                chosen[d], picked[d] = i, facts[i]
+                walk(d + 1)
+            return
+        ans = Fact(q.head_name, tuple(picked[d].values[i] for d, i in w.head))
+        lineage.setdefault(ans, set()).update(
+            picked, *(table[to[chosen[d]]] for d, to, table in hang))
+
+    walk(0)
+    return {t: frozenset(s) for t, s in lineage.items()}
+
+
+def _dense_path(length: int, d: int, head: str):
+    """`length` complete bipartite relations over `d` values joined into a
+    path `v0 ... v<length>` whose inner variables are projected out: not
+    free-connex, and each of the d^2 answers has d^(length - 1) walks
+    that share their facts."""
+    rels = "RSTU"[:length]
     facts = [Fact(r, (intern(f"n{i}"), intern(f"n{j}")))
-             for r in "RST" for i in range(d) for j in range(d)]
-    return (parse_cq("Q(x,w) <- R(x,y), S(y,z), T(z,w)."),
-            db_of({"R": 2, "S": 2, "T": 2}, facts))
+             for r in rels for i in range(d) for j in range(d)]
+    body = ", ".join(f"{r}(v{i},v{i + 1})" for i, r in enumerate(rels))
+    return parse_cq(f"Q({head}) <- {body}."), db_of({r: 2 for r in rels}, facts)
 
 
 def _peak(build):
@@ -73,16 +123,31 @@ def _peak(build):
         tracemalloc.stop()
 
 
+def _rows_are_ascending(balls) -> bool:
+    return all((np.diff(balls.ids[a:b]) > 0).all()
+               for a, b in zip(balls.ptr[:-1], balls.ptr[1:]))
+
+
 def test_duplicate_heavy_balls_are_built_in_batches_below_the_frozenset_peak():
-    # 20,736 walks give 144 balls of 168 facts each, over many batches.  A
-    # frozenset build holds one set per answer and copies it into a
-    # frozenset; the array build keeps one packed id per (answer, fact).
-    q, db = _dense_path(12)
+    # 7,776 walks, six per ball fact, give 36 balls of 84 facts each over
+    # several batches.  Expanding every walk at once peaks above the
+    # frozenset walk here; the batched build stays below it.
+    q, db = _dense_path(4, 6, "v0,v4")
     provenance_volume(q, db)  # builds the database's code columns, outside the trace
     v, rows = _peak(lambda: provenance_volume(q, db))
-    exhaustive, sets = _peak(lambda: provenance_map(q, db))
-    assert rows < sets
+    reference, sets = _peak(lambda: frozenset_balls(q, db))
+    assert rows <= sets
+    assert _rows_are_ascending(v.ball_fn)
+    assert {t: v.ball(t) for t in v.universe} == reference == provenance_map(q, db)
+
+
+def test_later_batches_insert_answers_in_value_order():
+    # The walks start at T's rows, so a batch finds answers (v0, v3) for a
+    # few values of v3, and every v0: they sort among those found before.
+    q, db = _dense_path(3, 12, "v0,v3")
+    v = provenance_volume(q, db)
     balls = v.ball_fn
-    assert all((np.diff(balls.ids[a:b]) > 0).all()
-               for a, b in zip(balls.ptr[:-1], balls.ptr[1:]))
+    exhaustive = provenance_map(q, db)
+    assert balls.answers == sorted(exhaustive)
+    assert _rows_are_ascending(balls)
     assert {t: v.ball(t) for t in v.universe} == exhaustive
