@@ -376,7 +376,7 @@ def _tree_answers(q: ConjunctiveQuery, parents: Sequence[int | None],
                 picked[depth] = facts[i]
                 yield from walk(depth + 1)
             return
-        ans = Fact(q.head_name, [picked[d].values[i] for d, i in head])
+        ans = Fact._make((q.head_name, tuple([picked[d].values[i] for d, i in head])))
         if ans not in seen:
             seen.add(ans)
             yield ans

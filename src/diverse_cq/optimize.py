@@ -1,14 +1,15 @@
 """Diversity maximization over query answers.
 
 Greedy selection over a materialized answer set carries the usual
-(1 - 1/e) guarantee for monotone submodular objectives.  It keeps every
-ball as a row of integer point ids and every gain in one integer array,
-and a pick lowers only the gains of the answers sharing a point it newly
-covered, through a point -> answers index.  The rankers
-avoid materialization altogether.  Whenever an answer's marginal is a
-sum over the edges of a join tree, "which answer gains the most" is one
-max-plus dynamic program over that tree, and one plan, `_RankingPlan`,
-builds the edges and runs the program.  Its live rows, groups and joins
+(1 - 1/e) guarantee for monotone submodular objectives.
+`greedy_diversify`, `greedy_combined`'s naive engine and `cqnext_naive`
+run one step over it, `_GreedyStep`: integer gains over balls kept as
+rows of point ids, where a pick lowers only the gains of the answers
+sharing a point it newly covered.  The rankers avoid materialization
+altogether.  Whenever an answer's marginal is a sum over the edges of
+a join tree, "which answer gains the most" is one max-plus dynamic
+program over that tree, and one plan, `_RankingPlan`, builds the edges
+and runs the program.  Its live rows, groups and joins
 come from the evaluator's semijoin pass over the database's code
 columns, and so do each hanging component's, whose witness table the
 evaluator's top-down array fold gathers.  It builds its tables as
@@ -85,7 +86,7 @@ def _argmax(candidates: Iterable, score: Callable):
     return best
 
 
-def _greedy(k: int, best: Callable, commit: Callable = lambda answer: None):
+def _greedy(k: int, best: Callable, commit: Callable):
     """The one greedy round loop behind every selection in this module.
 
     Each round asks the step `best(picks)` for the next (answer, gain),
@@ -105,16 +106,6 @@ def _greedy(k: int, best: Callable, commit: Callable = lambda answer: None):
     return picks, gains
 
 
-def _sequential_gains(chosen: Sequence[Fact], v: VolumeAssignment) -> list:
-    gains = []
-    have = Fraction(0)
-    for i in range(len(chosen)):
-        now = v.diversity(chosen[:i + 1])
-        gains.append(now - have)
-        have = now
-    return gains
-
-
 def brute_force_diversify(answers: Iterable[Fact], k: int, v: VolumeAssignment,
                           max_subsets: int = BRUTE_FORCE_CAP) -> DiverseResult:
     """Exact optimum by subset enumeration; first lexicographic maximizer.
@@ -130,75 +121,104 @@ def brute_force_diversify(answers: Iterable[Fact], k: int, v: VolumeAssignment,
     if count > max_subsets:
         raise LimitExceededError(
             f"{len(items)} answers choose {m} is {count} subsets; the cap is {max_subsets}")
-    best = None
-    best_val = None
-    for combo in combinations(items, m):
-        val = v.diversity(combo)
-        if best_val is None or val > best_val:
-            best, best_val = combo, val
-    return DiverseResult(best, tuple(_sequential_gains(best, v)), best_val)
+    best, best_val = _argmax(combinations(items, m), v.diversity)
+    values = [Fraction(0)] + [v.diversity(best[:i]) for i in range(1, m + 1)]
+    return DiverseResult(best, tuple(b - a for a, b in zip(values, values[1:])), best_val)
 
 
-def _ball_rows(answers: set, v: VolumeAssignment):
-    """The answers in `Fact` order, with their balls as rows of point ids:
-    answer `i` owns `points[pts[ptr[i]:ptr[i + 1]]]`.
+class _GreedyStep:
+    """The one materialized greedy step, over a discrete volume's answers.
 
-    A provenance volume's rows are its `ProvenanceBalls` fact-id rows, and
-    its points `Database.facts()`.  Any other discrete volume's ball
-    points are interned once, in order of first appearance.  An answer
-    outside the volume's universe raises its `UniverseError`, the smallest
-    such answer first.
+    Answer `i` of `items`, in `Fact` order, has its ball as the row of
+    point ids `pts[ptr[i]:ptr[i + 1]]` into `points`: a provenance
+    volume's own fact-id rows into `Database.facts()`, else its ball
+    points interned in order of first appearance.  An answer outside the
+    volume's universe raises its `UniverseError`, the smallest first.
+    `gains` holds every answer's count of uncovered points, or the sum of
+    their integer `scaled_weights` over `scale` (int64 unless past 2^62,
+    exact ints then).  `cover` lowers the gains of the answers holding a
+    newly covered point, through a point -> answers index, so a round
+    costs what it newly covers plus the argmax.  A committed answer's
+    gain is 0 from then on.  `best` takes the first maximum of the gains,
+    the smallest answer on ties.
     """
-    balls = v.ball_fn
-    rows = (list(map(balls.row.get, answers)) if isinstance(balls, ProvenanceBalls)
-            else [None])
-    if None not in rows and (v.universe is None or v.universe >= answers):
-        rows = np.array(sorted(rows), dtype=np.int64)
-        first = balls.ptr[rows]
-        sizes = balls.ptr[rows + 1] - first
-        return (list(map(balls.answers.__getitem__, rows.tolist())),
-                np.concatenate(([0], np.cumsum(sizes))), balls.ids[_ranges(first, sizes)],
-                balls.facts)
-    items = sorted(answers, key=fact_key)
-    regions = [v.ball(t) for t in items]
-    point_id: dict = {}
-    pts = np.fromiter((point_id.setdefault(p, len(point_id)) for r in regions for p in r),
-                      dtype=np.int64, count=sum(map(len, regions)))
-    return (items, np.concatenate(([0], np.cumsum([len(r) for r in regions], dtype=np.int64))),
-            pts, list(point_id))
 
+    def __init__(self, answers, v: VolumeAssignment):
+        balls = v.ball_fn
+        rows = (list(map(balls.row.get, answers)) if isinstance(balls, ProvenanceBalls)
+                else [None])
+        if None not in rows and (v.universe is None or v.universe >= answers):
+            rows = np.array(sorted(rows), dtype=np.int64)
+            first, sizes = balls.ptr[rows], np.diff(balls.ptr)[rows]
+            self.items = list(map(balls.answers.__getitem__, rows.tolist()))
+            self.points, pts = balls.facts, balls.ids[_ranges(first, sizes)]
+        else:
+            self.items = sorted(answers, key=fact_key)
+            regions = [v.ball(t) for t in self.items]
+            sizes = list(map(len, regions))
+            point_id: dict = {}
+            pts = np.fromiter((point_id.setdefault(p, len(point_id)) for r in regions for p in r),
+                              dtype=np.int64, count=sum(sizes))
+            self.points = list(point_id)
+        self._ptr, self._pts = np.concatenate(([0], np.cumsum(sizes, dtype=np.int64))), pts
+        # Point `_ids[j]` (ascending) is held by `_holders[_start[j]:_start[j + 1]]`.
+        by_point = _stable_order(pts)
+        held = pts[by_point]
+        self._start = _segments(held)
+        self._ids = held[self._start[:-1]]
+        self._holders = np.searchsorted(self._ptr, by_point, "right") - 1
+        if v.measure.kind == "count":
+            self._weight, self.scale = None, 1
+            self.gains = np.diff(self._ptr)
+        else:
+            scaled, self.scale = scaled_weights(v.measure.weight_of,
+                                                map(self.points.__getitem__, self._ids.tolist()))
+            scaled = list(scaled.values())  # in point order
+            self._weight = np.array(scaled, dtype=object if sum(scaled) >= 2 ** 62 else np.int64)
+            self.gains = np.zeros(len(self.items), dtype=self._weight.dtype)
+            np.add.at(self.gains, self._holders, np.repeat(self._weight, np.diff(self._start)))
+        self._covered = np.zeros(len(self._ids), dtype=bool)
 
-def _holders(ptr: np.ndarray, pts: np.ndarray):
-    """The point -> candidates index of the ball rows `ptr`, `pts`: the
-    distinct point ids `ids`, ascending, and the candidates holding point
-    `ids[j]`, `holders[start[j]:start[j + 1]]`."""
-    by_point = _stable_order(pts)
-    held = pts[by_point]
-    start = _segments(held)
-    return held[start[:-1]], start, np.searchsorted(ptr, by_point, "right") - 1
+    def cover(self, pids: np.ndarray) -> None:
+        """Cover the points `pids`, ids of points some answer holds."""
+        fresh = np.searchsorted(self._ids, pids)
+        fresh = fresh[~self._covered[fresh]]
+        self._covered[fresh] = True
+        first = self._start[fresh]
+        counts = self._start[fresh + 1] - first
+        who = self._holders[_ranges(first, counts)]
+        if self._weight is None:
+            np.subtract(self.gains, np.bincount(who, minlength=len(self.gains)), out=self.gains)
+        else:
+            np.subtract.at(self.gains, who, np.repeat(self._weight[fresh], counts))
+
+    def commit(self, i: int) -> None:
+        self.cover(self._pts[self._ptr[i]:self._ptr[i + 1]])
+
+    def best(self, picks=None):
+        """(i, gain) of the first answer of maximal gain, or None."""
+        if not len(self.gains):
+            return None
+        i = int(np.argmax(self.gains))
+        return i, int(self.gains[i])
+
+    def result(self, picks: Sequence[int], gains: Sequence[int], engine=None) -> DiverseResult:
+        return _make_result([self.items[i] for i in picks],
+                            [Fraction(g, self.scale) for g in gains], engine)
 
 
 def greedy_diversify(answers: Iterable[Fact], k: int, v: VolumeAssignment,
                      lazy: bool = False) -> DiverseResult:
     """Greedy argmax of the marginal gain, smallest answer on ties.
 
-    Always makes min(k, n) picks, zero gains included.  Each ball is a row
-    of point ids (`_ball_rows`), and every candidate's gain is kept in one
-    integer array: a count measure's gain is the number of its uncovered
-    points, and a weighted measure's adds the integers `scaled_weights`
-    gives every point in the union of the balls, int64 unless they sum
-    past 2^62, exact Python ints then.  A pick marks its points covered
-    and lowers the gains of every candidate holding a newly covered point,
-    through a point -> candidates index, so a round costs what the pick
-    newly covered plus the search for the next best.  Plain greedy takes
-    the first maximum of the gains, which is the smallest answer.  With
-    `lazy`, a heap of stored gains, upper bounds by submodularity, is
-    read instead: its top is picked once its stored gain is still
-    current, and a stale top is re-read from the array and sifted down;
-    the selection is identical to the plain scan, round for round.  Each
-    gain turns back into a Fraction only in the result.  A volume that is
-    not discrete (the Euclidean estimate) runs `greedy_by_objective` on
-    its diversity and rejects `lazy`.
+    Always makes min(k, n) picks, zero gains included, so a picked answer
+    leaves the candidates.  Runs `_GreedyStep`: plain greedy takes the
+    first maximum of its gains.  With `lazy`, a heap of stored gains,
+    upper bounds by submodularity, is read instead: its top is picked
+    once its stored gain is still current, and a stale top is re-read
+    from the array and sifted down; the selection is identical to the
+    plain scan, round for round.  A volume that is not discrete (the
+    Euclidean estimate) runs `greedy_by_objective` and rejects `lazy`.
     """
     if lazy and not v.is_discrete:
         raise InputError("lazy greedy needs a discrete volume")
@@ -209,36 +229,10 @@ def greedy_diversify(answers: Iterable[Fact], k: int, v: VolumeAssignment,
     if not v.is_discrete:
         return greedy_by_objective(pool, m, v.diversity)
 
-    items, ptr, pts, points = _ball_rows(pool, v)
-    n = len(items)
-    ids, start, holders = _holders(ptr, pts)
-    if v.measure.kind == "count":
-        weight, scale = None, 1
-        gains = np.diff(ptr).astype(np.int64)
-    else:
-        scaled, scale = scaled_weights(v.measure.weight_of,
-                                       map(points.__getitem__, ids.tolist()))
-        scaled = list(scaled.values())  # in point order
-        weight = np.array(scaled, dtype=object if sum(scaled) >= 2 ** 62 else np.int64)
-        gains = np.zeros(n, dtype=weight.dtype)
-        np.add.at(gains, holders, np.repeat(weight, np.diff(start)))
-    covered = np.zeros(len(ids), dtype=bool)
-
-    def commit(i):
-        fresh = np.searchsorted(ids, pts[ptr[i]:ptr[i + 1]])
-        fresh = fresh[~covered[fresh]]
-        covered[fresh] = True
-        first = start[fresh]
-        counts = start[fresh + 1] - first
-        who = holders[_ranges(first, counts)]
-        if weight is None:
-            np.subtract(gains, np.bincount(who, minlength=n), out=gains)
-        else:
-            np.subtract.at(gains, who, np.repeat(weight[fresh], counts))
-        gains[i] = -1  # picked: below every candidate's gain
-
+    step = _GreedyStep(pool, v)
+    gains, best = step.gains, step.best
     if lazy:
-        heap = list(zip((-gains).tolist(), range(n)))
+        heap = list(zip((-gains).tolist(), range(len(gains))))
         heapq.heapify(heap)
 
         def best(picks):
@@ -250,15 +244,15 @@ def greedy_diversify(answers: Iterable[Fact], k: int, v: VolumeAssignment,
                     return i, now
                 heapq.heapreplace(heap, (-now, i))
             return None
-    else:
-        def best(picks):
-            i = int(np.argmax(gains))  # the first maximum: smallest answer on ties
-            return i, int(gains[i])
+
+    def commit(i):
+        step.commit(i)
+        gains[i] = -1  # picked: below every candidate's gain
 
     picks, gains_of = _greedy(m, best, commit)
     if any(b > a for a, b in zip(gains_of, gains_of[1:])):  # pragma: no cover
         raise AssertionError("greedy gains increased; objective is not submodular")
-    return _make_result([items[i] for i in picks], [Fraction(g, scale) for g in gains_of])
+    return step.result(picks, gains_of)
 
 
 def greedy_by_objective(answers: Iterable, k: int, objective: Callable) -> DiverseResult:
@@ -285,28 +279,29 @@ def greedy_by_objective(answers: Iterable, k: int, objective: Callable) -> Diver
 # Next-answer oracles
 
 
-def _naive_best(answers: Sequence[Fact], v: VolumeAssignment, picks: list[Fact]):
-    """The materializing step: argmax of the marginal gain over `answers`.
-
-    Picked answers stay candidates (their marginal is 0), and ties break
-    to the earliest answer.
-    """
-    if v.is_discrete:
-        covered = v.covered(picks)
-        return _argmax(answers, lambda t: v.marginal_given_covered(covered, t))
-    base = v.diversity(picks)
-    return _argmax(answers, lambda t: v.diversity(picks + [t]) - base)
-
-
 def cqnext_naive(q: ConjunctiveQuery, db: Database, selected: Iterable[Fact],
                  v: VolumeAssignment):
     """Materialize the answers, return (answer, marginal) maximizing the gain.
 
     The argmax ranges over all answers, already selected ones included
     (their marginal is 0); ties break to the smallest value sequence.
+    `selected` may repeat an answer or hold any tuple the volume has a
+    ball for.  A discrete volume runs one `_GreedyStep` round with those
+    balls covered; the Euclidean estimate takes `greedy_by_objective`'s
+    argmax of the diversity.  Returns None when there is no answer.
     This is the oracle the incremental rankers are checked against.
     """
-    return _naive_best(enumerate_answers(q, db).ordered(), v, list(selected))
+    answers = enumerate_answers(q, db).answers
+    selected = list(selected)
+    if not v.is_discrete:
+        base = v.diversity(selected)
+        hit = _argmax(sorted(answers, key=fact_key), lambda t: v.diversity(selected + [t]))
+        return None if hit is None else (hit[0], hit[1] - base)
+    covered = v.covered(selected)
+    step = _GreedyStep(answers, v)
+    step.cover(np.array([i for i, p in enumerate(step.points) if p in covered], dtype=np.int64))
+    hit = step.best()
+    return None if hit is None else (step.items[hit[0]], Fraction(hit[1], step.scale))
 
 
 class _RankingPlan:
@@ -748,11 +743,11 @@ def greedy_combined(q: ConjunctiveQuery, db: Database, k: int,
     if k <= 0:
         return _make_result((), ())
 
-    def run(name: str, best: Callable, commit: Callable = lambda answer: None):
+    def run(best: Callable, commit: Callable):
         def gainful(picks):
             hit = best(picks)
             return hit if hit is not None and hit[1] > 0 else None
-        return _make_result(*_greedy(k, gainful, commit), engine=name)
+        return _greedy(k, gainful, commit)
 
     if volume is None or volume.name == "provenance":
         ranker = "provenance"
@@ -781,11 +776,16 @@ def greedy_combined(q: ConjunctiveQuery, db: Database, k: int,
                 nonlocal covered
                 covered = covered | plan._ball(answer)
 
-            return run(ranker, lambda picks: plan.best(covered), absorb)
+            return _make_result(*run(lambda picks: plan.best(covered), absorb), engine=ranker)
 
     if volume is None:
         volume = provenance_volume(q, db)
-        answers = sorted(volume.universe, key=fact_key)  # the volume evaluated the query
+        answers = volume.universe  # the volume evaluated the query
     else:
-        answers = enumerate_answers(q, db).ordered()
-    return run("naive", lambda picks: _naive_best(answers, volume, picks))
+        answers = enumerate_answers(q, db).answers
+    if not volume.is_discrete:
+        res = greedy_by_objective(answers, k, volume.diversity)
+        stop = next((i for i, g in enumerate(res.gains) if g <= 0), len(res))
+        return _make_result(res.selected[:stop], res.gains[:stop], engine="naive")
+    step = _GreedyStep(answers, volume)
+    return step.result(*run(step.best, step.commit), engine="naive")
