@@ -316,8 +316,7 @@ class _RankingPlan:
     the database's int64 code columns.  The volume decides only which
     ground points a row charges, as integer point ids: by default its
     witness facts, by their index in `Database.facts()`, and
-    `TropicalPlan` overrides `_charge`, `_pid` and `_point`.  Subclasses
-    define `_ball`, the ground points an answer covers.
+    `TropicalPlan` overrides `_charge`, `_pid`, `_point` and `_picked_ids`.
 
     The best answer falls out of one max-plus dynamic program.  A row is
     live when it joins some live row of every child edge; liveness never
@@ -335,13 +334,22 @@ class _RankingPlan:
     weight the plan reads is scaled by the lcm of their denominators, and
     `best` turns the total back into a Fraction; scores are int64 unless
     the scaled weights of all held points sum past 2^62, and exact Python
-    ints then.  A request whose region contains the last one lowers only
-    the rows that hold a newly covered point, re-scores them in Python over
-    list copies of the annotations, scores and group tops, re-takes the
-    maximum of each of their groups whose top row fell (with one numpy
-    argmax over a group of more than `_PYTHON_MAX_ROWS` rows), and pushes
-    every group whose maximum fell to the parent rows that join it.  Any
-    other request rebuilds every score from scratch, group maxima
+    ints then.
+
+    The covered region is one set of point ids.  `best()` and
+    `commit(answer)` are the round protocol of `_GreedyStep`: `commit`
+    covers the ids charged by the rows that `best` just picked for the
+    answer (`_picked_ids`), so a round decodes and looks up no `Fact`.
+    The next `best` lowers only the rows that hold a newly covered point,
+    re-scores them in Python over list copies of the annotations, scores
+    and group tops, re-takes the maximum of each of their groups whose top
+    row fell (with one numpy argmax over a group of more than
+    `_PYTHON_MAX_ROWS` rows), and pushes every group whose maximum fell to
+    the parent rows that join it.  `best(covered)` ranks with a given
+    region of ground points instead.  When it contains the region of the
+    last such call and nothing was committed since, only its new points
+    are mapped to ids (`_pid`) and lowered the same way; any other region
+    is mapped whole and rebuilds every score from scratch, group maxima
     included, with array operations.
     `rows_rescored` counts the rows whose score either path computed.
     """
@@ -372,7 +380,11 @@ class _RankingPlan:
         self._codes = codes
         self._weight_of = weight_of
         self._best: list[list[int]] | None = None  # built by the first `best`
-        self._covered: frozenset | None = None
+        self._covered: set[int] | None = None  # ids of the points weighing 0
+        self._fresh: set[int] = set()  # ids committed since, not yet lowered
+        self._region: frozenset | None = None  # the last `best(covered)` region
+        self._picked: list[int] = []  # per edge, the row the last answer took
+        self._assignment: dict = {}  # the last answer's variable -> code
         self.rows_rescored = 0
 
     def _charge(self, u: int, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -431,25 +443,56 @@ class _RankingPlan:
         self._best = [[] for _ in groups]  # group -> its top row
         self._weight_of = None
 
-    def best(self, covered: frozenset):
+    def best(self, covered: Iterable | None = None):
         """Best (answer, gain) once the ground points in `covered` weigh 0,
-        or None when the query has no answer."""
+        or None when the query has no answer.  Without `covered`, the
+        balls of the answers committed so far weigh 0."""
         if self._best is None:
             self._index()
-        covered = frozenset(covered)
-        if self._covered is not None and covered >= self._covered:
-            self._lower(covered - self._covered)
-        else:
-            self._rebuild(covered)
-        self._covered = covered
+        if covered is not None:
+            covered = frozenset(covered)
+            if self._region is not None and covered >= self._region:
+                self._fresh = self._ids(covered - self._region)
+            else:
+                self._covered, self._fresh = self._ids(covered), set()
+                self._rebuild(self._covered)
+            self._region = covered
+        elif self._covered is None:
+            self._covered = set()
+            self._rebuild(self._covered)
+        if self._fresh:
+            self._lower(self._fresh)
+            self._covered |= self._fresh
+            self._fresh = set()
         return self._answer()
 
-    def _pids(self, points: Iterable) -> list[int]:
-        return [p for p in map(self._pid, points) if p is not None]
+    def commit(self, answer: Fact) -> None:
+        """Cover the ball of `answer`, the answer the last `best` returned;
+        the next `best` lowers the rows holding its newly covered points."""
+        self._fresh |= set(self._picked_ids()) - self._covered
+        self._region = None
 
-    def _rebuild(self, covered: frozenset) -> None:
+    def _ids(self, points: Iterable) -> set[int]:
+        ids = set(map(self._pid, points))
+        ids.discard(None)
+        return ids
+
+    def _picked_ids(self) -> list[int]:
+        """The ids of the points charged by the rows the last answer took:
+        each atom row's fact and each witness-table row's facts."""
+        ids = []
+        for u, i in enumerate(self._picked):
+            if u < len(self._atoms):
+                ids.append(self.db.offset(self.q.atoms[self._atoms[u]].relation)
+                           + int(self._rows[u][i]))
+            else:
+                _, _, ptr, table_ids = self._tables[u - len(self._atoms)]
+                ids += table_ids[ptr[i]:ptr[i + 1]].tolist()
+        return ids
+
+    def _rebuild(self, covered: set[int]) -> None:
         slots, weight = self._hold_slot, self._weight
-        gone = np.array(self._pids(covered), dtype=np.int64)
+        gone = np.fromiter(covered, dtype=np.int64, count=len(covered))
         if len(gone):
             keep = ~np.isin(self._hold_pid, gone)
             slots = slots[keep]
@@ -480,9 +523,9 @@ class _RankingPlan:
             self._best[u] = best.tolist()
             self.rows_rescored += len(live)
 
-    def _lower(self, fresh: frozenset) -> None:
+    def _lower(self, fresh: set[int]) -> None:
         dirty: list[set] = [set() for _ in self._cols]
-        gone = np.array(self._pids(fresh), dtype=np.int64)
+        gone = np.fromiter(fresh, dtype=np.int64, count=len(fresh))
         lo = np.searchsorted(self._hold_pid, gone)
         at = _ranges(lo, np.searchsorted(self._hold_pid, gone, "right") - lo)
         slots = self._hold_slot[at]
@@ -542,8 +585,7 @@ class _RankingPlan:
     def _answer(self):
         total = 0
         picked: list = [None] * len(self._cols)
-        assignment: dict = {}
-        values = self.db.values
+        assignment: dict = {}  # variable -> code
         for u in self._order:
             p = self._parents[u]
             if p is None:
@@ -554,9 +596,11 @@ class _RankingPlan:
             else:
                 i = self._best[u][self._join[u][picked[p]]]
             picked[u] = i
-            assignment.update(zip(self._cols[u], map(values.__getitem__,
-                                                     self._codes[u][:, i].tolist())))
-        answer = Fact(self.q.head_name, tuple(assignment[hv] for hv in self.q.head_vars))
+            assignment.update(zip(self._cols[u], self._codes[u][:, i].tolist()))
+        self._picked, self._assignment = picked, assignment
+        values = self.db.values
+        answer = Fact(self.q.head_name,
+                      tuple(values[assignment[hv]] for hv in self.q.head_vars))
         return answer, Fraction(total, self._scale)
 
 
@@ -637,12 +681,16 @@ class TropicalPlan(_RankingPlan):
         pos, code = divmod(pid, self._radix)
         return self.db.values[code], pos + 1
 
-    def _ball(self, answer: Fact) -> frozenset:
-        return self.volume.ball(answer)
+    def _picked_ids(self):
+        return [pos * self._radix + self._assignment[hv]
+                for pos, hv in enumerate(self.q.head_vars)]
 
-    def best(self, covered: frozenset):
+    def best(self, covered: Iterable | None = None):
         hit = super().best(covered)
         if hit is not None:
+            if covered is None:  # the part of the answer's ball the plan has covered
+                covered = frozenset(p for p in self.volume.ball(hit[0])
+                                    if self._pid(p) in self._covered)
             check = self.volume.marginal_given_covered(covered, hit[0])
             if check != hit[1]:  # pragma: no cover - per-position charging is exact
                 raise AssertionError(f"ranked marginal {hit[1]} but the volume says {check}")
@@ -717,8 +765,6 @@ class ProvenancePlan(_RankingPlan):
             facts.update(map(every.__getitem__, ids[ptr[lo]:ptr[lo + 1]].tolist()))
         return frozenset(facts)
 
-    _ball = provenance_of
-
 
 # ---------------------------------------------------------------------------
 # End-to-end greedy
@@ -734,6 +780,10 @@ def greedy_combined(q: ConjunctiveQuery, db: Database, k: int,
     ranks the witness-fact volume (the default) incrementally, and
     "auto" tries the ranker that the volume calls for before falling
     back to naive.  Both rankers plan over the query's own join tree.
+    Every engine but the Euclidean estimate runs one round loop over a
+    step's `best()` and `commit(answer)`: the naive engine's `_GreedyStep`
+    or a ranker's plan, which keeps its covered region as point ids and
+    commits a pick from the rows its dynamic program chose.
     Rounds stop at the first round whose best gain is 0, which is exactly
     when no answer adds volume.  The result's `engine` names the engine
     that ran.
@@ -745,7 +795,7 @@ def greedy_combined(q: ConjunctiveQuery, db: Database, k: int,
 
     def run(best: Callable, commit: Callable):
         def gainful(picks):
-            hit = best(picks)
+            hit = best()
             return hit if hit is not None and hit[1] > 0 else None
         return _greedy(k, gainful, commit)
 
@@ -770,13 +820,7 @@ def greedy_combined(q: ConjunctiveQuery, db: Database, k: int,
             if engine == ranker:
                 raise
         else:
-            covered: frozenset = frozenset()
-
-            def absorb(answer):
-                nonlocal covered
-                covered = covered | plan._ball(answer)
-
-            return _make_result(*run(lambda picks: plan.best(covered), absorb), engine=ranker)
+            return _make_result(*run(plan.best, plan.commit), engine=ranker)
 
     if volume is None:
         volume = provenance_volume(q, db)

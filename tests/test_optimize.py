@@ -711,10 +711,10 @@ def test_group_maxima_in_numpy_pick_the_rows_python_picks(monkeypatch, volume):
     for cutoff in (0, 10 ** 9):
         monkeypatch.setattr(diverse_cq.optimize, "_PYTHON_MAX_ROWS", cutoff)
         plan = TropicalPlan(q, db, volume) if volume else ProvenancePlan(q, db)
-        covered, picks = frozenset(), []
+        picks = []
         for _ in range(12):
-            answer, gain = plan.best(covered)
+            answer, gain = plan.best()
             picks.append((answer, gain))
-            covered |= plan._ball(answer)
+            plan.commit(answer)
         runs.append((picks, plan.rows_rescored))
     assert runs[0] == runs[1]
