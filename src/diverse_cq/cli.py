@@ -28,10 +28,9 @@ from .optimize import (BRUTE_FORCE_CAP, ENGINES, brute_force_diversify,
                        greedy_by_objective, greedy_combined, greedy_diversify)
 from .query import ConjunctiveQuery, parse_cq
 from .relcore import Database, Fact, Schema, fact_key, fraction_text, intern, load_database
-from .volume import (EuclideanBallVolume, MULTI_ATTRIBUTE_CAP, MultiAttributeWeights,
-                     elem_volume, elem_weighted, multiattribute_from_volume,
-                     pos_volume, pos_weighted, provenance_volume,
-                     volume_from_multiattribute)
+from .volume import (EuclideanBallVolume, MultiAttributeWeights, elem_volume,
+                     elem_weighted, multiattribute_from_volume, pos_volume,
+                     pos_weighted, provenance_volume, volume_from_multiattribute)
 
 VOLUME_CHOICES = "elem|pos|elem-w|pos-w|provenance|ball:r=<r>"
 CONVERT_CHECK_LIMIT = 10
@@ -487,10 +486,6 @@ def cmd_convert(args, argv: list[str]) -> int:
     db = phases.run("load", lambda: _load_db(args, inputs))
     q = _load_query(args, db, inputs)
     vol, answers = _volume_and_answers(args, q, db, inputs, phases)
-    if len(answers) > MULTI_ATTRIBUTE_CAP:
-        raise InputError(
-            f"{len(answers)} answers exceed the multi-attribute cap of "
-            f"{MULTI_ATTRIBUTE_CAP}")
     maw = phases.run("convert", lambda: multiattribute_from_volume(vol, answers))
     check = phases.run("check", lambda: _subset_check(
         answers, maw.diversity, vol.diversity))
@@ -608,8 +603,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--engine", choices=ENGINES,
                    help="next-answer oracle for greedy-combined (default auto)")
     p.add_argument("--lazy", action="store_true", default=None,
-                   help="lazy gain re-evaluation for greedy (same selection, "
-                        "fewer evaluations)")
+                   help="lazy gain re-evaluation for greedy (same selection "
+                        "as plain greedy)")
     p.add_argument("--max-subsets", type=_count,
                    help=f"exact-mode subset cap (default {BRUTE_FORCE_CAP})")
     p.set_defaults(fn=cmd_diversify)

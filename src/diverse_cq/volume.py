@@ -28,7 +28,6 @@ import math
 import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
 from pathlib import Path
 from typing import AbstractSet, Callable, Hashable, Iterable, Mapping
 
@@ -39,7 +38,6 @@ from .errors import InputError, LimitExceededError, LoadError, UniverseError
 from .query import gyo_join_tree
 from .relcore import Database, Fact, fraction_text
 
-MULTI_ATTRIBUTE_CAP = 16
 MC_SAMPLES_CAP = 10**8
 
 
@@ -515,7 +513,9 @@ class MultiAttributeWeights:
     """Non-negative weights on attribute subsets of a finite universe.
 
     The utility of a selection S is the total weight of subsets S
-    intersects.  Kept sparse: only strictly positive weights are stored.
+    intersects; an element of S outside the universe is a UniverseError,
+    as in the volume built from the weights.  Kept sparse: only strictly
+    positive weights are stored.
     """
 
     universe: tuple
@@ -535,6 +535,9 @@ class MultiAttributeWeights:
 
     def diversity(self, s: Iterable) -> Fraction:
         chosen = frozenset(s)
+        outside = chosen.difference(self.universe)
+        if outside:
+            raise UniverseError(f"{', '.join(sorted(map(repr, outside)))} outside the universe")
         total = Fraction(0)
         for a, w in self.weights.items():
             if a & chosen:
@@ -564,65 +567,43 @@ class MultiAttributeWeights:
             raise LoadError(f"{path}: {exc}") from None
 
 
-def volume_from_multiattribute(maw: MultiAttributeWeights,
-                               cap: int = MULTI_ATTRIBUTE_CAP) -> VolumeAssignment:
+def volume_from_multiattribute(maw: MultiAttributeWeights) -> VolumeAssignment:
     """Realize subset-utility weights as a volume assignment, exactly.
 
     Ground points are the positively weighted attribute sets themselves;
     an element's ball collects the sets containing it.  The weighted
     measure (default 0) then reproduces the utility on every selection.
     """
-    if len(maw.universe) > cap:
-        raise LimitExceededError(
-            f"universe of size {len(maw.universe)} exceeds the cap of {cap}")
     positive = {a: w for a, w in maw.weights.items() if w > 0}
-    ground = frozenset(maw.universe)
-
-    def ball(x) -> frozenset:
-        return frozenset(a for a in positive if x in a)
-
-    return VolumeAssignment("multiattr", ball,
+    balls: dict = {x: set() for x in maw.universe}
+    for a in positive:
+        for x in a:
+            balls[x].add(a)
+    balls = {x: frozenset(ball) for x, ball in balls.items()}
+    return VolumeAssignment("multiattr", balls.__getitem__,
                             WeightedMeasure(positive, Fraction(0)),
-                            universe=ground)
+                            universe=frozenset(maw.universe))
 
 
-def multiattribute_from_volume(v: VolumeAssignment, universe: Iterable,
-                               cap: int = MULTI_ATTRIBUTE_CAP) -> MultiAttributeWeights:
+def multiattribute_from_volume(v: VolumeAssignment, universe: Iterable) -> MultiAttributeWeights:
     """Express a discrete volume over a finite universe as subset weights.
 
-    The weight of a subset A is the measure of the region covered by all
-    of A's balls and none of the others; subsets with an empty common
-    intersection are pruned early.
+    The weight of a subset A is the measure of the ground points whose
+    covering elements are exactly A, so one pass over the balls groups
+    every covered point under its covering set.
     """
     if not getattr(v, "is_discrete", False):
         raise InputError("only discrete volume assignments convert to subset weights")
     elements = tuple(universe)
-    if len(elements) > cap:
-        raise LimitExceededError(
-            f"universe of size {len(elements)} exceeds the cap of {cap}")
-    balls = {x: v.ball(x) for x in elements}
-    weights: dict[frozenset, Fraction] = {}
-    for size in range(1, len(elements) + 1):
-        for combo in combinations(elements, size):
-            inter = balls[combo[0]]
-            for x in combo[1:]:
-                inter = inter & balls[x]
-                if not inter:
-                    break
-            if not inter:
-                continue
-            region = set(inter)
-            for x in elements:
-                if x not in combo:
-                    region -= balls[x]
-                    if not region:
-                        break
-            if not region:
-                continue
-            w = v.measure.of(frozenset(region))
-            if w > 0:
-                weights[frozenset(combo)] = w
-    return MultiAttributeWeights(elements, weights)
+    covering: dict = {}
+    for x in elements:
+        for point in v.ball(x):
+            covering.setdefault(point, []).append(x)
+    groups: dict = {}
+    for point, holders in covering.items():
+        groups.setdefault(frozenset(holders), []).append(point)
+    weights = {a: v.measure.of(frozenset(points)) for a, points in groups.items()}
+    return MultiAttributeWeights(elements, {a: w for a, w in weights.items() if w > 0})
 
 
 def format_weight(w) -> str:

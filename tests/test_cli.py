@@ -273,8 +273,8 @@ COMPARE = [*D1, "-k", "1", "--distance", "hamming"]
     (["bench", "--cap", "ten"], "argument --cap: expected a non-negative integer, got 'ten'"),
     (["compare", *D1, "-k", "1", "--volume", "elem", "--distance", "cosine"],
      "unknown distance 'cosine'; expected hamming or matrix:<file>"),
-    (["convert", "--volume-dump", "--data", "<wide>", "--query", IDENT, "--volume", "elem"],
-     "17 answers exceed the multi-attribute cap of 16"),
+    (["convert", "--volume-dump", "--data", "<wide>", "--query", IDENT, "--volume", "ball:r=1"],
+     "only discrete volume assignments convert to subset weights"),
     (["bench", "--path-length", "0"], "--path-length must be at least 1, got 0"),
     (["bench", "--path-length", "-2"], "--path-length must be at least 1, got -2"),
 ])
@@ -573,6 +573,14 @@ def test_convert_volume_dump_round_trip(capsys, work):
                           "--query", IDENT, "--volume", "elem"])
     assert doc["payload"]["check"]["verdict"] == "PASS"
     assert doc["payload"]["check"]["subsets_checked"] == 3
+
+
+def test_convert_volume_dump_has_no_answer_cap(capsys, work):
+    payload = report(capsys, ["convert", "--volume-dump", "--data", str(work / "wide"),
+                              "--query", IDENT, "--volume", "elem"])["payload"]
+    assert len(payload["universe"]) == 17
+    assert payload["weights"]
+    assert payload["check"] == {"skipped": "universe larger than 10"}
 
 
 LEAF = {"edge_length": 1, "label": "a"}

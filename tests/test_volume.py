@@ -415,12 +415,27 @@ def test_volume_to_weights_on_facts():
     assert maw.weights[frozenset(facts)] == 1  # the shared element
 
 
-def test_conversion_caps_and_type_checks():
-    too_big = tuple(f"e{i}" for i in range(20))
-    with pytest.raises(LimitExceededError):
-        volume_from_multiattribute(MultiAttributeWeights(too_big, {}))
+def test_conversion_has_no_universe_cap_and_checks_type():
+    wide = tuple(f"e{i:02d}" for i in range(20))
+    weights = {frozenset(wide): Fraction(1), frozenset(wide[:2]): Fraction(1, 2),
+               frozenset({wide[-1]}): Fraction(3)}
+    maw = MultiAttributeWeights(wide, weights)
+    v = volume_from_multiattribute(maw)
+    assert v.diversity(wide) == maw.diversity(wide) == Fraction(9, 2)
+    assert dict(multiattribute_from_volume(v, wide).weights) == weights
     with pytest.raises(InputError):
         multiattribute_from_volume(EuclideanBallVolume(1.0), ["x"])
+
+
+def test_multiattribute_weights_and_their_volume_reject_the_same_outsiders():
+    maw = MultiAttributeWeights(("x", "y"), {frozenset({"x"}): Fraction(2)})
+    v = volume_from_multiattribute(maw)
+    assert maw.diversity(["x", "y"]) == v.diversity(["x", "y"]) == 2
+    for s in (["zz"], ["x", "zz"]):
+        with pytest.raises(UniverseError):
+            maw.diversity(s)
+        with pytest.raises(UniverseError):
+            v.diversity(s)
 
 
 def test_multiattribute_validation():
