@@ -7,14 +7,14 @@ database's int64 code columns (Yannakakis' reduction as vectorized
 column operations): packed join keys, sorted searches for the semijoin,
 and one stable sort per node that makes its groups contiguous segments.
 The join-tree rankers in `optimize` and their witness tables take their
-live rows, groups and joins from it as well.  One preorder walk from the
-root then follows each chosen row's joins.  Rooted at the connex subtree
-of a free-connex head, the walk is linear in input plus output.  For the
-provenance volume, `_tree_balls` expands the same walks as columns of
-row ids instead and gathers each answer's ball, the facts of all of the
-answer's witnesses, as a sorted row of fact ids, adding the facts of
-every skipped subtree from one top-down array pass, `_fold`; the witness
-tables of the provenance ranker come from that pass too.
+live rows, groups and joins from it as well.  One walk expander,
+`_batches`, then follows each chosen row's joins from the root, a batch
+of walks at a time, as columns of row ids; rooted at the connex subtree
+of a free-connex head, the walk is linear in input plus output.  It
+serves the answers, decoded from the walks' head codes, and the
+provenance balls, each answer's witness facts as a sorted row of fact
+ids, with every skipped subtree's facts from one top-down array pass,
+`_fold`, which also builds the provenance ranker's witness tables.
 
 Cyclic bodies fall back to the backtracking join, which is also the
 semantics oracle every other path is tested against.  It orders atoms
@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -124,7 +124,8 @@ def iter_answers(q: ConjunctiveQuery, db: Database) -> Iterator[Fact]:
     """Distinct answers in discovery order (no global materialization).
 
     Acyclic bodies run the semijoin-reduced walk over their GYO join
-    tree; cyclic bodies fall back to the backtracking join.
+    tree, which streams a batch of walks at a time, not one walk at a
+    time; cyclic bodies fall back to the backtracking join.
     """
     parents = gyo_join_tree(q)
     if parents is not None:
@@ -299,8 +300,8 @@ class _Walk(NamedTuple):
     `walked` lists, in preorder, the nodes the walk chooses a row of: the
     root, and every node below a walked one whose subtree binds a head
     variable its parent does not.  A walked node's index in it is its
-    depth.  `head` places each head variable at (depth, position in that
-    node's bag)."""
+    depth, which `depth` maps it to.  `head` places each head variable at
+    (depth, position in that node's bag)."""
 
     parents: list
     rows: tuple
@@ -309,6 +310,7 @@ class _Walk(NamedTuple):
     groups: list
     join: list
     walked: list
+    depth: dict
     head: list
 
 
@@ -335,66 +337,36 @@ def _walk(q: ConjunctiveQuery, parents: Sequence[int | None], db: Database) -> _
             depth_of[u] = len(depth_of)
     home = {v: (depth_of[u], i) for u in depth_of for i, v in enumerate(bags[u])}
     return _Walk(list(parents), rows, codes, kids, groups, join, list(depth_of),
-                 [home[v] for v in q.head_vars])
+                 depth_of, [home[v] for v in q.head_vars])
 
 
 def _tree_answers(q: ConjunctiveQuery, parents: Sequence[int | None],
                   db: Database) -> Iterator[Fact]:
     """Distinct answers of `q` over the join tree `parents`: its GYO tree
-    or a re-rooting of it, streamed.
-
-    Node `i` holds atom `i`'s variables and facts.  After `_reduce` every
-    live row extends into all of its node's subtrees, so one preorder walk
-    that follows each chosen row's joins, and skips every subtree binding
-    no new head variable, finds the answers.  For a free-connex head each
-    walk is a distinct answer and the walk is linear in input plus
-    output; otherwise answers are deduplicated.
-    """
+    or a re-rooting of it, in walk order (row by row at each depth, in
+    group order), streamed a batch of walks at a time.  For a free-connex
+    head each walk is a distinct answer; otherwise answers are
+    deduplicated."""
     w = _walk(q, parents, db)
     if w is None:
         return
-    depth = {u: d for d, u in enumerate(w.walked)}
-    # One step per walked node: its group segments and facts, its join,
-    # and the depth whose chosen row it joins (none at a root).
-    steps = []
-    for u in w.walked:
-        p = w.parents[u]
-        facts = list(map(db.relation(q.atoms[u].relation).__getitem__, w.rows[u].tolist()))
-        steps.append((w.groups[u].rows.tolist(), w.groups[u].starts.tolist(), facts,
-                      None if p is None else w.join[u].tolist(), depth.get(p)))
-    head = w.head
-    chosen: list = [None] * len(steps)  # the walk's rows
-    picked: list = [None] * len(steps)  # and their facts
     seen: set = set()
-
-    def walk(depth: int):
-        if depth < len(steps):
-            rows, starts, facts, to, up = steps[depth]
-            g = 0 if to is None else to[chosen[up]]
-            for i in rows[starts[g]:starts[g + 1]]:
-                chosen[depth] = i
-                picked[depth] = facts[i]
-                yield from walk(depth + 1)
-            return
-        ans = Fact._make((q.head_name, tuple([picked[d].values[i] for d, i in head])))
-        if ans not in seen:
-            seen.add(ans)
-            yield ans
-
-    try:
-        yield from walk(0)
-    finally:
-        del walk  # the recursive closure is a cycle; free its tables now
+    for cols in _batches(w, lambda: _WALK_BATCH):
+        for ans in _decode(q.head_name, _head_codes(w, cols), db.values):
+            if ans not in seen:
+                seen.add(ans)
+                yield ans
 
 
-# A ball build expands this many walks at a time, or a quarter as many as
-# the (answer, fact) pairs it has gathered when that is more, so a batch's
-# arrays stay within a constant factor of its result.  Expanding every walk
-# at once holds O(walks) ids, which outgrows the balls when walks per
-# answer outnumber a ball's facts: on `Q(v0,v4) <- R(v0,v1), S(v1,v2),
-# T(v2,v3), U(v3,v4)` over complete bipartite relations on d values, a
-# one-pass build's tracemalloc peak was 1.5x (d = 6) to 4.9x (d = 16) that
-# of a walk building one frozenset per answer; batched, it is 0.3-0.4x.
+# Walks are expanded this many at a time, so `iter_answers` streams; a
+# ball build expands a quarter as many as the (answer, fact) pairs it has
+# gathered when that is more, so a batch's arrays stay within a constant
+# factor of its result.  Expanding every walk at once holds O(walks) ids,
+# which outgrows the balls when walks per answer outnumber a ball's facts:
+# on `Q(v0,v4) <- R(v0,v1), S(v1,v2), T(v2,v3), U(v3,v4)` over complete
+# bipartite relations on d values, a one-pass build's tracemalloc peak was
+# 1.5x (d = 6) to 4.9x (d = 16) that of a walk building one frozenset per
+# answer; batched, it is 0.3-0.4x.
 _WALK_BATCH = 1 << 10
 
 
@@ -417,25 +389,20 @@ def _tree_balls(q: ConjunctiveQuery, parents: Sequence[int | None],
     A homomorphism extends a walk of `_walk` into each skipped subtree on
     its own, so a ball holds its walks' facts and, per skipped subtree,
     the facts of every extension of the group the walk joins, which one
-    `_fold` gathers per subtree.  The walks are expanded as columns of row
-    ids, depth by depth (`_expand`), and each walk's answer is found by
-    its packed head codes.  (answer, fact id) pairs are packed into one
-    int64 and deduplicated by sort and compare; a skipped subtree's facts
-    are added once per distinct (answer, group) pair.  The first root's
-    rows are expanded in batches of about `_WALK_BATCH` walks, or a
-    quarter of the pairs gathered so far when that is more, sized by one
-    bottom-up walk count per walked node.  Each batch's new pairs are
-    merged into the sorted pairs before it, so a query with many walks
-    per answer never holds all of its walks at once.  Answers are kept
-    numbered in value order: a batch's new answers are inserted among the
-    earlier ones, whose pairs move up past them.
+    `_fold` gathers per subtree.  Each walk's answer is found by its
+    packed head codes.  (answer, fact id) pairs are packed into one int64
+    and deduplicated by sort and compare; a skipped subtree's facts are
+    added once per distinct (answer, group) pair.  Each batch's new pairs
+    are merged into the sorted pairs before it, so a query with many walks
+    per answer never holds all of its walks at once (see `_WALK_BATCH`).
+    Answers are kept numbered in value order: a batch's new answers are
+    inserted among the earlier ones, whose pairs move up past them.
     """
     empty = np.zeros(0, dtype=np.int64)
     w = _walk(q, parents, db)
     if w is None:
         return [], np.zeros(1, dtype=np.int64), empty
-    groups, join, walked = w.groups, w.join, w.walked
-    depth = {u: d for d, u in enumerate(walked)}
+    groups, join, depth = w.groups, w.join, w.depth
     ids = [db.offset(a.relation) + r for a, r in zip(q.atoms, w.rows)]
     hang = []  # per skipped subtree below the walk: its parent's depth, join and folds
     for c, p in enumerate(w.parents):
@@ -445,22 +412,13 @@ def _tree_balls(q: ConjunctiveQuery, parents: Sequence[int | None],
                              groups[c].rows, n, w.kids, groups, join, ids)
             hang.append((depth[p], join[c], ptr, got))
 
-    top = groups[walked[0]].rows
-    cumulative = np.cumsum(_walk_counts(w, depth)[top])
     radix, nfacts = max(1, len(db.values)), max(1, len(db.facts()))
     heads = np.zeros((len(w.head), 0), dtype=np.int64)  # per answer, value order: head codes
     # answer * nfacts + fact id, ascending and distinct; the product of two
     # counts of objects held in memory stays far below 2^63
     pairs = empty
-    at = 0
-    while at < len(top):
-        spent = cumulative[at - 1] if at else 0.0
-        end = max(at + 1, int(np.searchsorted(
-            cumulative, spent + max(_WALK_BATCH, len(pairs) // 4), "right")))
-        cols = _expand(w, depth, top[at:end])
-        found = np.empty((len(w.head), len(cols[0])), dtype=np.int64)
-        for j, (d, i) in enumerate(w.head):
-            found[j] = w.codes[walked[d]][i][cols[d]]
+    for cols in _batches(w, lambda: max(_WALK_BATCH, len(pairs) // 4)):
+        found = _head_codes(w, cols)
         known, seen = _pack([heads, found], radix)  # `known` ascends, as `heads` do
         by_seen = _stable_order(seen)
         keys = seen[by_seen]
@@ -471,7 +429,7 @@ def _tree_balls(q: ConjunctiveQuery, parents: Sequence[int | None],
         # An older answer moves up past the new answers below it.
         pairs += np.searchsorted(keys[new], known)[pairs // nfacts] * nfacts
         answer = np.searchsorted(np.insert(known, where, keys[new]), seen)
-        got = [answer * nfacts + ids[u][cols[d]] for d, u in enumerate(walked)]
+        got = [answer * nfacts + ids[u][cols[d]] for u, d in depth.items()]
         for d, to, fold_ptr, fold in hang:
             m = max(1, len(fold_ptr) - 1)
             a, g = np.divmod(_distinct(answer * m + to[cols[d]]), m)
@@ -484,41 +442,48 @@ def _tree_balls(q: ConjunctiveQuery, parents: Sequence[int | None],
             got = got[_find(pairs, got) < 0]
             got = np.insert(pairs, np.searchsorted(pairs, got), got)
         pairs = got
-        at = end
     ptr = np.searchsorted(pairs, np.arange(heads.shape[1] + 1) * nfacts)
     pairs %= nfacts
-    values = db.values
-    rows = (zip(*(map(values.__getitem__, col) for col in heads.tolist()))
-            if len(heads) else repeat((), heads.shape[1]))
-    return list(map(Fact._make, zip(repeat(q.head_name), rows))), ptr, pairs
+    return list(_decode(q.head_name, heads, db.values)), ptr, pairs
 
 
-def _walk_counts(w: _Walk, depth: dict) -> np.ndarray:
-    """Per row of the first root, the number of walks that start at it,
-    as floats: a batch budget only.  One bottom-up pass counts the walks
-    below every row of a walked node, and sums them per group."""
+def _batches(w: _Walk, budget: Callable[[], int]) -> Iterator[list[np.ndarray]]:
+    """Every walk, in walk order, as `_expand` columns, one batch of the
+    first root's rows at a time: about `budget()` walks, read before each
+    batch, or the walks of one row when that is more.
+
+    One bottom-up pass counts, as floats, the walks below every row of a
+    walked node, and sums them per group."""
     total: list = [None] * len(w.walked)
     for d in reversed(range(len(w.walked))):
         u = w.walked[d]
         count = np.ones(w.codes[u].shape[1])
         for c in w.kids[u]:
-            if c in depth:
-                count *= np.append(total[depth[c]], 0.0)[w.join[c]]
+            if c in w.depth:
+                count *= np.append(total[w.depth[c]], 0.0)[w.join[c]]
         g = w.groups[u]
         total[d] = (np.add.reduceat(count[g.rows], g.starts[:-1]) if len(g.rows)
                     else np.zeros(0))
     # every later root multiplies the walks, once for each of its own
-    return count * np.prod([total[d][0] for d, u in enumerate(w.walked)
-                            if d and w.parents[u] is None])
+    count *= np.prod([total[d][0] for d, u in enumerate(w.walked)
+                      if d and w.parents[u] is None])
+    top = w.groups[w.walked[0]].rows
+    cumulative = np.cumsum(count[top])
+    at = 0
+    while at < len(top):
+        spent = cumulative[at - 1] if at else 0.0
+        end = max(at + 1, int(np.searchsorted(cumulative, spent + budget(), "right")))
+        yield _expand(w, top[at:end])
+        at = end
 
 
-def _expand(w: _Walk, depth: dict, top: np.ndarray) -> list[np.ndarray]:
+def _expand(w: _Walk, top: np.ndarray) -> list[np.ndarray]:
     """Every walk that starts at the `top` rows of the first root, as one
     column of chosen rows per depth."""
     cols = [top]
     for u in w.walked[1:]:
         p = w.parents[u]
-        g = np.zeros(len(cols[0]), dtype=np.int64) if p is None else w.join[u][cols[depth[p]]]
+        g = np.zeros(len(cols[0]), dtype=np.int64) if p is None else w.join[u][cols[w.depth[p]]]
         starts = w.groups[u].starts
         first = starts[g]
         sizes = starts[g + 1] - first
@@ -526,6 +491,19 @@ def _expand(w: _Walk, depth: dict, top: np.ndarray) -> list[np.ndarray]:
         cols = [col[keep] for col in cols]
         cols.append(w.groups[u].rows[_ranges(first, sizes)])
     return cols
+
+
+def _head_codes(w: _Walk, cols: Sequence[np.ndarray]) -> np.ndarray:
+    """The head codes of the walks `cols`, one row per head variable."""
+    return np.array([w.codes[w.walked[d]][i][cols[d]] for d, i in w.head],
+                    dtype=np.int64).reshape(len(w.head), len(cols[0]))
+
+
+def _decode(name: str, codes: np.ndarray, values: Sequence) -> Iterator[Fact]:
+    """The answers named `name` whose head codes are the columns of `codes`."""
+    rows = (zip(*(map(values.__getitem__, col) for col in codes.tolist()))
+            if len(codes) else repeat((), codes.shape[1]))
+    return map(Fact._make, zip(repeat(name), rows))
 
 
 def provenance_map(q: ConjunctiveQuery, db: Database, answers=None,

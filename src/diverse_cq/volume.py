@@ -514,8 +514,9 @@ class MultiAttributeWeights:
 
     The utility of a selection S is the total weight of subsets S
     intersects; an element of S outside the universe is a UniverseError,
-    as in the volume built from the weights.  Kept sparse: only strictly
-    positive weights are stored.
+    as in the volume built from the weights.  Kept sparse: only listed
+    subsets are stored.  A zero weight is kept as given; it adds nothing
+    to any utility, and `convert` leaves it out of its weights table.
     """
 
     universe: tuple
