@@ -352,10 +352,12 @@ def _tree_answers(q: ConjunctiveQuery, parents: Sequence[int | None],
         return
     seen: set = set()
     for cols in _batches(w, lambda: _WALK_BATCH):
-        for ans in _decode(q.head_name, _head_codes(w, cols), db.values):
-            if ans not in seen:
-                seen.add(ans)
-                yield ans
+        codes = _head_codes(w, cols)
+        for at in range(0, codes.shape[1], _WALK_BATCH):  # one heavy row's walks in slices
+            for ans in _decode(q.head_name, codes[:, at:at + _WALK_BATCH], db.values):
+                if ans not in seen:
+                    seen.add(ans)
+                    yield ans
 
 
 # Walks are expanded this many at a time, so `iter_answers` streams; a

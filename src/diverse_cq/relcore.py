@@ -10,14 +10,13 @@ and every column carries a hash index, built on the relation's first
 probe, so the backtracking join can probe by bound value instead of
 scanning.
 
-For the set-at-a-time steps of the join-tree evaluator and rankers, a
-database also keeps one int64 numpy code column per relation position:
-a value's code is its rank in the database's sorted value order, so
-code order is value order and a row of codes orders as its facts do.
-The columns are built on first use, never at load.  They serve only
-vectorized joins, groupings and sorts; answers, ball points and dict
-keys stay identity-hashed `DataValue`s, decoded from a code by one list
-index, so no Python-level code layer sits beside the intern pool.
+A database is dictionary-encoded at construction: one int64 numpy code
+column per relation position, a value's code being its rank in sorted
+value order, so code order is value order and facts are stored in code
+order.  The columns serve only vectorized joins, groupings and sorts;
+answers, ball points and dict keys stay identity-hashed `DataValue`s,
+decoded from a code by one list index, so no Python-level code layer
+sits beside the intern pool.
 """
 
 from __future__ import annotations
@@ -211,42 +210,60 @@ class Schema:
 
 
 class Database:
-    """Immutable collection of relations with per-column value indexes,
-    each relation's built on its first probe."""
+    """Immutable collection of relations, dictionary-encoded at construction:
+    the sorted `values` (code -> value), each relation's read-only code
+    columns and its fact order by `np.lexsort` over them, and the offsets
+    of `facts()`.  Only `lookup`'s per-column indexes, each relation's
+    built on its first probe, and the fact -> id dict wait for first use."""
 
-    __slots__ = ("schema", "_relations", "_index", "load_report",
-                 "_values", "_code", "_codes", "_offsets", "_rows", "_facts")
+    __slots__ = ("schema", "load_report", "values", "_code", "_relations", "_codes",
+                 "_offsets", "_facts", "_ids", "_index")
 
     def __init__(self, schema: Schema, relations: Mapping[str, Iterable[Fact]],
                  load_report: Mapping[str, dict] | None = None):
         self.schema = schema
-        rels: dict[str, tuple[Fact, ...]] = {}
-        for name in schema.arities:
-            facts = sorted(set(relations.get(name, ())),
-                           key=lambda f: [v.sort_key for v in f.values])
+        self.load_report = dict(load_report or {})
+        rels: dict[str, list[Fact]] = {}
+        for name in sorted(schema.arities):
+            facts = list(relations.get(name, ()))
             arity = schema.arity(name)
-            for f in facts:
+            for f in facts:  # in the order given, so the first bad fact is reported
                 if f.relation != name:
                     raise LoadError(f"fact {f!r} filed under relation {name}")
                 if f.arity != arity:
                     raise LoadError(f"fact {f!r}: expected arity {arity}, got {f.arity}")
-            rels[name] = tuple(facts)
-        self._relations = rels
-        self._index: dict[str, tuple[dict, ...]] = {}  # built by the first `lookup`
-        self.load_report = dict(load_report or {})
-        self._values: list[DataValue] | None = None  # built on first use
-        self._code: dict[DataValue, int] = {}
+            rels[name] = list(set(facts))
+        cells = chain.from_iterable(map(itemgetter(1), chain.from_iterable(rels.values())))
+        self.values: list[DataValue] = sorted(set(cells), key=attrgetter("sort_key"))
+        self._code = dict(zip(self.values, range(len(self.values))))
+        self._relations: dict[str, tuple[Fact, ...]] = {}  # in name order
         self._codes: dict[str, np.ndarray] = {}
-        self._offsets: dict[str, int] | None = None  # built by the first `offset`
-        self._rows: dict[str, dict] = {}  # per relation, fact -> row; built by `_row`
-        self._facts: tuple[Fact, ...] | None = None
+        self._offsets: dict[str, int] = {}
+        at = 0
+        for name, facts in rels.items():
+            cells = chain.from_iterable(map(itemgetter(1), facts))
+            flat = np.fromiter(map(self._code.__getitem__, cells), np.int64,
+                               count=schema.arity(name) * len(facts))
+            codes = flat.reshape(-1, schema.arity(name)).T
+            order = np.lexsort(codes[::-1])  # by position 0 first; code order is value order
+            self._codes[name] = codes = np.ascontiguousarray(codes[:, order])
+            codes.setflags(write=False)
+            self._relations[name] = tuple(map(facts.__getitem__, order.tolist()))
+            self._offsets[name], at = at, at + len(facts)
+        self._facts = tuple(chain.from_iterable(self._relations.values()))
+        self._ids: dict[Fact, int] | None = None  # built by the first `fact_id` or `in`
+        self._index: dict[str, tuple[dict, ...]] = {}  # built by the first `lookup`
+
+    @staticmethod
+    def _of(table: dict, name: str):
+        try:
+            return table[name]
+        except KeyError:
+            raise LoadError(f"unknown relation {name!r}") from None
 
     def relation(self, name: str) -> tuple[Fact, ...]:
         """All facts of a relation in sorted order."""
-        try:
-            return self._relations[name]
-        except KeyError:
-            raise LoadError(f"unknown relation {name!r}") from None
+        return self._of(self._relations, name)
 
     def size(self, name: str) -> int:
         return len(self.relation(name))
@@ -265,71 +282,30 @@ class Database:
         return index[column].get(value, ())
 
     def __contains__(self, fact: Fact) -> bool:
-        return self._row(fact) is not None
-
-    def _row(self, fact: Fact) -> int | None:
-        """The fact's index in its relation, or None when it is not stored."""
-        rows = self._rows.get(fact.relation)
-        if rows is None:
-            facts = self._relations.get(fact.relation)
-            if facts is None:
-                return None
-            rows = self._rows[fact.relation] = dict(zip(facts, range(len(facts))))
-        return rows.get(fact)
-
-    def _encoding(self) -> tuple[list[DataValue], dict[DataValue, int]]:
-        if self._values is None:
-            cells = chain.from_iterable(map(itemgetter(1), chain.from_iterable(
-                self._relations.values())))
-            self._values = sorted(set(cells), key=attrgetter("sort_key"))
-            self._code = dict(zip(self._values, range(len(self._values))))
-        return self._values, self._code
-
-    @property
-    def values(self) -> list[DataValue]:
-        """Every value of the database in sorted order: code -> value."""
-        return self._encoding()[0]
+        return self.fact_id(fact) is not None
 
     def code(self, value: DataValue) -> int | None:
-        """The value's code, or None when no fact holds it."""
-        return self._encoding()[1].get(value)
+        """The value's code, its index in `values`, or None when no fact holds it."""
+        return self._code.get(value)
 
     def codes(self, name: str) -> np.ndarray:
-        """The relation's code columns as one read-only int64 array of
-        shape (arity, facts): row `j` is position `j`, in fact order."""
-        got = self._codes.get(name)
-        if got is None:
-            facts = self.relation(name)
-            cells = chain.from_iterable(map(itemgetter(1), facts))
-            arity = self.schema.arity(name)
-            flat = np.fromiter(map(self._encoding()[1].__getitem__, cells), np.int64,
-                               count=arity * len(facts))
-            got = self._codes[name] = np.ascontiguousarray(flat.reshape(-1, arity).T)
-            got.setflags(write=False)
-        return got
+        """The relation's code columns, built at construction, as one
+        read-only int64 array of shape (arity, facts): row `j` is
+        position `j`, in fact order."""
+        return self._of(self._codes, name)
 
     def offset(self, name: str) -> int:
         """Index in `facts()` of the relation's first fact."""
-        if self._offsets is None:
-            self._offsets, at = {}, 0
-            for rel in sorted(self._relations):
-                self._offsets[rel] = at
-                at += len(self._relations[rel])
-        try:
-            return self._offsets[name]
-        except KeyError:
-            raise LoadError(f"unknown relation {name!r}") from None
+        return self._of(self._offsets, name)
 
     def fact_id(self, fact: Fact) -> int | None:
         """The fact's index in `facts()`, or None when it is not stored."""
-        row = self._row(fact)
-        return None if row is None else self.offset(fact.relation) + row
+        if self._ids is None:
+            self._ids = dict(zip(self._facts, range(len(self._facts))))
+        return self._ids.get(fact)
 
     def facts(self) -> tuple[Fact, ...]:
         """Every fact, relations in name order and each in sorted order."""
-        if self._facts is None:
-            self._facts = tuple(chain.from_iterable(
-                self._relations[name] for name in sorted(self._relations)))
         return self._facts
 
     def all_facts(self) -> list[Fact]:
@@ -358,26 +334,34 @@ def load_database(directory, schema: Schema | None = None) -> Database:
     if schema is None:
         schema = Schema.load(directory / "schema.txt")
     relations: dict[str, list[Fact]] = {}
-    report: dict[str, dict] = {}
+    cells = _Cells()
     for name in sorted(schema.arities):
         arity = schema.arity(name)
         path = directory / f"{name}.csv"
         if not path.is_file():
             raise LoadError(f"missing relation file {path}")
-        facts: list[Fact] = []
-        rows_read = 0
+        relations[name] = facts = []
         try:
             with path.open(newline="", encoding="utf-8") as handle:
                 for lineno, row in enumerate(csv.reader(handle), start=1):
-                    if not row or all(cell.strip() == "" for cell in row):
+                    if not "".join(row).strip():  # blank, or blank cells only
                         continue
                     if len(row) != arity:
                         raise LoadError(
                             f"{path}, line {lineno}: expected {arity} values, got {len(row)}")
-                    rows_read += 1
-                    facts.append(Fact(name, [intern(cell.strip()) for cell in row]))
+                    facts.append(Fact(name, map(cells.__getitem__, row)))
         except csv.Error as exc:
             raise LoadError(f"{path}: malformed CSV ({exc})") from exc
-        relations[name] = facts
-        report[name] = {"rows_read": rows_read, "rows_kept": len(set(facts)), "arity": arity}
-    return Database(schema, relations, load_report=report)
+    db = Database(schema, relations)
+    db.load_report = {name: {"rows_read": len(facts), "rows_kept": db.size(name),
+                             "arity": schema.arity(name)} for name, facts in relations.items()}
+    return db
+
+
+class _Cells(dict):
+    """Raw CSV cell -> its value: each distinct cell of a load is stripped
+    and interned once."""
+
+    def __missing__(self, raw: str) -> DataValue:
+        self[raw] = value = intern(raw.strip())
+        return value

@@ -102,17 +102,24 @@ def test_first_answer_expands_only_the_first_batch(monkeypatch):
     db = db_of({r: 2 for r in "RSTU"}, facts)
     q = parse_cq("Q(v0,v4) <- R(v0,v1), S(v1,v2), T(v2,v3), U(v3,v4).")
     assert len(db.relation("R")) * d ** 3 >= 10 ** 6  # walks
-    sizes = []
-    expand = engine._expand
+    sizes, decoded = [], []
+    expand, decode = engine._expand, engine._decode
 
     def counting(w, top):
         cols = expand(w, top)
         sizes.append(len(cols[0]))
         return cols
 
+    def decoding(name, codes, values):
+        decoded.append(codes.shape[1])
+        return decode(name, codes, values)
+
     monkeypatch.setattr(engine, "_expand", counting)
+    monkeypatch.setattr(engine, "_decode", decoding)
     answers = iter_answers(q, db)
     first = next(answers)
     assert first == Fact("Q", (intern("n0"), intern("n0")))
     assert len(sizes) == 1 and sizes[0] <= max(engine._WALK_BATCH, d ** 3)
+    # a row's d^3 walks are decoded a slice of `_WALK_BATCH` at a time
+    assert decoded == [engine._WALK_BATCH] < [d ** 3]
     answers.close()
