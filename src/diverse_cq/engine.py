@@ -25,14 +25,13 @@ and deduplicates head projections.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
 from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import InputError, LimitExceededError
 from .query import Atom, ConjunctiveQuery, gyo_join_tree, _connex_rooting, _preorder
-from .relcore import Database, Fact, fact_key
+from .relcore import Database, Fact, _decode, fact_key
 
 PROVENANCE_EXTENSION_LIMIT = 10 ** 7
 
@@ -414,7 +413,7 @@ def _tree_balls(q: ConjunctiveQuery, parents: Sequence[int | None],
                              groups[c].rows, n, w.kids, groups, join, ids)
             hang.append((depth[p], join[c], ptr, got))
 
-    radix, nfacts = max(1, len(db.values)), max(1, len(db.facts()))
+    radix, nfacts = max(1, len(db.values)), max(1, db.fact_count())
     heads = np.zeros((len(w.head), 0), dtype=np.int64)  # per answer, value order: head codes
     # answer * nfacts + fact id, ascending and distinct; the product of two
     # counts of objects held in memory stays far below 2^63
@@ -499,13 +498,6 @@ def _head_codes(w: _Walk, cols: Sequence[np.ndarray]) -> np.ndarray:
     """The head codes of the walks `cols`, one row per head variable."""
     return np.array([w.codes[w.walked[d]][i][cols[d]] for d, i in w.head],
                     dtype=np.int64).reshape(len(w.head), len(cols[0]))
-
-
-def _decode(name: str, codes: np.ndarray, values: Sequence) -> Iterator[Fact]:
-    """The answers named `name` whose head codes are the columns of `codes`."""
-    rows = (zip(*(map(values.__getitem__, col) for col in codes.tolist()))
-            if len(codes) else repeat((), codes.shape[1]))
-    return map(Fact._make, zip(repeat(name), rows))
 
 
 def provenance_map(q: ConjunctiveQuery, db: Database, answers=None,

@@ -130,10 +130,12 @@ class _GreedyStep:
     """The one materialized greedy step, over a discrete volume's answers.
 
     Answer `i` of `items`, in `Fact` order, has its ball as the row of
-    point ids `pts[ptr[i]:ptr[i + 1]]` into `points`: a provenance
-    volume's own fact-id rows into `Database.facts()`, else its ball
-    points interned in order of first appearance.  An answer outside the
-    volume's universe raises its `UniverseError`, the smallest first.
+    point ids `pts[ptr[i]:ptr[i + 1]]`, and `_point` turns an id back into
+    its point: a provenance volume's own fact-id rows into
+    `Database.facts()`, whose facts are decoded only when a weight is
+    looked up, else its ball points interned in order of first
+    appearance.  An answer outside the volume's universe raises its
+    `UniverseError`, the smallest first.
     `gains` holds every answer's count of uncovered points, or the sum of
     their integer `scaled_weights` over `scale` (int64 unless past 2^62,
     exact ints then).  `cover` lowers the gains of the answers holding a
@@ -151,7 +153,8 @@ class _GreedyStep:
             rows = np.array(sorted(rows), dtype=np.int64)
             first, sizes = balls.ptr[rows], np.diff(balls.ptr)[rows]
             self.items = list(map(balls.answers.__getitem__, rows.tolist()))
-            self.points, pts = balls.facts, balls.ids[_ranges(first, sizes)]
+            pts = balls.ids[_ranges(first, sizes)]
+            self._point, self._point_id = balls.db.fact, balls.db.fact_id
         else:
             self.items = sorted(answers, key=fact_key)
             regions = [v.ball(t) for t in self.items]
@@ -159,7 +162,7 @@ class _GreedyStep:
             point_id: dict = {}
             pts = np.fromiter((point_id.setdefault(p, len(point_id)) for r in regions for p in r),
                               dtype=np.int64, count=sum(sizes))
-            self.points = list(point_id)
+            self._point, self._point_id = list(point_id).__getitem__, point_id.get
         self._ptr, self._pts = np.concatenate(([0], np.cumsum(sizes, dtype=np.int64))), pts
         # Point `_ids[j]` (ascending) is held by `_holders[_start[j]:_start[j + 1]]`.
         by_point = _stable_order(pts)
@@ -172,7 +175,7 @@ class _GreedyStep:
             self.gains = np.diff(self._ptr)
         else:
             scaled, self.scale = scaled_weights(v.measure.weight_of,
-                                                map(self.points.__getitem__, self._ids.tolist()))
+                                                map(self._point, self._ids.tolist()))
             scaled = list(scaled.values())  # in point order
             self._weight = np.array(scaled, dtype=object if sum(scaled) >= 2 ** 62 else np.int64)
             self.gains = np.zeros(len(self.items), dtype=self._weight.dtype)
@@ -194,6 +197,12 @@ class _GreedyStep:
 
     def commit(self, i: int) -> None:
         self.cover(self._pts[self._ptr[i]:self._ptr[i + 1]])
+
+    def held(self, region) -> np.ndarray:
+        """The ids of the points of `region` that some answer holds."""
+        pids = np.fromiter((p for p in map(self._point_id, region) if p is not None),
+                           dtype=np.int64)
+        return pids[np.isin(pids, self._ids)]
 
     def best(self, picks=None):
         """(i, gain) of the first answer of maximal gain, or None."""
@@ -299,7 +308,7 @@ def cqnext_naive(q: ConjunctiveQuery, db: Database, selected: Iterable[Fact],
         return None if hit is None else (hit[0], hit[1] - base)
     covered = v.covered(selected)
     step = _GreedyStep(answers, v)
-    step.cover(np.array([i for i, p in enumerate(step.points) if p in covered], dtype=np.int64))
+    step.cover(step.held(covered))
     hit = step.best()
     return None if hit is None else (step.items[hit[0]], Fraction(hit[1], step.scale))
 
@@ -402,7 +411,7 @@ class _RankingPlan:
         return self.db.fact_id(point) if isinstance(point, Fact) else None
 
     def _point(self, pid: int):
-        return self.db.facts()[pid]
+        return self.db.fact(pid)
 
     def _index(self) -> None:
         """Liveness, groups, joins, the holders and integer weights."""
@@ -751,7 +760,6 @@ class ProvenancePlan(_RankingPlan):
             if f not in self.db:
                 raise InputError(f"{answer!r} is not an answer of the query")
             facts.add(f)
-        every = self.db.facts()
         for out, keys, ptr, ids in self._tables:
             # Table rows are in value order, so narrow to the binding column by column.
             lo, hi = 0, keys.shape[1]
@@ -762,7 +770,7 @@ class ProvenancePlan(_RankingPlan):
                 lo, hi = lo + span.searchsorted(code), lo + span.searchsorted(code, "right")
             if lo == hi:
                 raise InputError(f"{answer!r} is not an answer of the query")
-            facts.update(map(every.__getitem__, ids[ptr[lo]:ptr[lo + 1]].tolist()))
+            facts.update(map(self.db.fact, ids[ptr[lo]:ptr[lo + 1]].tolist()))
         return frozenset(facts)
 
 

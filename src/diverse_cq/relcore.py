@@ -1,36 +1,39 @@
 """Relational core: interned data values, facts, schemas, and databases.
 
 Every cell is interned to one canonical `DataValue` per payload, and
-values compare and hash by identity: the intern pool is the dictionary
-encoding, so hashing a value, a row of values or a fact's values runs in
-C.  A fact is the named tuple `(relation, values)`, and it hashes,
-compares and orders as that tuple, also in C.  Databases are immutable
-once built: relations are deduplicated fact sets under set semantics,
-and every column carries a hash index, built on the relation's first
-probe, so the backtracking join can probe by bound value instead of
-scanning.
+values compare and hash by identity, so hashing a value, a row of values
+or a fact's values runs in C.  A fact is the named tuple `(relation,
+values)`, and it hashes, compares and orders as that tuple, also in C.
 
-A database is dictionary-encoded at construction: one int64 numpy code
-column per relation position, a value's code being its rank in sorted
-value order, so code order is value order and facts are stored in code
-order.  The columns serve only vectorized joins, groupings and sorts;
-answers, ball points and dict keys stay identity-hashed `DataValue`s,
-decoded from a code by one list index, so no Python-level code layer
-sits beside the intern pool.
+A database is stored dictionary-encoded, from the CSV onward: the sorted
+distinct values, and per relation one int64 numpy code column per
+position, a value's code being its rank in sorted value order.  Code
+order is value order, so each relation's rows, deduplicated under set
+semantics, are kept in code order.  The loader maps raw cells straight
+to codes; `Database(schema, relations)` and `from_facts` encode their
+facts into the same columns.  Planning, ranking and acyclic evaluation
+read only the columns.  A relation's facts are decoded from its codes,
+by one list index per value, when first asked for, and kept; so is the
+hash index `lookup` gives the backtracking join, and the fact -> row
+dict behind `in` and `fact_id`, each built on the relation's first
+probe.  Answers, ball points and dict keys stay identity-hashed
+`DataValue`s and `Fact`s, so no Python-level code layer sits beside the
+intern pool.
 """
 
 from __future__ import annotations
 
 import csv
 import re
+from bisect import bisect_right
 from collections import namedtuple
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, compress, repeat
 from operator import attrgetter, itemgetter
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -210,20 +213,26 @@ class Schema:
 
 
 class Database:
-    """Immutable collection of relations, dictionary-encoded at construction:
-    the sorted `values` (code -> value), each relation's read-only code
-    columns and its fact order by `np.lexsort` over them, and the offsets
-    of `facts()`.  Only `lookup`'s per-column indexes, each relation's
-    built on its first probe, and the fact -> id dict wait for first use."""
+    """Immutable collection of relations, stored as dictionary-encoded
+    code columns: the sorted `values` (code -> value) and, per relation,
+    a read-only int64 array with one column of codes per position, its
+    rows deduplicated and in code order, which is value order.  Sizes,
+    offsets and the fact count come from the arrays' shapes.
 
-    __slots__ = ("schema", "load_report", "values", "_code", "_relations", "_codes",
-                 "_offsets", "_facts", "_ids", "_index")
+    A relation's `Fact` tuples are decoded from its codes on its first
+    `relation`, `lookup` or `fact_id`, or on `facts()`, and kept; so are
+    `lookup`'s per-column indexes and `fact_id`'s fact -> row dict, each
+    built on the relation's first probe.  Planning, ranking and acyclic
+    evaluation read only the code columns and decode no fact.
+    """
+
+    __slots__ = ("schema", "load_report", "values", "_code", "_codes", "_offsets",
+                 "_starts", "_relations", "_rows", "_index")
 
     def __init__(self, schema: Schema, relations: Mapping[str, Iterable[Fact]],
                  load_report: Mapping[str, dict] | None = None):
-        self.schema = schema
-        self.load_report = dict(load_report or {})
-        rels: dict[str, list[Fact]] = {}
+        ids = _Ids()  # value -> its position in `ids`
+        raw: dict[str, np.ndarray] = {}
         for name in sorted(schema.arities):
             facts = list(relations.get(name, ()))
             arity = schema.arity(name)
@@ -232,27 +241,49 @@ class Database:
                     raise LoadError(f"fact {f!r} filed under relation {name}")
                 if f.arity != arity:
                     raise LoadError(f"fact {f!r}: expected arity {arity}, got {f.arity}")
-            rels[name] = list(set(facts))
-        cells = chain.from_iterable(map(itemgetter(1), chain.from_iterable(rels.values())))
-        self.values: list[DataValue] = sorted(set(cells), key=attrgetter("sort_key"))
+            cells = chain.from_iterable(map(itemgetter(1), facts))
+            raw[name] = np.fromiter(map(ids.__getitem__, cells), np.int64,
+                                    count=arity * len(facts)).reshape(-1, arity).T
+        self._store(schema, list(ids), raw, load_report)
+
+    def _store(self, schema: Schema, pool: list, raw: Mapping[str, np.ndarray],
+               load_report: Mapping[str, dict] | None) -> None:
+        """The column core of every database: `raw[name]` holds a relation's
+        rows as columns of indexes into `pool`, whose values may repeat.
+        Sorts the values the rows hold once, turns the indexes into codes
+        with one fancy index, and orders and deduplicates each relation's
+        rows with one `np.lexsort`."""
+        self.schema = schema
+        self.load_report = dict(load_report or {})
+        used = np.zeros(len(pool), dtype=bool)
+        for ids in raw.values():
+            used[ids] = True
+        self.values: list[DataValue] = sorted(set(compress(pool, used.tolist())),
+                                              key=attrgetter("sort_key"))
         self._code = dict(zip(self.values, range(len(self.values))))
-        self._relations: dict[str, tuple[Fact, ...]] = {}  # in name order
-        self._codes: dict[str, np.ndarray] = {}
+        remap = np.array([self._code.get(v, -1) for v in pool], dtype=np.int64)
+        self._codes: dict[str, np.ndarray] = {}  # in name order
         self._offsets: dict[str, int] = {}
         at = 0
-        for name, facts in rels.items():
-            cells = chain.from_iterable(map(itemgetter(1), facts))
-            flat = np.fromiter(map(self._code.__getitem__, cells), np.int64,
-                               count=schema.arity(name) * len(facts))
-            codes = flat.reshape(-1, schema.arity(name)).T
-            order = np.lexsort(codes[::-1])  # by position 0 first; code order is value order
-            self._codes[name] = codes = np.ascontiguousarray(codes[:, order])
+        for name in sorted(schema.arities):
+            codes = remap[raw[name]]
+            codes = codes[:, np.lexsort(codes[::-1])]  # by position 0 first
+            fresh = np.ones(codes.shape[1], dtype=bool)
+            fresh[1:] = (codes[:, 1:] != codes[:, :-1]).any(axis=0)
+            self._codes[name] = codes = np.ascontiguousarray(codes[:, fresh])
             codes.setflags(write=False)
-            self._relations[name] = tuple(map(facts.__getitem__, order.tolist()))
-            self._offsets[name], at = at, at + len(facts)
-        self._facts = tuple(chain.from_iterable(self._relations.values()))
-        self._ids: dict[Fact, int] | None = None  # built by the first `fact_id` or `in`
-        self._index: dict[str, tuple[dict, ...]] = {}  # built by the first `lookup`
+            self._offsets[name], at = at, at + codes.shape[1]
+        self._starts = list(self._offsets.values())
+        self._relations: dict[str, tuple[Fact, ...]] = {}  # decoded on first use
+        self._rows: dict[str, dict[Fact, int]] = {}  # built by the relation's first `fact_id`
+        self._index: dict[str, tuple[dict, ...]] = {}  # built by the relation's first `lookup`
+
+    @classmethod
+    def _from_columns(cls, schema: Schema, pool: list,
+                      raw: Mapping[str, np.ndarray]) -> "Database":
+        db = cls.__new__(cls)
+        db._store(schema, pool, raw, None)
+        return db
 
     @staticmethod
     def _of(table: dict, name: str):
@@ -262,11 +293,19 @@ class Database:
             raise LoadError(f"unknown relation {name!r}") from None
 
     def relation(self, name: str) -> tuple[Fact, ...]:
-        """All facts of a relation in sorted order."""
-        return self._of(self._relations, name)
+        """All facts of a relation in sorted order, decoded on first use."""
+        facts = self._relations.get(name)
+        if facts is None:
+            codes = self._of(self._codes, name)
+            facts = self._relations[name] = tuple(_decode(name, codes, self.values))
+        return facts
 
     def size(self, name: str) -> int:
-        return len(self.relation(name))
+        return self.codes(name).shape[1]
+
+    def fact_count(self) -> int:
+        """The number of facts of all relations."""
+        return sum(codes.shape[1] for codes in self._codes.values())
 
     def lookup(self, name: str, column: int, value: DataValue) -> tuple[Fact, ...]:
         """Facts of `name` whose `column` holds `value` (hash probe)."""
@@ -289,9 +328,8 @@ class Database:
         return self._code.get(value)
 
     def codes(self, name: str) -> np.ndarray:
-        """The relation's code columns, built at construction, as one
-        read-only int64 array of shape (arity, facts): row `j` is
-        position `j`, in fact order."""
+        """The relation's code columns as one read-only int64 array of
+        shape (arity, facts): row `j` is position `j`, in fact order."""
         return self._of(self._codes, name)
 
     def offset(self, name: str) -> int:
@@ -299,14 +337,27 @@ class Database:
         return self._of(self._offsets, name)
 
     def fact_id(self, fact: Fact) -> int | None:
-        """The fact's index in `facts()`, or None when it is not stored."""
-        if self._ids is None:
-            self._ids = dict(zip(self._facts, range(len(self._facts))))
-        return self._ids.get(fact)
+        """The fact's index in `facts()`, or None when it is not stored.
+        Decodes only the fact's own relation."""
+        name = fact[0] if isinstance(fact, tuple) and len(fact) == 2 else None
+        rows = self._rows.get(name)
+        if rows is None:
+            if name not in self._codes:
+                return None
+            facts = self.relation(name)
+            rows = self._rows[name] = dict(zip(facts, range(len(facts))))
+        row = rows.get(fact)
+        return None if row is None else self._offsets[name] + row
+
+    def fact(self, i: int) -> Fact:
+        """The fact whose index in `facts()` is `i`; decodes only its relation."""
+        name = list(self._codes)[bisect_right(self._starts, i) - 1]
+        return self.relation(name)[i - self._offsets[name]]
 
     def facts(self) -> tuple[Fact, ...]:
-        """Every fact, relations in name order and each in sorted order."""
-        return self._facts
+        """Every fact, relations in name order and each in sorted order;
+        decodes every relation."""
+        return tuple(chain.from_iterable(map(self.relation, self._codes)))
 
     def all_facts(self) -> list[Fact]:
         return list(self.facts())
@@ -322,46 +373,77 @@ class Database:
         return cls(schema, grouped)
 
 
+def _decode(name: str, codes: np.ndarray, values: Sequence) -> Iterator[Fact]:
+    """The facts named `name` whose values' codes are the columns of `codes`."""
+    rows = (zip(*(map(values.__getitem__, col) for col in codes.tolist()))
+            if len(codes) else repeat((), codes.shape[1]))
+    return map(Fact._make, zip(repeat(name), rows))
+
+
 def load_database(directory, schema: Schema | None = None) -> Database:
-    """Load `<Relation>.csv` files (no header) under `directory`.
+    """Load `<Relation>.csv` files (no header) under `directory` straight
+    into code columns; no `Fact` is built until one is asked for.
 
     When no schema is passed, `schema.txt` in the directory is read.
-    Rows are deduplicated.  Whitespace around unquoted cells is stripped.
+    Whitespace around unquoted cells is stripped, each distinct raw cell
+    once per load.  Rows that are blank or hold only blank cells are
+    skipped, and the rest are deduplicated.  A file whose rows all have
+    the relation's arity is read as one array; any other file is checked
+    row by row, and its first row of another width is an error.
     """
     directory = Path(directory)
     if not directory.is_dir():
         raise LoadError(f"database directory {directory} does not exist")
     if schema is None:
         schema = Schema.load(directory / "schema.txt")
-    relations: dict[str, list[Fact]] = {}
-    cells = _Cells()
+    cells = _Ids()  # raw cell -> its position in `cells`
+    raw: dict[str, np.ndarray] = {}
     for name in sorted(schema.arities):
         arity = schema.arity(name)
         path = directory / f"{name}.csv"
         if not path.is_file():
             raise LoadError(f"missing relation file {path}")
-        relations[name] = facts = []
         try:
             with path.open(newline="", encoding="utf-8") as handle:
-                for lineno, row in enumerate(csv.reader(handle), start=1):
-                    if not "".join(row).strip():  # blank, or blank cells only
-                        continue
-                    if len(row) != arity:
-                        raise LoadError(
-                            f"{path}, line {lineno}: expected {arity} values, got {len(row)}")
-                    facts.append(Fact(name, map(cells.__getitem__, row)))
-        except csv.Error as exc:
-            raise LoadError(f"{path}: malformed CSV ({exc})") from exc
-    db = Database(schema, relations)
-    db.load_report = {name: {"rows_read": len(facts), "rows_kept": db.size(name),
-                             "arity": schema.arity(name)} for name, facts in relations.items()}
+                rows = list(csv.reader(handle))
+        except csv.Error:
+            rows = None
+        if rows is None or not set(map(len, rows)) <= {arity}:
+            rows = _checked_rows(path, arity)
+        raw[name] = np.fromiter(map(cells.__getitem__, chain.from_iterable(rows)), np.int64,
+                                count=arity * len(rows)).reshape(-1, arity).T
+    stripped = [cell.strip() for cell in cells]
+    blank = np.array([not cell for cell in stripped], dtype=bool)
+    for name, ids in raw.items():  # drop the rows of blank cells only
+        raw[name] = ids[:, ~blank[ids].all(axis=0)]
+    db = Database._from_columns(schema, list(map(intern, stripped)), raw)
+    db.load_report = {name: {"rows_read": ids.shape[1], "rows_kept": db.size(name),
+                             "arity": schema.arity(name)} for name, ids in raw.items()}
     return db
 
 
-class _Cells(dict):
-    """Raw CSV cell -> its value: each distinct cell of a load is stripped
-    and interned once."""
+def _checked_rows(path: Path, arity: int) -> list[list[str]]:
+    """The rows of the CSV file at `path` that are not blank, read one at a
+    time so the first row of another width than `arity`, or the first
+    malformed line, is the error."""
+    rows = []
+    try:
+        with path.open(newline="", encoding="utf-8") as handle:
+            for lineno, row in enumerate(csv.reader(handle), start=1):
+                if not "".join(row).strip():  # blank, or blank cells only
+                    continue
+                if len(row) != arity:
+                    raise LoadError(
+                        f"{path}, line {lineno}: expected {arity} values, got {len(row)}")
+                rows.append(row)
+    except csv.Error as exc:
+        raise LoadError(f"{path}: malformed CSV ({exc})") from exc
+    return rows
 
-    def __missing__(self, raw: str) -> DataValue:
-        self[raw] = value = intern(raw.strip())
-        return value
+
+class _Ids(dict):
+    """Key -> its position among the distinct keys, in order of first use."""
+
+    def __missing__(self, key) -> int:
+        self[key] = i = len(self)
+        return i

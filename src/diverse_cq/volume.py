@@ -178,19 +178,19 @@ class ProvenanceBalls:
     """The provenance volume's ball function over an acyclic body.
 
     Holds every answer, in value order, with its ball as a row of
-    `Database.facts()` ids: answer `j` = `answers[j]` has the fact ids
-    `ids[ptr[j]:ptr[j + 1]]`, ascending, and `row` maps it back to `j`;
-    the keys of `row` are the volume's universe.  Greedy scores the rows
-    as they are.  Calling it with an answer decodes that answer's row into
-    a frozenset of facts, once, and keeps it.
+    `Database.facts()` ids of `db`: answer `j` = `answers[j]` has the fact
+    ids `ids[ptr[j]:ptr[j + 1]]`, ascending, and `row` maps it back to
+    `j`; the keys of `row` are the volume's universe.  Greedy scores the
+    rows as they are.  Calling it with an answer decodes that answer's row
+    into a frozenset of facts, once, and keeps it.
     """
 
-    def __init__(self, answers: list, ptr: np.ndarray, ids: np.ndarray, facts: tuple):
+    def __init__(self, answers: list, ptr: np.ndarray, ids: np.ndarray, db: Database):
         self.answers = answers
         self.row = dict(zip(answers, range(len(answers))))
         self.ptr = ptr
         self.ids = ids
-        self.facts = facts
+        self.db = db
         self._decoded: dict = {}
 
     def __call__(self, t: Fact) -> frozenset:
@@ -200,7 +200,7 @@ class ProvenanceBalls:
             if r is None:
                 raise UniverseError(f"{t!r} is not an answer of the query")
             got = self._decoded[t] = frozenset(
-                map(self.facts.__getitem__, self.ids[self.ptr[r]:self.ptr[r + 1]].tolist()))
+                map(self.db.fact, self.ids[self.ptr[r]:self.ptr[r + 1]].tolist()))
         return got
 
 
@@ -216,7 +216,7 @@ def provenance_volume(q, db: Database) -> VolumeAssignment:
     """
     parents = gyo_join_tree(q)
     if parents is not None:
-        balls = ProvenanceBalls(*engine._tree_balls(q, parents, db), db.facts())
+        balls = ProvenanceBalls(*engine._tree_balls(q, parents, db), db)
         return VolumeAssignment("provenance", balls, CountMeasure(),
                                 universe=balls.row.keys())
     prov = engine.provenance_map(q, db)
