@@ -227,7 +227,7 @@ class Database:
     """
 
     __slots__ = ("schema", "load_report", "values", "_code", "_codes", "_offsets",
-                 "_starts", "_relations", "_rows", "_index")
+                 "_starts", "_names", "_relations", "_rows", "_index")
 
     def __init__(self, schema: Schema, relations: Mapping[str, Iterable[Fact]],
                  load_report: Mapping[str, dict] | None = None):
@@ -274,6 +274,7 @@ class Database:
             codes.setflags(write=False)
             self._offsets[name], at = at, at + codes.shape[1]
         self._starts = list(self._offsets.values())
+        self._names = list(self._offsets)
         self._relations: dict[str, tuple[Fact, ...]] = {}  # decoded on first use
         self._rows: dict[str, dict[Fact, int]] = {}  # built by the relation's first `fact_id`
         self._index: dict[str, tuple[dict, ...]] = {}  # built by the relation's first `lookup`
@@ -351,7 +352,7 @@ class Database:
 
     def fact(self, i: int) -> Fact:
         """The fact whose index in `facts()` is `i`; decodes only its relation."""
-        name = list(self._codes)[bisect_right(self._starts, i) - 1]
+        name = self._names[bisect_right(self._starts, i) - 1]
         return self.relation(name)[i - self._offsets[name]]
 
     def facts(self) -> tuple[Fact, ...]:
@@ -360,7 +361,7 @@ class Database:
         return tuple(chain.from_iterable(map(self.relation, self._codes)))
 
     def all_facts(self) -> list[Fact]:
-        return list(self.facts())
+        return list(chain.from_iterable(map(self.relation, self._codes)))
 
     @classmethod
     def from_facts(cls, schema: Schema, facts: Iterable[Fact]) -> "Database":
@@ -387,9 +388,9 @@ def load_database(directory, schema: Schema | None = None) -> Database:
     When no schema is passed, `schema.txt` in the directory is read.
     Whitespace around unquoted cells is stripped, each distinct raw cell
     once per load.  Rows that are blank or hold only blank cells are
-    skipped, and the rest are deduplicated.  A file whose rows all have
-    the relation's arity is read as one array; any other file is checked
-    row by row, and its first row of another width is an error.
+    skipped, and the rest are deduplicated.  Each file is read in one
+    pass; its first non-blank row of another width than the relation's
+    arity is an error.
     """
     directory = Path(directory)
     if not directory.is_dir():
@@ -403,13 +404,7 @@ def load_database(directory, schema: Schema | None = None) -> Database:
         path = directory / f"{name}.csv"
         if not path.is_file():
             raise LoadError(f"missing relation file {path}")
-        try:
-            with path.open(newline="", encoding="utf-8") as handle:
-                rows = list(csv.reader(handle))
-        except csv.Error:
-            rows = None
-        if rows is None or not set(map(len, rows)) <= {arity}:
-            rows = _checked_rows(path, arity)
+        rows = _read_rows(path, arity)
         raw[name] = np.fromiter(map(cells.__getitem__, chain.from_iterable(rows)), np.int64,
                                 count=arity * len(rows)).reshape(-1, arity).T
     stripped = [cell.strip() for cell in cells]
@@ -422,22 +417,26 @@ def load_database(directory, schema: Schema | None = None) -> Database:
     return db
 
 
-def _checked_rows(path: Path, arity: int) -> list[list[str]]:
-    """The rows of the CSV file at `path` that are not blank, read one at a
-    time so the first row of another width than `arity`, or the first
-    malformed line, is the error."""
-    rows = []
+def _read_rows(path: Path, arity: int) -> list[list[str]]:
+    """The rows of the CSV file at `path` that have `arity` cells, read in
+    one pass.  A row of another width must be blank: the first that is
+    not, then a malformed line, is the error, as when reading row by row."""
+    rows: list[list[str]] = []
+    error = None
     try:
         with path.open(newline="", encoding="utf-8") as handle:
-            for lineno, row in enumerate(csv.reader(handle), start=1):
-                if not "".join(row).strip():  # blank, or blank cells only
-                    continue
-                if len(row) != arity:
-                    raise LoadError(
-                        f"{path}, line {lineno}: expected {arity} values, got {len(row)}")
-                rows.append(row)
+            rows.extend(csv.reader(handle))  # keeps the rows read before an error
     except csv.Error as exc:
-        raise LoadError(f"{path}: malformed CSV ({exc})") from exc
+        error = exc
+    widths = np.fromiter(map(len, rows), np.int64, count=len(rows))
+    odd = np.flatnonzero(widths != arity).tolist()
+    for i in odd:
+        if "".join(rows[i]).strip():
+            raise LoadError(f"{path}, line {i + 1}: expected {arity} values, got {len(rows[i])}")
+    if error is not None:
+        raise LoadError(f"{path}: malformed CSV ({error})") from error
+    if odd:  # blank rows, empty lines among them
+        rows = list(compress(rows, (widths == arity).tolist()))
     return rows
 
 
