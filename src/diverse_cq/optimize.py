@@ -75,12 +75,11 @@ def _make_result(selected: Sequence[Fact], gains: Sequence,
     return DiverseResult(tuple(selected), tuple(gains), sum(gains, Fraction(0)), engine)
 
 
-def _argmax(candidates: Iterable, score: Callable):
-    """(candidate, score) with the highest score, the first candidate
-    winning ties; None when there is no candidate."""
+def _argmax(scored: Iterable[tuple]):
+    """The (candidate, score) pair with the highest score, the first
+    winning ties; None when there is no pair."""
     best = None
-    for c in candidates:
-        s = score(c)
+    for c, s in scored:
         if best is None or s > best[1]:
             best = (c, s)
     return best
@@ -121,7 +120,7 @@ def brute_force_diversify(answers: Iterable[Fact], k: int, v: VolumeAssignment,
     if count > max_subsets:
         raise LimitExceededError(
             f"{len(items)} answers choose {m} is {count} subsets; the cap is {max_subsets}")
-    best, best_val = _argmax(combinations(items, m), v.diversity)
+    best, best_val = _argmax((s, v.diversity(s)) for s in combinations(items, m))
     values = [Fraction(0)] + [v.diversity(best[:i]) for i in range(1, m + 1)]
     return DiverseResult(best, tuple(b - a for a, b in zip(values, values[1:])), best_val)
 
@@ -227,7 +226,8 @@ def greedy_diversify(answers: Iterable[Fact], k: int, v: VolumeAssignment,
     once its stored gain is still current, and a stale top is re-read
     from the array and sifted down; the selection is identical to the
     plain scan, round for round.  A volume that is not discrete (the
-    Euclidean estimate) runs `greedy_by_objective` and rejects `lazy`.
+    Euclidean estimate) rejects `lazy` and runs `_objective_greedy` over
+    its round scorer, one `round_diversities` call per round.
     """
     if lazy and not v.is_discrete:
         raise InputError("lazy greedy needs a discrete volume")
@@ -236,7 +236,7 @@ def greedy_diversify(answers: Iterable[Fact], k: int, v: VolumeAssignment,
     if m <= 0:
         return _make_result((), ())
     if not v.is_discrete:
-        return greedy_by_objective(pool, m, v.diversity)
+        return _objective_greedy(pool, m, _round_scorer(v))
 
     step = _GreedyStep(pool, v)
     gains, best = step.gains, step.best
@@ -264,24 +264,40 @@ def greedy_diversify(answers: Iterable[Fact], k: int, v: VolumeAssignment,
     return step.result(picks, gains_of)
 
 
-def greedy_by_objective(answers: Iterable, k: int, objective: Callable) -> DiverseResult:
+def _per_candidate(objective: Callable) -> Callable:
+    return lambda picks, candidates: [objective(picks + [t]) for t in candidates]
+
+
+def _round_scorer(v) -> Callable:
+    """A volume's `round_diversities`, else its `diversity` per candidate."""
+    return getattr(v, "round_diversities", None) or _per_candidate(v.diversity)
+
+
+def _objective_greedy(answers: Iterable, k: int, scores: Callable) -> DiverseResult:
     """Greedy on a set function, smallest answer on ties.
 
-    Each round adds the answer maximizing `objective(picks + [answer])`;
-    the argmax is on the objective itself, not on a difference of two
-    evaluations.  `gains` are the differences between consecutive
-    rounds and `total` is the objective of the final selection as
-    evaluated in its round.  Makes min(k, n) picks and assumes no
-    monotonicity, so it serves the Euclidean estimate and the
-    sum/min/Weitzman baselines alike.
+    `scores(picks, candidates)` gives the objective of picks plus each
+    candidate; each round takes the first maximum, by strict `>`, over
+    the candidates in `fact_key` order.  The argmax is on the objective
+    itself, not on a difference of two evaluations.  `gains` are the
+    differences between consecutive rounds and `total` is the objective
+    of the final selection as scored in its round.  Makes min(k, n) picks
+    and assumes no monotonicity.
     """
     remaining = sorted(set(answers), key=fact_key)
     picks, values = _greedy(
         min(k, len(remaining)),
-        lambda picks: _argmax(remaining, lambda t: objective(picks + [t])),
+        lambda picks: _argmax(zip(remaining, scores(picks, remaining))),
         remaining.remove)
     gains = [now - before for before, now in zip([0] + values, values)]
     return DiverseResult(tuple(picks), tuple(gains), values[-1] if values else Fraction(0))
+
+
+def greedy_by_objective(answers: Iterable, k: int, objective: Callable) -> DiverseResult:
+    """Greedy on a set function, smallest answer on ties: `_objective_greedy`
+    with `objective(picks + [t])` evaluated once per candidate t.  The
+    sum/min/Weitzman baselines run it."""
+    return _objective_greedy(answers, k, _per_candidate(objective))
 
 
 # ---------------------------------------------------------------------------
@@ -296,15 +312,17 @@ def cqnext_naive(q: ConjunctiveQuery, db: Database, selected: Iterable[Fact],
     (their marginal is 0); ties break to the smallest value sequence.
     `selected` may repeat an answer or hold any tuple the volume has a
     ball for.  A discrete volume runs one `_GreedyStep` round with those
-    balls covered; the Euclidean estimate takes `greedy_by_objective`'s
-    argmax of the diversity.  Returns None when there is no answer.
+    balls covered; a volume that is not discrete takes the first maximum
+    of its round scorer's diversities, in `fact_key` order, as
+    `_objective_greedy` does.  Returns None when there is no answer.
     This is the oracle the incremental rankers are checked against.
     """
     answers = enumerate_answers(q, db).answers
     selected = list(selected)
     if not v.is_discrete:
         base = v.diversity(selected)
-        hit = _argmax(sorted(answers, key=fact_key), lambda t: v.diversity(selected + [t]))
+        ordered = sorted(answers, key=fact_key)
+        hit = _argmax(zip(ordered, _round_scorer(v)(selected, ordered)))
         return None if hit is None else (hit[0], hit[1] - base)
     covered = v.covered(selected)
     step = _GreedyStep(answers, v)
@@ -788,10 +806,11 @@ def greedy_combined(q: ConjunctiveQuery, db: Database, k: int,
     ranks the witness-fact volume (the default) incrementally, and
     "auto" tries the ranker that the volume calls for before falling
     back to naive.  Both rankers plan over the query's own join tree.
-    Every engine but the Euclidean estimate runs one round loop over a
-    step's `best()` and `commit(answer)`: the naive engine's `_GreedyStep`
-    or a ranker's plan, which keeps its covered region as point ids and
-    commits a pick from the rows its dynamic program chose.
+    Every engine runs one round loop over a step's `best()` and
+    `commit(answer)`: the naive engine's `_GreedyStep` or a ranker's plan,
+    which keeps its covered region as point ids and commits a pick from
+    the rows its dynamic program chose.  A volume that is not discrete
+    runs the naive engine as `_objective_greedy` over its round scorer.
     Rounds stop at the first round whose best gain is 0, which is exactly
     when no answer adds volume.  The result's `engine` names the engine
     that ran.
@@ -836,7 +855,7 @@ def greedy_combined(q: ConjunctiveQuery, db: Database, k: int,
     else:
         answers = enumerate_answers(q, db).answers
     if not volume.is_discrete:
-        res = greedy_by_objective(answers, k, volume.diversity)
+        res = _objective_greedy(answers, k, _round_scorer(volume))
         stop = next((i for i, g in enumerate(res.gains) if g <= 0), len(res))
         return _make_result(res.selected[:stop], res.gains[:stop], engine="naive")
     step = _GreedyStep(answers, volume)

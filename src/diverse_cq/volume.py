@@ -17,7 +17,8 @@ ids: `scaled_weights` reads point weights through
 `WeightedMeasure.weight_of` and scales them by the lcm of their
 denominators, and each converts back to Fractions at its result.  The
 only floating-point path is the Monte-Carlo estimator for Euclidean ball
-unions.
+unions; greedy scores each of its rounds in one pass over the same slab
+test, `EuclideanBallVolume.round_diversities`.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
-from typing import AbstractSet, Callable, Hashable, Iterable, Mapping
+from typing import AbstractSet, Callable, Hashable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -351,6 +352,50 @@ def _in_ball(pts: np.ndarray, c: np.ndarray, r: float) -> np.ndarray:
     return d2 <= r * r
 
 
+def _union_hits(unit: np.ndarray, is_sorted: bool, lo: np.ndarray, width: np.ndarray,
+                held: np.ndarray, cands: np.ndarray, r: float) -> list[int]:
+    """How many points of the draw, mapped to the box, lie in some ball
+    around `held`, then for each of `cands` how many lie in its ball or
+    one around `held`.  Each center tests only its slab; the held balls'
+    hits are OR-ed into one mask, and a candidate counts what it adds."""
+    # lo + width * unit is what Generator.uniform(lo, hi) computes; it
+    # keeps the draw's order, so sorted first coordinates stay sorted
+    first = lo[0] + width[0] * unit[0]
+    centers = np.concatenate([held, cands])
+    if is_sorted:  # each center's slab is one binary search away
+        reach = _slab_reach(r)
+        starts = np.searchsorted(first, centers[:, 0] - reach, side="left").tolist()
+        stops = np.searchsorted(first, centers[:, 0] + reach, side="right").tolist()
+    else:  # an unsorted batch is one slab that every center tests
+        starts, stops = [0] * len(centers), [len(first)] * len(centers)
+    covered = np.zeros(len(first), dtype=bool)
+    added = []
+    slab = None
+    for i, (c, a, b) in enumerate(zip(centers, starts, stops)):
+        if slab != (a, b):  # map each slab to the box once
+            slab, pts = (a, b), _box_points(unit, first, lo, width, a, b)
+        inside = _in_ball(pts, c, r)
+        if i < len(held):
+            covered[a:b] |= inside
+        else:
+            added.append(int(np.count_nonzero(inside > covered[a:b])))
+    base = int(np.count_nonzero(covered))
+    return [base] + [base + n for n in added]
+
+
+def _boxes(low: np.ndarray, high: np.ndarray, r: float):
+    """Corner, widths and volume of the box from `low - r` to `high + r`,
+    one per row of `low` and `high`; a volume that overflows is an input
+    error."""
+    with np.errstate(over="ignore", invalid="ignore"):  # checked just below
+        lo = low - r
+        width = (high + r) - lo
+        box = np.prod(width, axis=-1)
+    if not np.isfinite(box).all():
+        raise InputError(f"radius-{r!r} balls around these centers span no finite box volume")
+    return lo, width, box
+
+
 def mc_ball_union_volume(balls: ContinuousBallSet, samples: int, seed: int = 0) -> MCEstimate:
     """Volume of a union of equal-radius balls.
 
@@ -381,34 +426,12 @@ def mc_ball_union_volume(balls: ContinuousBallSet, samples: int, seed: int = 0) 
             raise InputError(f"radius-{r!r} intervals around these centers have no finite length")
         return MCEstimate(length, 0.0)
     centers = np.asarray(balls.centers, dtype=float)
-    with np.errstate(over="ignore", invalid="ignore"):  # checked just below
-        lo = centers.min(axis=0) - r
-        hi = centers.max(axis=0) + r
-        width = hi - lo
-        box = float(np.prod(width))
-    if not math.isfinite(box):
-        raise InputError(f"radius-{r!r} balls around these centers span no finite box volume")
-    dim = balls.dimension
-    reach = _slab_reach(r)
+    lo, width, box = _boxes(centers.min(axis=0), centers.max(axis=0), r)
     hits = 0
-    for unit, is_sorted in _unit_draws(seed, samples, dim):
-        # lo + width * unit is what Generator.uniform(lo, hi) computes; it
-        # keeps the draw's order, so sorted first coordinates stay sorted
-        first = lo[0] + width[0] * unit[0]
-        if is_sorted:  # each center's slab is one binary search away
-            starts = np.searchsorted(first, centers[:, 0] - reach, side="left")
-            stops = np.searchsorted(first, centers[:, 0] + reach, side="right")
-        else:  # an unsorted batch is one slab that every center tests
-            starts = np.zeros(len(centers), dtype=np.intp)
-            stops = np.full(len(centers), len(first))
-        inside = np.zeros(len(first), dtype=bool)
-        slab = None
-        for c, a, b in zip(centers, starts.tolist(), stops.tolist()):
-            if slab != (a, b):  # map each slab to the box once
-                slab, pts = (a, b), _box_points(unit, first, lo, width, a, b)
-            inside[a:b] |= _in_ball(pts, c, r)
-        hits += int(np.count_nonzero(inside))
+    for unit, is_sorted in _unit_draws(seed, samples, balls.dimension):
+        hits += _union_hits(unit, is_sorted, lo, width, centers, centers[:0], r)[0]
     p = hits / samples
+    box = float(box)
     value = box * p
     stderr = box * (p * (1 - p) / samples) ** 0.5
     return MCEstimate(value, stderr)
@@ -418,7 +441,8 @@ def mc_ball_union_volume(balls: ContinuousBallSet, samples: int, seed: int = 0) 
 class EuclideanBallVolume:
     """Diversity as Lebesgue volume of radius-r balls around numeric tuples.
 
-    Each answer's center is converted to floats once per volume and kept."""
+    Each answer's center is converted to floats once per volume and kept.
+    Greedy scores a round with `round_diversities`, not per candidate."""
 
     radius: float
     samples: int = 200_000
@@ -464,6 +488,41 @@ class EuclideanBallVolume:
 
     def diversity(self, s: Iterable) -> float:
         return self.diversity_estimate(s).value
+
+    def round_diversities(self, picks: Iterable, candidates: Sequence) -> list[float]:
+        """`[self.diversity(list(picks) + [t]) for t in candidates]`, the
+        same floats and errors, in one pass over the draw: the candidates'
+        boxes come from one array min/max/prod, and `_union_hits` scores
+        the candidates of each distinct box.  A round costs about one
+        estimate over the picks per box plus one slab test per candidate,
+        and holds one mask of the draw at a time.  A draw above 2**18
+        samples runs this once per batch; one dimension keeps the exact
+        interval sweep, per candidate."""
+        picks = list(picks)
+        if not candidates:
+            return []
+        held = sorted({self.center(t) for t in picks})
+        cands = [self.center(t) for t in candidates]
+        dims = {len(c) for c in held + cands}
+        if len(dims) != 1 or dims <= {0, 1}:  # errors and intervals, as `diversity` has them
+            return [self.diversity(picks + [t]) for t in candidates]
+        r = float(self.radius)
+        held = np.array(held, dtype=float).reshape(-1, dims.pop())
+        cands = np.array(cands, dtype=float)
+        low = np.minimum(held.min(axis=0, initial=math.inf), cands)
+        high = np.maximum(held.max(axis=0, initial=-math.inf), cands)
+        lo, width, box = _boxes(low, high, r)
+        by_box: dict = {}
+        for i, key in enumerate(map(bytes, np.concatenate([low, high], axis=1))):
+            by_box.setdefault(key, []).append(i)
+        hits = [0] * len(cands)
+        for unit, is_sorted in _unit_draws(self.seed, self.samples, cands.shape[1]):
+            for same in by_box.values():
+                g = same[0]
+                got = _union_hits(unit, is_sorted, lo[g], width[g], held, cands[same], r)
+                for i, h in zip(same, got[1:]):
+                    hits[i] += h
+        return [v * (h / self.samples) for v, h in zip(box.tolist(), hits)]
 
     def marginal(self, s: Iterable, t) -> float:
         items = list(s)

@@ -361,6 +361,25 @@ def test_estimator_memory_does_not_grow_with_the_centers():
     assert peak < 32 * 2 ** 20
 
 
+def test_a_greedy_round_peaks_like_one_estimate():
+    # 25 candidates, 4 picks, 200,000 samples: a candidates x samples mask
+    # alone would be 5 MB over one estimate's peak
+    rng = random.Random(1)
+    spots = [num_fact("P", rng.randint(0, 300), rng.randint(0, 300)) for _ in range(29)]
+    v = EuclideanBallVolume(2.0, samples=200_000)
+    v.diversity(spots)  # fills the draw cache and the centers outside the traced peaks
+    peaks = []
+    for run in (lambda: v.diversity(spots[:5]), lambda: v.round_diversities(spots[:4], spots[4:])):
+        tracemalloc.start()
+        try:
+            run()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    estimate, round_ = peaks
+    assert round_ < estimate + 2 ** 19
+
+
 def test_estimator_memory_does_not_grow_with_the_batches():
     # 10**6 four-dimensional samples are 32 MiB in four batches: one batch
     # at a time is held, and none of them is cached
