@@ -426,7 +426,7 @@ class _RankingPlan:
 
     def _pid(self, point) -> int | None:
         """The id of a ground point, or None when no row can charge it."""
-        return self.db.fact_id(point) if isinstance(point, Fact) else None
+        return self.db.fact_id(point)
 
     def _point(self, pid: int):
         return self.db.fact(pid)
@@ -771,24 +771,14 @@ class ProvenancePlan(_RankingPlan):
         for hv, val in zip(q.head_vars, answer.values):
             if binding.setdefault(hv, val) != val:
                 raise InputError(f"{answer!r} is not an answer of the query")
-        facts: set[Fact] = set()
-        for i in self._atoms:
-            atom = q.atoms[i]
-            f = Fact(atom.relation, tuple(binding[v] for v in atom.vars))
-            if f not in self.db:
-                raise InputError(f"{answer!r} is not an answer of the query")
-            facts.add(f)
-        for out, keys, ptr, ids in self._tables:
-            # Table rows are in value order, so narrow to the binding column by column.
-            lo, hi = 0, keys.shape[1]
-            for col, v in zip(keys, out):
-                code = self.db.code(binding[v])
-                code = -1 if code is None else code  # a value no fact holds matches no row
-                span = col[lo:hi]
-                lo, hi = lo + span.searchsorted(code), lo + span.searchsorted(code, "right")
-            if lo == hi:
-                raise InputError(f"{answer!r} is not an answer of the query")
-            facts.update(map(self.db.fact, ids[ptr[lo]:ptr[lo + 1]].tolist()))
+        facts = {Fact(a.relation, tuple(binding[v] for v in a.vars))
+                 for a in map(q.atoms.__getitem__, self._atoms)}
+        rows = [self.db.find_row(keys, [binding[v] for v in out])
+                for out, keys, _, _ in self._tables]
+        if None in rows or any(f not in self.db for f in facts):
+            raise InputError(f"{answer!r} is not an answer of the query")
+        for (_, _, ptr, ids), row in zip(self._tables, rows):
+            facts.update(map(self.db.fact, ids[ptr[row]:ptr[row + 1]].tolist()))
         return frozenset(facts)
 
 

@@ -11,12 +11,11 @@ position, a value's code being its rank in sorted value order.  Code
 order is value order, so each relation's rows, deduplicated under set
 semantics, are kept in code order.  The loader maps raw cells straight
 to codes; `Database(schema, relations)` and `from_facts` encode their
-facts into the same columns.  Planning, ranking and acyclic evaluation
-read only the columns.  A relation's facts are decoded from its codes,
-by one list index per value, when first asked for, and kept; so is the
-hash index `lookup` gives the backtracking join, and the fact -> row
-dict behind `in` and `fact_id`, each built on the relation's first
-probe.  Answers, ball points and dict keys stay identity-hashed
+facts into the same columns.  Planning, ranking, acyclic evaluation,
+`in` and `fact_id` read only the columns.  A relation's facts are
+decoded from its codes, by one list index per value, when first asked
+for, and kept; so is the hash index `lookup` gives the backtracking
+join.  Answers, ball points and dict keys stay identity-hashed
 `DataValue`s and `Fact`s, so no Python-level code layer sits beside the
 intern pool.
 """
@@ -219,18 +218,20 @@ class Database:
     rows deduplicated and in code order, which is value order.  Sizes,
     offsets and the fact count come from the arrays' shapes.
 
-    A relation's `Fact` tuples are decoded from its codes on its first
-    `relation`, `lookup` or `fact_id`, or on `facts()`, and kept; so are
-    `lookup`'s per-column indexes and `fact_id`'s fact -> row dict, each
-    built on the relation's first probe.  Planning, ranking and acyclic
-    evaluation read only the code columns and decode no fact.
+    `in`, `fact_id`, planning, ranking and acyclic evaluation read only
+    the code columns.  A relation's `Fact` tuples are decoded on its
+    first `relation`, `fact` or `lookup`, or on `facts()`, and kept, as
+    are `lookup`'s per-column indexes.
     """
 
     __slots__ = ("schema", "load_report", "values", "_code", "_codes", "_offsets",
-                 "_starts", "_names", "_relations", "_rows", "_index")
+                 "_starts", "_names", "_relations", "_index")
 
     def __init__(self, schema: Schema, relations: Mapping[str, Iterable[Fact]],
                  load_report: Mapping[str, dict] | None = None):
+        unknown = set(relations) - set(schema.arities)
+        if unknown:
+            raise LoadError(f"facts reference undeclared relations: {sorted(unknown)}")
         ids = _Ids()  # value -> its position in `ids`
         raw: dict[str, np.ndarray] = {}
         for name in sorted(schema.arities):
@@ -273,10 +274,9 @@ class Database:
             self._codes[name] = codes = np.ascontiguousarray(codes[:, fresh])
             codes.setflags(write=False)
             self._offsets[name], at = at, at + codes.shape[1]
-        self._starts = list(self._offsets.values())
+        self._starts = [*self._offsets.values(), at]  # the offsets, then the fact count
         self._names = list(self._offsets)
         self._relations: dict[str, tuple[Fact, ...]] = {}  # decoded on first use
-        self._rows: dict[str, dict[Fact, int]] = {}  # built by the relation's first `fact_id`
         self._index: dict[str, tuple[dict, ...]] = {}  # built by the relation's first `lookup`
 
     @classmethod
@@ -306,7 +306,7 @@ class Database:
 
     def fact_count(self) -> int:
         """The number of facts of all relations."""
-        return sum(codes.shape[1] for codes in self._codes.values())
+        return self._starts[-1]
 
     def lookup(self, name: str, column: int, value: DataValue) -> tuple[Fact, ...]:
         """Facts of `name` whose `column` holds `value` (hash probe)."""
@@ -337,21 +337,31 @@ class Database:
         """Index in `facts()` of the relation's first fact."""
         return self._of(self._offsets, name)
 
+    def find_row(self, columns: np.ndarray, values: Iterable[DataValue]) -> int | None:
+        """The row of `columns`, code columns with distinct rows in
+        lexicographic order, that holds the codes of `values`, or None: one
+        binary search per column, where a code's rows end at the next code's."""
+        lo, hi = 0, columns.shape[1]
+        for col, value in zip(columns, values):
+            code = self._code.get(value, -1)  # a value no fact holds matches no row
+            first, stop = col[lo:hi].searchsorted((code, code + 1)).tolist()
+            lo, hi = lo + first, lo + stop
+        return lo if lo < hi else None
+
     def fact_id(self, fact: Fact) -> int | None:
-        """The fact's index in `facts()`, or None when it is not stored.
-        Decodes only the fact's own relation."""
-        name = fact[0] if isinstance(fact, tuple) and len(fact) == 2 else None
-        rows = self._rows.get(name)
-        if rows is None:
-            if name not in self._codes:
-                return None
-            facts = self.relation(name)
-            rows = self._rows[name] = dict(zip(facts, range(len(facts))))
-        row = rows.get(fact)
+        """The index in `facts()` of the stored fact equal to `fact`, a
+        `Fact` or a plain `(name, values)` pair, or None; decodes no fact."""
+        name, values = fact if isinstance(fact, tuple) and len(fact) == 2 else (None, None)
+        codes = self._codes.get(name)
+        if codes is None or not isinstance(values, tuple) or len(values) != len(codes):
+            return None
+        row = self.find_row(codes, values)
         return None if row is None else self._offsets[name] + row
 
     def fact(self, i: int) -> Fact:
         """The fact whose index in `facts()` is `i`; decodes only its relation."""
+        if not 0 <= i < self._starts[-1]:
+            raise IndexError(f"fact id {i} is not in range({self._starts[-1]})")
         name = self._names[bisect_right(self._starts, i) - 1]
         return self.relation(name)[i - self._offsets[name]]
 
@@ -368,9 +378,6 @@ class Database:
         grouped: dict[str, list[Fact]] = {}
         for f in facts:
             grouped.setdefault(f.relation, []).append(f)
-        unknown = set(grouped) - set(schema.arities)
-        if unknown:
-            raise LoadError(f"facts reference undeclared relations: {sorted(unknown)}")
         return cls(schema, grouped)
 
 

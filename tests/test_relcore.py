@@ -108,12 +108,11 @@ def test_schema_contains_and_arity():
 
 def test_database_from_facts_dedups_and_sorts():
     db = db_of({"R": 1}, [mk("R", "b"), mk("R", "a"), mk("R", "b")])
-    assert [f.values[0].text() for f in db.relation("R")] == ["a", "b"]
-    assert db.size("R") == 2
-    assert not db._rows  # membership needs no hash structure at load
     assert mk("R", "a") in db
     assert mk("R", "c") not in db and mk("U", "a") not in db
-    assert db._rows == {"R": {mk("R", "a"): 0, mk("R", "b"): 1}}  # built by the first `in`
+    assert not db._relations  # membership searches the code columns, decoding no fact
+    assert [f.values[0].text() for f in db.relation("R")] == ["a", "b"]
+    assert db.size("R") == 2
 
 
 CELLS = st.one_of(st.sampled_from(["a", "b", "x1", "1x", "Z"]),
@@ -146,7 +145,9 @@ def test_code_columns_rank_values_and_are_built_at_construction():
                                           mk("R", "b", "2"), mk("S", "c")])
     assert sorted(db._codes) == ["R", "S", "T"]  # every relation's, read-only, at load
     assert not any(c.flags.writeable for c in db._codes.values())
-    assert not db._rows  # each fact -> row dict waits for its relation's first `fact_id`
+    assert not db._relations  # no fact is decoded at construction
+    assert db.fact_id(mk("R", "b", "2")) == 1 and mk("S", "c") in db
+    assert not db._relations  # nor by `fact_id` and `in`, which search the code columns
     assert db.values == sorted({v for f in db.all_facts() for v in f.values})
     assert [v.text() for v in db.values] == ["2", "10", "a", "b", "c"]  # numbers first
     codes = db.codes("R")
@@ -157,7 +158,6 @@ def test_code_columns_rank_values_and_are_built_at_construction():
     assert db.code(intern("a")) == 2 and db.code(intern("zz")) is None
     for i, f in enumerate(db.facts()):
         assert db.fact_id(f) == i and db.fact(i) == f
-    assert sorted(db._rows) == ["R", "S"] and len(db._rows["R"]) == 3  # by the first `fact_id`
     assert db.facts() == tuple(db.all_facts())
     assert db.fact_id(mk("S", "b")) is None and db.fact_id(mk("U", "b")) is None
     assert db.offset("S") == 3
