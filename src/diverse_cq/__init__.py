@@ -26,7 +26,7 @@ from .relcore import (DataValue, Database, Fact, Schema, fraction_text, intern,
                       intern_number, load_database)
 from .volume import (MC_SAMPLES_CAP, ContinuousBallSet, CountMeasure, EuclideanBallVolume,
                      MCEstimate, MultiAttributeWeights, VolumeAssignment, WeightedMeasure,
-                     elem_volume, elem_weighted, format_weight, mc_ball_union_volume,
+                     elem_volume, elem_weighted, mc_ball_union_volume,
                      multiattribute_from_volume, pos_volume, pos_weighted,
                      provenance_volume, volume_from_multiattribute)
 
@@ -42,7 +42,7 @@ __all__ = [
     "UltrametricTree", "UltrametricViolation", "UniverseError", "Variable", "VolumeAssignment",
     "WEITZMAN_CAP", "WeightedMeasure", "atom_candidates",
     "brute_force_diversify", "cqnext_naive", "delta_min", "delta_sum", "elem_volume",
-    "elem_weighted", "enumerate_answers", "format_weight", "fraction_text",
+    "elem_weighted", "enumerate_answers", "fraction_text",
     "free_connex_split", "greedy_by_objective", "greedy_combined",
     "greedy_diversify", "gyo_join_tree", "hamming",
     "homomorphisms", "intern", "intern_number", "iter_answers", "load_database",

@@ -400,15 +400,15 @@ def _weights_table(maw: MultiAttributeWeights) -> list[dict]:
     return rows
 
 
-def _subset_check(universe, left, right, limit=CONVERT_CHECK_LIMIT):
-    """Exhaustively compare two set functions on all non-empty subsets."""
-    from itertools import combinations
+def _subset_check(universe, left, right, largest=CONVERT_CHECK_LIMIT):
+    """Exhaustively compare two set functions on all non-empty subsets
+    of at most `largest` elements."""
     elems = sorted(universe, key=_set_label)
-    if len(elems) > limit:
-        return {"skipped": f"universe larger than {limit}"}
+    if len(elems) > CONVERT_CHECK_LIMIT:
+        return {"skipped": f"universe larger than {CONVERT_CHECK_LIMIT}"}
     checked = 0
-    for size in range(1, len(elems) + 1):
-        for combo in combinations(elems, size):
+    for size in range(1, min(largest, len(elems)) + 1):
+        for combo in itertools.combinations(elems, size):
             if left(combo) != right(combo):
                 return {"subsets_checked": checked, "verdict": "FAIL",
                         "witness": sorted(_set_label(x) for x in combo)}
@@ -450,24 +450,16 @@ def cmd_convert(args, argv: list[str]) -> int:
         leaves = tree.leaves()
 
         def check_fn():
-            from itertools import combinations
-            if len(leaves) > CONVERT_CHECK_LIMIT:
-                return {"skipped": f"universe larger than {CONVERT_CHECK_LIMIT}"}
-            checked = 0
-            for size in range(1, min(4, len(leaves)) + 1):
-                for combo in combinations(leaves, size):
-                    want = weitzman_ultrametric(combo, tree) + tree.radius
-                    if vol.diversity(combo) != want:
-                        return {"subsets_checked": checked, "verdict": "FAIL",
-                                "witness": list(combo)}
-                    rec = weitzman(combo, TreeLeafDistance(tree))
-                    if weitzman_ultrametric(combo, tree) != rec:
-                        return {"subsets_checked": checked, "verdict": "FAIL",
-                                "witness": list(combo)}
-                    checked += 1
-            return {"subsets_checked": checked, "verdict": "PASS",
-                    "property": "union volume = subtree diversity + radius, "
-                                "subsets up to size 4"}
+            # The union volume less the radius and the recursive Weitzman
+            # diversity must both equal the subtree diversity.
+            check = _subset_check(
+                leaves,
+                lambda s: (vol.diversity(s) - tree.radius, weitzman(s, TreeLeafDistance(tree))),
+                lambda s: (weitzman_ultrametric(s, tree),) * 2, largest=4)
+            if check.get("verdict") == "PASS":
+                check["property"] = ("union volume = subtree diversity + radius, "
+                                     "subsets up to size 4")
+            return check
 
         check = phases.run("check", check_fn)
         payload = {

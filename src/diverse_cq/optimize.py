@@ -1,20 +1,21 @@
 """Diversity maximization over query answers.
 
 Greedy selection over a materialized answer set carries the usual
-(1 - 1/e) guarantee for monotone submodular objectives.
+(1 - 1/e) guarantee for monotone submodular objectives.  Every discrete
+greedy round does one piece of bookkeeping, kept by `_CoverIndex`:
+covering a ground point takes its weight, an int over one common scale,
+off the owners holding it, and only those owners are scored again.
 `greedy_diversify`, `greedy_combined`'s naive engine and `cqnext_naive`
-run one step over it, `_GreedyStep`: integer gains over balls kept as
-rows of point ids, where a pick lowers only the gains of the answers
-sharing a point it newly covered.  The rankers avoid materialization
-altogether.  Whenever an answer's marginal is a sum over the edges of
-a join tree, "which answer gains the most" is one max-plus dynamic
-program over that tree, and one plan, `_RankingPlan`, builds the edges
-and runs the program.  Its live rows, groups and joins
-come from the evaluator's semijoin pass over the database's code
-columns, and so do each hanging component's, whose witness table the
-evaluator's top-down array fold gathers.  It builds its tables as
-arrays, keeps them between rounds, re-scores only the rows a pick
-uncovered, adds integer-scaled weights and returns Fractions.  Two thin
+run one step over the answers, `_GreedyStep`, whose owners are answers.
+The rankers avoid materialization altogether.  Whenever an answer's
+marginal is a sum over the edges of a join tree, "which answer gains
+the most" is one max-plus dynamic program over that tree, and one plan,
+`_RankingPlan`, builds the edges and runs the program; its owners are
+the edges' rows.  Its live rows, groups and joins come from the
+evaluator's semijoin pass over the database's code columns, and so do
+each hanging component's, whose witness table the evaluator's top-down
+array fold gathers.  It keeps its tables as arrays between rounds and
+returns Fractions.  Two thin
 subclasses decide only which ground points a row charges:
 `TropicalPlan`, for positional volumes over full acyclic queries, and
 `ProvenancePlan`, for the witness-fact volume over free-connex queries
@@ -31,7 +32,7 @@ import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, repeat
+from itertools import combinations, compress, repeat
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -125,23 +126,79 @@ def brute_force_diversify(answers: Iterable[Fact], k: int, v: VolumeAssignment,
     return DiverseResult(best, tuple(b - a for a, b in zip(values, values[1:])), best_val)
 
 
+def _point_ids(pid: Callable, points: Iterable) -> np.ndarray:
+    """The ids `pid` gives `points`, -1 for a point it gives none."""
+    return np.fromiter((-1 if i is None else i for i in map(pid, points)), dtype=np.int64)
+
+
+class _CoverIndex:
+    """Which owners hold each ground point, what it weighs, and whether
+    it is covered: the bookkeeping of every discrete greedy round.
+
+    Built from parallel arrays of point ids and their owners, `weight_of`
+    (None when every point weighs 1) and `point`, id -> point.  It keeps
+    the (point, owner) pairs sorted by point, as `_pids` and `owners`.  A
+    weight is read once per point and scaled by `scale`, the lcm of all
+    denominators, to the int `weight` of each pair; `dtype` is int64
+    unless the weights sum past 2^62, exact ints (object) then.
+    """
+
+    def __init__(self, pids: np.ndarray, owners: np.ndarray, weight_of: Callable | None,
+                 point: Callable):
+        by_point = _stable_order(pids)
+        # The pairs' ids, then one above them all, so that every search lands.
+        self._pids = np.append(pids[by_point], np.iinfo(np.int64).max)
+        self.owners = owners[by_point]
+        self._covered = np.zeros(len(self._pids), dtype=bool)  # per pair
+        self.weight, self.scale, self.dtype = None, 1, np.int64
+        if weight_of is not None:
+            start = _segments(self._pids[:-1])  # one run per point
+            scaled, self.scale = scaled_weights(
+                weight_of, map(point, self._pids[start[:-1]].tolist()))
+            scaled = list(scaled.values())  # in point order
+            self.dtype = object if sum(scaled) >= 2 ** 62 else np.int64
+            self.weight = np.repeat(np.array(scaled, dtype=self.dtype), np.diff(start))
+
+    def is_covered(self, pids) -> np.ndarray:
+        at = self._pids.searchsorted(pids)
+        return (self._pids[at] == pids) & self._covered[at]
+
+    def cover(self, pids) -> tuple[np.ndarray, np.ndarray | None]:
+        """Cover the point ids `pids`, skipping ids no owner holds; a held
+        id must not repeat.  Returns the (owner, weight) pairs of the points
+        newly covered, as an owner array and a weight array (None: all 1)."""
+        lo = self._pids.searchsorted(pids)
+        pairs = _ranges(lo, (self._pids.searchsorted(pids, "right") - lo) * ~self._covered[lo])
+        self._covered[pairs] = True
+        return self.owners[pairs], None if self.weight is None else self.weight[pairs]
+
+    def uncover(self) -> None:
+        self._covered[:] = False
+
+    def totals(self, n: int) -> np.ndarray:
+        """The weight of the uncovered points of each of the owners 0..n-1."""
+        keep = ~self._covered[:-1]
+        if self.weight is None:
+            return np.bincount(self.owners[keep], minlength=n)
+        out = np.zeros(n, dtype=self.dtype)
+        np.add.at(out, self.owners[keep], self.weight[keep])
+        return out
+
+
 class _GreedyStep:
     """The one materialized greedy step, over a discrete volume's answers.
 
     Answer `i` of `items`, in `Fact` order, has its ball as the row of
-    point ids `pts[ptr[i]:ptr[i + 1]]`, and `_point` turns an id back into
-    its point: a provenance volume's own fact-id rows into
-    `Database.facts()`, whose facts are decoded only when a weight is
+    point ids `pts[ptr[i]:ptr[i + 1]]`: a provenance volume's own rows of
+    `Database.facts()` ids, whose facts are decoded only when a weight is
     looked up, else its ball points interned in order of first
     appearance.  An answer outside the volume's universe raises its
     `UniverseError`, the smallest first.
-    `gains` holds every answer's count of uncovered points, or the sum of
-    their integer `scaled_weights` over `scale` (int64 unless past 2^62,
-    exact ints then).  `cover` lowers the gains of the answers holding a
-    newly covered point, through a point -> answers index, so a round
-    costs what it newly covers plus the argmax.  A committed answer's
-    gain is 0 from then on.  `best` takes the first maximum of the gains,
-    the smallest answer on ties.
+    `gains` holds every answer's weight of uncovered points, over `scale`,
+    and `cover` lowers only the answers holding a newly covered point.
+    `commit` covers an answer's ball and sets its gain to -1, below every
+    candidate's, so a picked answer leaves the candidates.  `best` takes
+    the first maximum of the gains, the smallest answer on ties.
     """
 
     def __init__(self, answers, v: VolumeAssignment):
@@ -153,7 +210,7 @@ class _GreedyStep:
             first, sizes = balls.ptr[rows], np.diff(balls.ptr)[rows]
             self.items = list(map(balls.answers.__getitem__, rows.tolist()))
             pts = balls.ids[_ranges(first, sizes)]
-            self._point, self._point_id = balls.db.fact, balls.db.fact_id
+            point, self._point_id = balls.db.fact, balls.db.fact_id
         else:
             self.items = sorted(answers, key=fact_key)
             regions = [v.ball(t) for t in self.items]
@@ -161,47 +218,25 @@ class _GreedyStep:
             point_id: dict = {}
             pts = np.fromiter((point_id.setdefault(p, len(point_id)) for r in regions for p in r),
                               dtype=np.int64, count=sum(sizes))
-            self._point, self._point_id = list(point_id).__getitem__, point_id.get
+            point, self._point_id = list(point_id).__getitem__, point_id.get
         self._ptr, self._pts = np.concatenate(([0], np.cumsum(sizes, dtype=np.int64))), pts
-        # Point `_ids[j]` (ascending) is held by `_holders[_start[j]:_start[j + 1]]`.
-        by_point = _stable_order(pts)
-        held = pts[by_point]
-        self._start = _segments(held)
-        self._ids = held[self._start[:-1]]
-        self._holders = np.searchsorted(self._ptr, by_point, "right") - 1
-        if v.measure.kind == "count":
-            self._weight, self.scale = None, 1
-            self.gains = np.diff(self._ptr)
-        else:
-            scaled, self.scale = scaled_weights(v.measure.weight_of,
-                                                map(self._point, self._ids.tolist()))
-            scaled = list(scaled.values())  # in point order
-            self._weight = np.array(scaled, dtype=object if sum(scaled) >= 2 ** 62 else np.int64)
-            self.gains = np.zeros(len(self.items), dtype=self._weight.dtype)
-            np.add.at(self.gains, self._holders, np.repeat(self._weight, np.diff(self._start)))
-        self._covered = np.zeros(len(self._ids), dtype=bool)
+        self._index = _CoverIndex(pts, np.repeat(np.arange(len(self.items)), sizes),
+                                  None if v.measure.kind == "count" else v.measure.weight_of,
+                                  point)
+        self.scale = self._index.scale
+        self.gains = self._index.totals(len(self.items))
 
     def cover(self, pids: np.ndarray) -> None:
-        """Cover the points `pids`, ids of points some answer holds."""
-        fresh = np.searchsorted(self._ids, pids)
-        fresh = fresh[~self._covered[fresh]]
-        self._covered[fresh] = True
-        first = self._start[fresh]
-        counts = self._start[fresh + 1] - first
-        who = self._holders[_ranges(first, counts)]
-        if self._weight is None:
+        """Cover the points `pids`, lowering the gains of their holders."""
+        who, weight = self._index.cover(pids)
+        if weight is None:
             np.subtract(self.gains, np.bincount(who, minlength=len(self.gains)), out=self.gains)
         else:
-            np.subtract.at(self.gains, who, np.repeat(self._weight[fresh], counts))
+            np.subtract.at(self.gains, who, weight)
 
     def commit(self, i: int) -> None:
         self.cover(self._pts[self._ptr[i]:self._ptr[i + 1]])
-
-    def held(self, region) -> np.ndarray:
-        """The ids of the points of `region` that some answer holds."""
-        pids = np.fromiter((p for p in map(self._point_id, region) if p is not None),
-                           dtype=np.int64)
-        return pids[np.isin(pids, self._ids)]
+        self.gains[i] = -1
 
     def best(self, picks=None):
         """(i, gain) of the first answer of maximal gain, or None."""
@@ -254,11 +289,7 @@ def greedy_diversify(answers: Iterable[Fact], k: int, v: VolumeAssignment,
                 heapq.heapreplace(heap, (-now, i))
             return None
 
-    def commit(i):
-        step.commit(i)
-        gains[i] = -1  # picked: below every candidate's gain
-
-    picks, gains_of = _greedy(m, best, commit)
+    picks, gains_of = _greedy(m, best, step.commit)
     if any(b > a for a, b in zip(gains_of, gains_of[1:])):  # pragma: no cover
         raise AssertionError("greedy gains increased; objective is not submodular")
     return step.result(picks, gains_of)
@@ -324,9 +355,8 @@ def cqnext_naive(q: ConjunctiveQuery, db: Database, selected: Iterable[Fact],
         ordered = sorted(answers, key=fact_key)
         hit = _argmax(zip(ordered, _round_scorer(v)(selected, ordered)))
         return None if hit is None else (hit[0], hit[1] - base)
-    covered = v.covered(selected)
     step = _GreedyStep(answers, v)
-    step.cover(step.held(covered))
+    step.cover(_point_ids(step._point_id, v.covered(selected)))
     hit = step.best()
     return None if hit is None else (step.items[hit[0]], Fraction(hit[1], step.scale))
 
@@ -356,18 +386,13 @@ class _RankingPlan:
     only then are its codes decoded into values.
 
     The first `best` call builds the tables from the evaluator's semijoin
-    pass, as arrays: each row's group, each parent row's child group, the
-    point -> rows holders sorted by point, and the integer weights.  Every
-    weight the plan reads is scaled by the lcm of their denominators, and
-    `best` turns the total back into a Fraction; scores are int64 unless
-    the scaled weights of all held points sum past 2^62, and exact Python
-    ints then.
+    pass, as arrays: each row's group, each parent row's child group, and
+    the cover index over the rows of all edges, numbered as one slot space.
 
-    The covered region is one set of point ids.  `best()` and
-    `commit(answer)` are the round protocol of `_GreedyStep`: `commit`
-    covers the ids charged by the rows that `best` just picked for the
-    answer (`_picked_ids`), so a round decodes and looks up no `Fact`.
-    The next `best` lowers only the rows that hold a newly covered point,
+    `best()` and `commit(answer)` are the round protocol of `_GreedyStep`:
+    `commit` covers the ids charged by the rows that `best` just picked
+    for the answer (`_picked_ids`), so a round decodes and looks up no
+    `Fact`.  The next `best` lowers only the rows that held a newly covered point,
     re-scores them in Python over list copies of the annotations, scores
     and group tops, re-takes the maximum of each of their groups whose top
     row fell (with one numpy argmax over a group of more than
@@ -407,8 +432,7 @@ class _RankingPlan:
         self._codes = codes
         self._weight_of = weight_of
         self._best: list[list[int]] | None = None  # built by the first `best`
-        self._covered: set[int] | None = None  # ids of the points weighing 0
-        self._fresh: set[int] = set()  # ids committed since, not yet lowered
+        self._fresh: list[tuple] = []  # the (rows, weights) pairs commits newly covered
         self._region: frozenset | None = None  # the last `best(covered)` region
         self._picked: list[int] = []  # per edge, the row the last answer took
         self._assignment: dict = {}  # the last answer's variable -> code
@@ -432,7 +456,7 @@ class _RankingPlan:
         return self.db.fact(pid)
 
     def _index(self) -> None:
-        """Liveness, groups, joins, the holders and integer weights."""
+        """Liveness, groups, joins and the cover index."""
         (self._order, self._kids, groups, join) = _reduce(
             self._cols, self._codes, self._parents, self._radix)
         self._join = join
@@ -446,24 +470,11 @@ class _RankingPlan:
             of[g.rows] = np.repeat(np.arange(len(g.keys)), np.diff(g.starts))
             self._group_of.append(of)
         self._joined: list = [None] * len(groups)  # built by `_lower` when first needed
-        # The holders of every edge: (point id, slot) pairs sorted by point.
         charged = [self._charge(u, rows) for u, rows in enumerate(self._live)]
-        pids = np.concatenate([pids for _, pids in charged])
-        by_point = _stable_order(pids)
-        self._hold_pid = pids[by_point]
-        self._hold_slot = np.concatenate([self._base[u] + rows for u, (rows, _) in
-                                          enumerate(charged)])[by_point]
-        self._weight: np.ndarray | None = None  # None: every point weighs 1
-        self._scale = 1
-        self._dtype = np.int64
-        if self._weight_of is not None:
-            starts = _segments(self._hold_pid)  # one run per held point
-            weight, self._scale = scaled_weights(
-                self._weight_of, map(self._point, self._hold_pid[starts[:-1]].tolist()))
-            scaled = list(weight.values())  # in point order
-            if sum(scaled) >= 2 ** 62:
-                self._dtype = object
-            self._weight = np.repeat(np.array(scaled, dtype=self._dtype), np.diff(starts))
+        self._cover = _CoverIndex(
+            np.concatenate([pids for _, pids in charged]),
+            np.concatenate([self._base[u] + rows for u, (rows, _) in enumerate(charged)]),
+            self._weight_of, self._point)
         self._annot: list[list] = [[] for _ in groups]
         self._score: list[list] = [[] for _ in groups]
         self._scores: list = [None] * len(groups)  # `_score` as arrays
@@ -476,33 +487,28 @@ class _RankingPlan:
         balls of the answers committed so far weigh 0."""
         if self._best is None:
             self._index()
+            if covered is None:
+                self._rebuild()
         if covered is not None:
             covered = frozenset(covered)
             if self._region is not None and covered >= self._region:
-                self._fresh = self._ids(covered - self._region)
+                ids = _point_ids(self._pid, covered - self._region)
+                self._fresh.append(self._cover.cover(ids))
             else:
-                self._covered, self._fresh = self._ids(covered), set()
-                self._rebuild(self._covered)
+                self._cover.uncover()
+                self._cover.cover(_point_ids(self._pid, covered))
+                self._rebuild()
             self._region = covered
-        elif self._covered is None:
-            self._covered = set()
-            self._rebuild(self._covered)
-        if self._fresh:
-            self._lower(self._fresh)
-            self._covered |= self._fresh
-            self._fresh = set()
+        for rows, weights in self._fresh:
+            self._lower(rows, weights)
+        self._fresh = []
         return self._answer()
 
     def commit(self, answer: Fact) -> None:
         """Cover the ball of `answer`, the answer the last `best` returned;
         the next `best` lowers the rows holding its newly covered points."""
-        self._fresh |= set(self._picked_ids()) - self._covered
+        self._fresh.append(self._cover.cover(self._picked_ids()))
         self._region = None
-
-    def _ids(self, points: Iterable) -> set[int]:
-        ids = set(map(self._pid, points))
-        ids.discard(None)
-        return ids
 
     def _picked_ids(self) -> list[int]:
         """The ids of the points charged by the rows the last answer took:
@@ -517,18 +523,9 @@ class _RankingPlan:
                 ids += table_ids[ptr[i]:ptr[i + 1]].tolist()
         return ids
 
-    def _rebuild(self, covered: set[int]) -> None:
-        slots, weight = self._hold_slot, self._weight
-        gone = np.fromiter(covered, dtype=np.int64, count=len(covered))
-        if len(gone):
-            keep = ~np.isin(self._hold_pid, gone)
-            slots = slots[keep]
-            weight = weight if weight is None else weight[keep]
-        if weight is None:
-            annots = np.bincount(slots, minlength=self._base[-1]).astype(np.int64)
-        else:
-            annots = np.zeros(self._base[-1], dtype=self._dtype)
-            np.add.at(annots, slots, weight)
+    def _rebuild(self) -> None:
+        self._fresh = []
+        annots = self._cover.totals(self._base[-1])
         top: list = [None] * len(self._cols)  # group -> top score, then a 0 for row -1
         for u in reversed(self._order):
             annot = annots[self._base[u]:self._base[u + 1]]
@@ -543,22 +540,18 @@ class _RankingPlan:
                 best = live[at[np.searchsorted(at, starts[:-1])]]
             else:
                 peak = best = live
-            top[u] = np.append(peak, 0).astype(self._dtype)
+            top[u] = np.append(peak, 0).astype(self._cover.dtype)
             self._annot[u] = annot.tolist()
             self._score[u] = score.tolist()
             self._scores[u] = score
             self._best[u] = best.tolist()
             self.rows_rescored += len(live)
 
-    def _lower(self, fresh: set[int]) -> None:
+    def _lower(self, slots: np.ndarray, weights: np.ndarray | None) -> None:
         dirty: list[set] = [set() for _ in self._cols]
-        gone = np.fromiter(fresh, dtype=np.int64, count=len(fresh))
-        lo = np.searchsorted(self._hold_pid, gone)
-        at = _ranges(lo, np.searchsorted(self._hold_pid, gone, "right") - lo)
-        slots = self._hold_slot[at]
         edges = np.searchsorted(self._base, slots, "right") - 1
         held = zip(edges.tolist(), (slots - np.take(self._base, edges)).tolist(),
-                   repeat(1) if self._weight is None else self._weight[at].tolist())
+                   repeat(1) if weights is None else weights.tolist())
         annot = self._annot
         for u, i, w in held:
             annot[u][i] -= w
@@ -628,7 +621,7 @@ class _RankingPlan:
         values = self.db.values
         answer = Fact(self.q.head_name,
                       tuple(values[assignment[hv]] for hv in self.q.head_vars))
-        return answer, Fraction(total, self._scale)
+        return answer, Fraction(total, self._cover.scale)
 
 
 def _witness_table(q: ConjunctiveQuery, db: Database, atom_ids: list[int],
@@ -716,8 +709,8 @@ class TropicalPlan(_RankingPlan):
         hit = super().best(covered)
         if hit is not None:
             if covered is None:  # the part of the answer's ball the plan has covered
-                covered = frozenset(p for p in self.volume.ball(hit[0])
-                                    if self._pid(p) in self._covered)
+                ids = self._picked_ids()
+                covered = frozenset(map(self._point, compress(ids, self._cover.is_covered(ids))))
             check = self.volume.marginal_given_covered(covered, hit[0])
             if check != hit[1]:  # pragma: no cover - per-position charging is exact
                 raise AssertionError(f"ranked marginal {hit[1]} but the volume says {check}")

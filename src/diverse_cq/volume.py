@@ -37,7 +37,7 @@ import numpy as np
 from . import engine
 from .errors import InputError, LimitExceededError, LoadError, UniverseError
 from .query import gyo_join_tree
-from .relcore import Database, Fact, fraction_text
+from .relcore import Database, Fact
 
 MC_SAMPLES_CAP = 10**8
 
@@ -665,9 +665,3 @@ def multiattribute_from_volume(v: VolumeAssignment, universe: Iterable) -> Multi
     weights = {a: v.measure.of(frozenset(points)) for a, points in groups.items()}
     return MultiAttributeWeights(elements, {a: w for a, w in weights.items() if w > 0})
 
-
-def format_weight(w) -> str:
-    """Stable text form for Fractions/floats in CLI payloads."""
-    if isinstance(w, Fraction):
-        return fraction_text(w)
-    return repr(float(w))

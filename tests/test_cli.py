@@ -546,7 +546,9 @@ def test_compare_matrix_needs_single_column_answers(capsys, work):
 def test_convert_ultrametric(capsys, work):
     doc = report(capsys, ["convert", "--ultrametric", str(work / "tree.json")])
     payload = doc["payload"]
-    assert payload["check"]["verdict"] == "PASS"
+    assert payload["check"] == {
+        "subsets_checked": 7, "verdict": "PASS",
+        "property": "union volume = subtree diversity + radius, subsets up to size 4"}
     assert payload["radius"] == "2"
     assert payload["leaves"] == ["a", "b", "c"]
 

@@ -6,6 +6,7 @@ decodes the one relation it reads.  `ProvenancePlan.provenance_of`
 finds a witness-table row by the same search."""
 
 import random
+import re
 from itertools import product
 
 import pytest
@@ -13,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diverse_cq import (Database, Fact, InputError, LoadError, ProvenancePlan, Schema,
-                        enumerate_answers, intern)
+                        enumerate_answers, intern, parse_cq)
 
 from conftest import db_of, mk, random_free_connex_instance
 
@@ -91,3 +92,12 @@ def test_provenance_of_accepts_exactly_the_answers():
             else:
                 with pytest.raises(InputError, match="not an answer"):
                     plan.provenance_of(t)
+
+
+def test_provenance_of_rejects_a_wrong_head_shape_and_a_split_repeated_variable():
+    plan = ProvenancePlan(parse_cq("Q(x,x) <- R(x,y)."), db_of({"R": 2}, [mk("R", "a", "b")]))
+    assert plan.provenance_of(mk("Q", "a", "a")) == {mk("R", "a", "b")}
+    with pytest.raises(InputError, match=re.escape("Q(a,b) is not an answer of the query")):
+        plan.provenance_of(mk("Q", "a", "b"))
+    with pytest.raises(InputError, match=re.escape("Q(a) does not have the query's head shape")):
+        plan.provenance_of(mk("Q", "a"))

@@ -676,7 +676,7 @@ def test_scores_past_int64_stay_exact():
     assert tropical.total == sum(pos_w.measure.weights.values())
     plan = TropicalPlan(q, db, pos_w)
     plan.next(())
-    assert plan._dtype is object and plan._scale == math.prod(PRIMES)
+    assert plan._cover.dtype is object and plan._cover.scale == math.prod(PRIMES)
 
     projected = parse_cq("Q(x) <- A(x,y).")
     base = provenance_volume(projected, db)
@@ -691,11 +691,11 @@ def test_scores_past_int64_stay_exact():
     assert ranked.total == sum(weights.values())
     plan = ProvenancePlan(projected, db, weight_of=prov_w.measure.weight_of)
     plan.next(frozenset())
-    assert plan._dtype is object
+    assert plan._cover.dtype is object
 
     counted = TropicalPlan(q, db, pos_volume())  # count measures keep int64 scores
     counted.next(())
-    assert counted._dtype is np.int64
+    assert counted._cover.dtype is np.int64
 
 
 @pytest.mark.parametrize("volume", [pos_volume(), None])

@@ -78,8 +78,8 @@ def test_commit_rounds_match_public_best(ranker, seed, kind):
         committed.commit(answer)
         covered |= ball(answer)
         assert committed.rows_rescored == public.rows_rescored
-    if kind == "huge" and len(committed._hold_pid):
-        assert committed._dtype is object
+    if kind == "huge" and len(committed._cover.owners):
+        assert committed._cover.dtype is object
 
 
 def test_ranked_rounds_map_no_fact_to_an_id(monkeypatch):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from diverse_cq import (MC_SAMPLES_CAP, ContinuousBallSet, CountMeasure, EuclideanBallVolume,
                         InputError, LimitExceededError, MCEstimate, MultiAttributeWeights,
                         UniverseError, VolumeAssignment, WeightedMeasure, elem_volume,
-                        elem_weighted, enumerate_answers, format_weight, greedy_diversify,
+                        elem_weighted, enumerate_answers, greedy_diversify,
                         intern, mc_ball_union_volume, multiattribute_from_volume, pos_volume,
                         pos_weighted, provenance_volume, volume, volume_from_multiattribute)
 
@@ -466,8 +466,3 @@ def test_multiattribute_validation():
         MultiAttributeWeights(("x",), {frozenset({"y"}): Fraction(1)})
     with pytest.raises(InputError):
         MultiAttributeWeights(("x",), {frozenset({"x"}): Fraction(-1)})
-
-
-def test_format_weight():
-    assert format_weight(Fraction(3, 2)) == "3/2"
-    assert format_weight(2.5) == "2.5"
