@@ -31,9 +31,14 @@ import numpy as np
 
 from .errors import InputError, LimitExceededError
 from .query import Atom, ConjunctiveQuery, gyo_join_tree, _connex_rooting, _preorder
-from .relcore import Database, Fact, _decode, fact_key
+from .relcore import Database, Fact, _decode, _pack, fact_key
 
 PROVENANCE_EXTENSION_LIMIT = 10 ** 7
+# `_fold` stops before its (row, fact) pairs pass this many.  The 4-path
+# over 20,000 random edges per relation on 2,000 nodes folds 2.2 million;
+# over 50,000 edges it would fold 28 million, which peaked at 1.8 GiB.  A
+# perfbench provenance-proj plan holds about 12,000.
+WITNESS_PAIR_LIMIT = 10 ** 7
 
 
 @dataclass(frozen=True)
@@ -153,10 +158,6 @@ class _Groups(NamedTuple):
     keys: np.ndarray
 
 
-# Packed keys stay below this bound, so key arithmetic never overflows int64.
-_KEY_BOUND = 2 ** 62
-
-
 def _atom_rows(db: Database, atom: Atom) -> tuple[np.ndarray, np.ndarray]:
     """The atom's candidate facts, in fact order, as their row ids in the
     relation and their code columns, one per variable of `atom.vars`;
@@ -167,32 +168,13 @@ def _atom_rows(db: Database, atom: Atom) -> tuple[np.ndarray, np.ndarray]:
     keep = np.ones(codes.shape[1], dtype=bool)
     for p1, p2 in atom.eq_positions:
         keep &= codes[p1] == codes[p2]
-    rows = np.flatnonzero(keep)
+    rows = keep.nonzero()[0]
     return rows, codes[:, rows]
-
-
-def _pack(blocks: Sequence[np.ndarray], radix: int) -> list[np.ndarray]:
-    """One int64 key per row of each code block, all blocks (columns x
-    rows, codes below `radix`) over the same variables: equal rows get
-    equal keys, and keys order as the rows do, lexicographically.  When
-    the next column could overflow, the keys so far are re-ranked densely
-    over all blocks first."""
-    keys = [np.zeros(b.shape[1], dtype=np.int64) for b in blocks]
-    span = 1  # every key is below `span`
-    for j in range(blocks[0].shape[0]):
-        if span > _KEY_BOUND // radix:
-            uniq, dense = np.unique(np.concatenate(keys), return_inverse=True)
-            keys = np.split(dense.reshape(-1).astype(np.int64),
-                            np.cumsum([len(k) for k in keys])[:-1])
-            span = len(uniq)
-        keys = [k * radix + b[j] for k, b in zip(keys, blocks)]
-        span *= radix
-    return keys
 
 
 def _find(keys: np.ndarray, probes: np.ndarray) -> np.ndarray:
     """Per probe, the index of the equal key in the ascending `keys`, or -1."""
-    at = np.searchsorted(keys, probes)
+    at = keys.searchsorted(probes)
     if not len(keys):
         return np.full(len(probes), -1)
     hit = keys[np.minimum(at, len(keys) - 1)] == probes
@@ -201,23 +183,23 @@ def _find(keys: np.ndarray, probes: np.ndarray) -> np.ndarray:
 
 def _ranges(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     """The concatenation of range(s, s + n) over the starts `s` and sizes `n`."""
-    ends = np.cumsum(sizes)
-    return np.repeat(starts - ends + sizes, sizes) + np.arange(ends[-1] if len(ends) else 0)
+    ends = sizes.cumsum()
+    return (starts - ends + sizes).repeat(sizes) + np.arange(ends[-1] if len(ends) else 0)
 
 
 def _stable_order(keys: np.ndarray) -> np.ndarray:
     """`np.argsort(keys, kind="stable")` for non-negative keys, in linear
     time when they fit in 16 bits: numpy radix-sorts those."""
     if len(keys) and keys.max() < 2 ** 16:
-        return np.argsort(keys.astype(np.uint16), kind="stable")
-    return np.argsort(keys, kind="stable")
+        return keys.astype(np.uint16).argsort(kind="stable")
+    return keys.argsort(kind="stable")
 
 
 def _segments(keys: np.ndarray) -> np.ndarray:
     """Start of every run of equal values in the sorted `keys`, then its length."""
     if not len(keys):
         return np.zeros(1, dtype=np.intp)
-    return np.concatenate(([0], np.flatnonzero(keys[1:] != keys[:-1]) + 1, [len(keys)]))
+    return np.concatenate(([0], (keys[1:] != keys[:-1]).nonzero()[0] + 1, [len(keys)]))
 
 
 def _reduce(bags: Sequence[tuple], codes: Sequence[np.ndarray],
@@ -254,13 +236,21 @@ def _reduce(bags: Sequence[tuple], codes: Sequence[np.ndarray],
         for c in kids[u]:
             join[c] = _find(groups[c].keys, probe[c])
             live &= join[c] >= 0
-        rows = np.flatnonzero(live)
+        rows = live.nonzero()[0]
         k = key[u][rows]
         by_key = _stable_order(k)
         rows, k = rows[by_key], k[by_key]
         starts = _segments(k)
         groups[u] = _Groups(rows, starts, k[starts[:-1]])
     return order, kids, groups, join
+
+
+def _witness_pairs(count: int) -> int:
+    """`count` (row, fact) pairs, or `LimitExceededError` past the cap."""
+    if count > WITNESS_PAIR_LIMIT:
+        raise LimitExceededError(f"witness tables need at least {count} (row, fact) pairs; "
+                                 f"the cap is {WITNESS_PAIR_LIMIT}")
+    return count
 
 
 def _fold(top: int, at: np.ndarray, here: np.ndarray, n: int, kids,
@@ -272,9 +262,12 @@ def _fold(top: int, at: np.ndarray, here: np.ndarray, n: int, kids,
     One top-down pass over unique (slot, group) pairs reaches every row
     of the subtree once per slot.  Returns `(ptr, facts)`, compressed
     sparse rows: slot `s` has the fact ids `facts[ptr[s]:ptr[s + 1]]`,
-    nodes in preorder.
+    nodes in preorder.  Each level's pair count is known before its
+    arrays are allocated, and a fold that would pass WITNESS_PAIR_LIMIT
+    pairs raises `LimitExceededError` first.
     """
     slots, facts = [], []
+    count = _witness_pairs(len(here))
     stack = [(top, at, here)]
     while stack:
         u, at, here = stack.pop()
@@ -286,11 +279,14 @@ def _fold(top: int, at: np.ndarray, here: np.ndarray, n: int, kids,
             pairs = pairs[_stable_order(pairs)]
             pairs = pairs[_segments(pairs)[:-1]]  # each (slot, group) once
             g = pairs % m
-            first, sizes = groups[c].starts[g], np.diff(groups[c].starts)[g]
-            stack.append((c, np.repeat(pairs // m, sizes), groups[c].rows[_ranges(first, sizes)]))
+            starts = groups[c].starts
+            first = starts[g]
+            sizes = starts[g + 1] - first
+            count = _witness_pairs(count + int(sizes.sum()))
+            stack.append((c, (pairs // m).repeat(sizes), groups[c].rows[_ranges(first, sizes)]))
     slots = np.concatenate(slots)
     by_slot = _stable_order(slots)
-    return np.searchsorted(slots[by_slot], np.arange(n + 1)), np.concatenate(facts)[by_slot]
+    return slots[by_slot].searchsorted(np.arange(n + 1)), np.concatenate(facts)[by_slot]
 
 
 class _Walk(NamedTuple):

@@ -15,11 +15,16 @@ the edges' rows.  Its live rows, groups and joins come from the
 evaluator's semijoin pass over the database's code columns, and so do
 each hanging component's, whose witness table the evaluator's top-down
 array fold gathers.  It keeps its tables as arrays between rounds and
-returns Fractions.  Two thin
+returns Fractions.  A round lowers an atom edge incrementally, re-scoring
+in Python only the rows that held a covered point or joined a group
+whose maximum fell; it re-scores a witness table whole, with the same
+array pass that builds every edge's scores, and counts each of its live
+rows in `rows_rescored` once per re-score.  Two thin
 subclasses decide only which ground points a row charges:
 `TropicalPlan`, for positional volumes over full acyclic queries, and
 `ProvenancePlan`, for the witness-fact volume over free-connex queries
-with projections.  Both plan once over the join tree the query itself
+with projections.  `greedy_combined` picks one by the volume's balls,
+never by its name.  Both plan once over the join tree the query itself
 determines: its GYO tree, rooted at the connex part for a projected
 head, else the extended GYO tree.  Every greedy selection here runs
 through one round loop, `_greedy`, which asks a step for the next best
@@ -32,17 +37,18 @@ import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, compress, repeat
+from itertools import combinations, repeat
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .engine import (enumerate_answers, _atom_rows, _fold, _pack, _ranges, _reduce,
-                     _segments, _stable_order)
+from .engine import (enumerate_answers, _atom_rows, _fold, _ranges, _reduce, _segments,
+                     _stable_order)
 from .errors import EngineCompatibilityError, InputError, LimitExceededError
 from .query import ConjunctiveQuery, free_connex_split, gyo_join_tree, _gyo_reduce
-from .relcore import Database, Fact, fact_key
-from .volume import ProvenanceBalls, VolumeAssignment, provenance_volume, scaled_weights
+from .relcore import Database, Fact, _pack, fact_key
+from .volume import (ProvenanceBalls, VolumeAssignment, pos_ball, provenance_volume,
+                     scaled_weights)
 
 BRUTE_FORCE_CAP = 10 ** 7
 # A ranking group of more rows than this re-takes its maximum with a numpy
@@ -50,7 +56,6 @@ BRUTE_FORCE_CAP = 10 ** 7
 # `_lower` on tropical-path requests was flat for cutoffs 64 to 256, and
 # about 30% higher with numpy on every group or 47% with Python on every group.
 _PYTHON_MAX_ROWS = 64
-POSITIONAL_VOLUMES = ("pos", "pos-w")
 ENGINES = ("auto", "naive", "tropical", "provenance")
 
 
@@ -147,7 +152,7 @@ class _CoverIndex:
                  point: Callable):
         by_point = _stable_order(pids)
         # The pairs' ids, then one above them all, so that every search lands.
-        self._pids = np.append(pids[by_point], np.iinfo(np.int64).max)
+        self._pids = np.concatenate((pids[by_point], [np.iinfo(np.int64).max]))
         self.owners = owners[by_point]
         self._covered = np.zeros(len(self._pids), dtype=bool)  # per pair
         self.weight, self.scale, self.dtype = None, 1, np.int64
@@ -157,16 +162,13 @@ class _CoverIndex:
                 weight_of, map(point, self._pids[start[:-1]].tolist()))
             scaled = list(scaled.values())  # in point order
             self.dtype = object if sum(scaled) >= 2 ** 62 else np.int64
-            self.weight = np.repeat(np.array(scaled, dtype=self.dtype), np.diff(start))
+            self.weight = np.array(scaled, dtype=self.dtype).repeat(start[1:] - start[:-1])
 
-    def is_covered(self, pids) -> np.ndarray:
-        at = self._pids.searchsorted(pids)
-        return (self._pids[at] == pids) & self._covered[at]
-
-    def cover(self, pids) -> tuple[np.ndarray, np.ndarray | None]:
-        """Cover the point ids `pids`, skipping ids no owner holds; a held
-        id must not repeat.  Returns the (owner, weight) pairs of the points
-        newly covered, as an owner array and a weight array (None: all 1)."""
+    def cover(self, pids: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+        """Cover the point ids `pids`, an int64 array, skipping ids no owner
+        holds; a held id must not repeat.  Returns the (owner, weight) pairs
+        of the points newly covered, as an owner array and a weight array
+        (None: all 1)."""
         lo = self._pids.searchsorted(pids)
         pairs = _ranges(lo, (self._pids.searchsorted(pids, "right") - lo) * ~self._covered[lo])
         self._covered[pairs] = True
@@ -193,7 +195,8 @@ class _GreedyStep:
     `Database.facts()` ids, whose facts are decoded only when a weight is
     looked up, else its ball points interned in order of first
     appearance.  An answer outside the volume's universe raises its
-    `UniverseError`, the smallest first.
+    `UniverseError`, the smallest first.  `point_ids` maps ball points to
+    those ids, -1 for a point no answer holds.
     `gains` holds every answer's weight of uncovered points, over `scale`,
     and `cover` lowers only the answers holding a newly covered point.
     `commit` covers an answer's ball and sets its gain to -1, below every
@@ -207,10 +210,11 @@ class _GreedyStep:
                 else [None])
         if None not in rows and (v.universe is None or v.universe >= answers):
             rows = np.array(sorted(rows), dtype=np.int64)
-            first, sizes = balls.ptr[rows], np.diff(balls.ptr)[rows]
+            first = balls.ptr[rows]
+            sizes = balls.ptr[rows + 1] - first
             self.items = list(map(balls.answers.__getitem__, rows.tolist()))
             pts = balls.ids[_ranges(first, sizes)]
-            point, self._point_id = balls.db.fact, balls.db.fact_id
+            point, self.point_ids = balls.db.fact, balls.db.fact_ids
         else:
             self.items = sorted(answers, key=fact_key)
             regions = [v.ball(t) for t in self.items]
@@ -218,7 +222,8 @@ class _GreedyStep:
             point_id: dict = {}
             pts = np.fromiter((point_id.setdefault(p, len(point_id)) for r in regions for p in r),
                               dtype=np.int64, count=sum(sizes))
-            point, self._point_id = list(point_id).__getitem__, point_id.get
+            point = list(point_id).__getitem__
+            self.point_ids = lambda points: _point_ids(point_id.get, points)
         self._ptr, self._pts = np.concatenate(([0], np.cumsum(sizes, dtype=np.int64))), pts
         self._index = _CoverIndex(pts, np.repeat(np.arange(len(self.items)), sizes),
                                   None if v.measure.kind == "count" else v.measure.weight_of,
@@ -356,7 +361,7 @@ def cqnext_naive(q: ConjunctiveQuery, db: Database, selected: Iterable[Fact],
         hit = _argmax(zip(ordered, _round_scorer(v)(selected, ordered)))
         return None if hit is None else (hit[0], hit[1] - base)
     step = _GreedyStep(answers, v)
-    step.cover(_point_ids(step._point_id, v.covered(selected)))
+    step.cover(step.point_ids(v.covered(selected)))
     hit = step.best()
     return None if hit is None else (step.items[hit[0]], Fraction(hit[1], step.scale))
 
@@ -373,7 +378,7 @@ class _RankingPlan:
     the database's int64 code columns.  The volume decides only which
     ground points a row charges, as integer point ids: by default its
     witness facts, by their index in `Database.facts()`, and
-    `TropicalPlan` overrides `_charge`, `_pid`, `_point` and `_picked_ids`.
+    `TropicalPlan` overrides `_charge`, `_pids`, `_point` and `_picked_ids`.
 
     The best answer falls out of one max-plus dynamic program.  A row is
     live when it joins some live row of every child edge; liveness never
@@ -388,22 +393,30 @@ class _RankingPlan:
     The first `best` call builds the tables from the evaluator's semijoin
     pass, as arrays: each row's group, each parent row's child group, and
     the cover index over the rows of all edges, numbered as one slot space.
+    Every edge keeps its group maxima, its tops, in one array, which a
+    parent reads with one gather.  `_rescore` scores a whole edge from its
+    annotations and its children's tops, and takes each group's first row
+    of maximal score, with array operations.
 
     `best()` and `commit(answer)` are the round protocol of `_GreedyStep`:
     `commit` covers the ids charged by the rows that `best` just picked
     for the answer (`_picked_ids`), so a round decodes and looks up no
-    `Fact`.  The next `best` lowers only the rows that held a newly covered point,
-    re-scores them in Python over list copies of the annotations, scores
-    and group tops, re-takes the maximum of each of their groups whose top
-    row fell (with one numpy argmax over a group of more than
-    `_PYTHON_MAX_ROWS` rows), and pushes every group whose maximum fell to
-    the parent rows that join it.  `best(covered)` ranks with a given
-    region of ground points instead.  When it contains the region of the
-    last such call and nothing was committed since, only its new points
-    are mapped to ids (`_pid`) and lowered the same way; any other region
-    is mapped whole and rebuilds every score from scratch, group maxima
-    included, with array operations.
-    `rows_rescored` counts the rows whose score either path computed.
+    `Fact`.  The next `best` lowers the rows that held a newly covered
+    point.  An atom edge is lowered incrementally: only those rows are
+    re-scored, in Python over list copies of its annotations and scores;
+    each of their groups whose top row fell re-takes its maximum (with one
+    numpy argmax over a group of more than `_PYTHON_MAX_ROWS` rows), and
+    every group whose maximum fell pushes the parent rows that join it.  A
+    witness table keeps its annotations as one int array: a round's
+    covered pairs come off it at once, and a table that holds one of them,
+    or joins a child group whose maximum fell, is re-scored whole by
+    `_rescore`.  `best(covered)` ranks with a given region of ground points
+    instead.  When it contains the region of the last such call and
+    nothing was committed since, only its new points are mapped to ids
+    (`_pids`) and lowered the same way; any other region is mapped whole
+    and every edge is re-scored by `_rescore`.
+    `rows_rescored` counts the rows whose score was computed: each row an
+    atom edge re-scores, and all live rows of an edge, once per `_rescore`.
     """
 
     def __init__(self, q: ConjunctiveQuery, db: Database, atoms: Iterable[int],
@@ -415,12 +428,12 @@ class _RankingPlan:
         self._radix = max(1, len(db.values))
         cols: list[tuple] = []
         codes: list[np.ndarray] = []
-        self._rows: list[np.ndarray] = []  # per atom edge, its rows' ids in the relation
+        self._ids: list[np.ndarray] = []  # per atom edge, its rows' fact ids
         for i in self._atoms:
             rows, atom_codes = _atom_rows(db, q.atoms[i])
             cols.append(q.atoms[i].vars)
             codes.append(atom_codes)
-            self._rows.append(rows)
+            self._ids.append(db.offset(q.atoms[i].relation) + rows)
         self._tables = [_witness_table(q, db, ids, parents) for ids, parents in components]
         for out, keys, _, _ in self._tables:
             cols.append(out)
@@ -431,7 +444,7 @@ class _RankingPlan:
         self._cols = cols
         self._codes = codes
         self._weight_of = weight_of
-        self._best: list[list[int]] | None = None  # built by the first `best`
+        self._best: list | None = None  # built by the first `best`
         self._fresh: list[tuple] = []  # the (rows, weights) pairs commits newly covered
         self._region: frozenset | None = None  # the last `best(covered)` region
         self._picked: list[int] = []  # per edge, the row the last answer took
@@ -442,15 +455,15 @@ class _RankingPlan:
         """The ground points the `rows` of edge `u` charge, as parallel
         arrays of rows and point ids."""
         if u < len(self._atoms):
-            first = self.db.offset(self.q.atoms[self._atoms[u]].relation)
-            return rows, first + self._rows[u][rows]
+            return rows, self._ids[u][rows]
         _, _, ptr, ids = self._tables[u - len(self._atoms)]
-        sizes = ptr[rows + 1] - ptr[rows]
-        return np.repeat(rows, sizes), ids[_ranges(ptr[rows], sizes)]
+        first = ptr[rows]
+        sizes = ptr[rows + 1] - first
+        return rows.repeat(sizes), ids[_ranges(first, sizes)]
 
-    def _pid(self, point) -> int | None:
-        """The id of a ground point, or None when no row can charge it."""
-        return self.db.fact_id(point)
+    def _pids(self, points: Iterable) -> np.ndarray:
+        """The ids of ground points, -1 for a point no row can charge."""
+        return self.db.fact_ids(points)
 
     def _point(self, pid: int):
         return self.db.fact(pid)
@@ -462,12 +475,12 @@ class _RankingPlan:
         self._join = join
         self._live = [g.rows for g in groups]
         # Edge u's rows are the slots base[u]...base[u + 1] - 1 of one row space.
-        self._base = np.cumsum([0] + [c.shape[1] for c in self._codes]).tolist()
+        self._base = np.array([0] + [c.shape[1] for c in self._codes]).cumsum()
         self._group_starts = [g.starts for g in groups]
         self._group_of: list[np.ndarray] = []  # row -> its group, -1 when dead
         for u, g in enumerate(groups):
             of = np.full(self._codes[u].shape[1], -1)
-            of[g.rows] = np.repeat(np.arange(len(g.keys)), np.diff(g.starts))
+            of[g.rows] = np.arange(len(g.keys)).repeat(g.starts[1:] - g.starts[:-1])
             self._group_of.append(of)
         self._joined: list = [None] * len(groups)  # built by `_lower` when first needed
         charged = [self._charge(u, rows) for u, rows in enumerate(self._live)]
@@ -475,9 +488,10 @@ class _RankingPlan:
             np.concatenate([pids for _, pids in charged]),
             np.concatenate([self._base[u] + rows for u, (rows, _) in enumerate(charged)]),
             self._weight_of, self._point)
-        self._annot: list[list] = [[] for _ in groups]
-        self._score: list[list] = [[] for _ in groups]
+        self._annot: list = [None] * len(groups)  # an atom edge's list, a table's array
+        self._score: list = [None] * len(groups)  # per atom edge, a list
         self._scores: list = [None] * len(groups)  # `_score` as arrays
+        self._tops: list = [None] * len(groups)  # group -> top score, then a 0 for row -1
         self._best = [[] for _ in groups]  # group -> its top row
         self._weight_of = None
 
@@ -492,11 +506,10 @@ class _RankingPlan:
         if covered is not None:
             covered = frozenset(covered)
             if self._region is not None and covered >= self._region:
-                ids = _point_ids(self._pid, covered - self._region)
-                self._fresh.append(self._cover.cover(ids))
+                self._fresh.append(self._cover.cover(self._pids(covered - self._region)))
             else:
                 self._cover.uncover()
-                self._cover.cover(_point_ids(self._pid, covered))
+                self._cover.cover(self._pids(covered))
                 self._rebuild()
             self._region = covered
         for rows, weights in self._fresh:
@@ -510,47 +523,70 @@ class _RankingPlan:
         self._fresh.append(self._cover.cover(self._picked_ids()))
         self._region = None
 
-    def _picked_ids(self) -> list[int]:
+    def _picked_ids(self) -> np.ndarray:
         """The ids of the points charged by the rows the last answer took:
         each atom row's fact and each witness-table row's facts."""
-        ids = []
-        for u, i in enumerate(self._picked):
-            if u < len(self._atoms):
-                ids.append(self.db.offset(self.q.atoms[self._atoms[u]].relation)
-                           + int(self._rows[u][i]))
-            else:
-                _, _, ptr, table_ids = self._tables[u - len(self._atoms)]
-                ids += table_ids[ptr[i]:ptr[i + 1]].tolist()
-        return ids
+        n = len(self._atoms)
+        ids = [np.array([facts[i] for facts, i in zip(self._ids, self._picked)], dtype=np.int64)]
+        for (_, _, ptr, facts), i in zip(self._tables, self._picked[n:]):
+            ids.append(facts[ptr[i]:ptr[i + 1]])
+        return np.concatenate(ids)
+
+    def _rescore(self, u: int, annot: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Score every row of edge `u`, its annotation in `annot` plus the
+        top of each child group it joins, and take each group's first row
+        of maximal score.  Sets the edge's tops; returns the scores and
+        each group's top row."""
+        score = annot.copy()
+        for c in self._kids[u]:
+            score += self._tops[c][self._join[c]]
+        live, starts = self._live[u], self._group_starts[u]
+        ranked = score[live]
+        top = np.zeros(len(starts), dtype=self._cover.dtype)
+        if len(live):
+            top[:-1] = peak = np.maximum.reduceat(ranked, starts[:-1])
+            at = (ranked == peak.repeat(starts[1:] - starts[:-1])).nonzero()[0]
+            best = live[at[at.searchsorted(starts[:-1])]]
+        else:
+            best = live
+        self._tops[u] = top
+        self.rows_rescored += len(live)
+        return score, best
 
     def _rebuild(self) -> None:
         self._fresh = []
         annots = self._cover.totals(self._base[-1])
-        top: list = [None] * len(self._cols)  # group -> top score, then a 0 for row -1
+        n = len(self._atoms)
+        self._table_annot = annots[self._base[n]:]  # every table's annotations, lowered in place
         for u in reversed(self._order):
             annot = annots[self._base[u]:self._base[u + 1]]
-            score = annot.copy()
-            for c in self._kids[u]:
-                score += top[c][self._join[c]]
-            live, starts = self._live[u], self._group_starts[u]
-            ranked = score[live]
-            if len(live):
-                peak = np.maximum.reduceat(ranked, starts[:-1])
-                at = np.flatnonzero(ranked == np.repeat(peak, np.diff(starts)))
-                best = live[at[np.searchsorted(at, starts[:-1])]]
+            score, best = self._rescore(u, annot)
+            if u < n:
+                self._annot[u] = annot.tolist()
+                self._score[u] = score.tolist()
+                self._scores[u] = score
+                self._best[u] = best.tolist()
             else:
-                peak = best = live
-            top[u] = np.append(peak, 0).astype(self._cover.dtype)
-            self._annot[u] = annot.tolist()
-            self._score[u] = score.tolist()
-            self._scores[u] = score
-            self._best[u] = best.tolist()
-            self.rows_rescored += len(live)
+                self._annot[u] = annot  # a view of `_table_annot`
+                self._best[u] = best
 
     def _lower(self, slots: np.ndarray, weights: np.ndarray | None) -> None:
-        dirty: list[set] = [set() for _ in self._cols]
-        edges = np.searchsorted(self._base, slots, "right") - 1
-        held = zip(edges.tolist(), (slots - np.take(self._base, edges)).tolist(),
+        n = len(self._atoms)
+        edges = self._base.searchsorted(slots, "right") - 1
+        # Per atom edge the rows to re-score, per table whether to re-score it.
+        dirty: list = [set() for _ in range(n)] + [False] * len(self._tables)
+        if self._tables:
+            table = slots >= self._base[n]
+            at = slots[table] - self._base[n]
+            if weights is None:
+                self._table_annot -= np.bincount(at, minlength=len(self._table_annot))
+            else:
+                np.subtract.at(self._table_annot, at, weights[table])
+            for u in np.bincount(edges[table]).nonzero()[0].tolist():
+                dirty[u] = True
+            slots, edges = slots[~table], edges[~table]
+            weights = None if weights is None else weights[~table]
+        held = zip(edges.tolist(), (slots - self._base[edges]).tolist(),
                    repeat(1) if weights is None else weights.tolist())
         annot = self._annot
         for u, i, w in held:
@@ -558,12 +594,18 @@ class _RankingPlan:
             dirty[u].add(i)
         # Children before parents, so each row is re-scored at most once.
         for u in reversed(self._order):
+            if u >= n:
+                if dirty[u]:
+                    before = self._tops[u]
+                    _, self._best[u] = self._rescore(u, self._annot[u])
+                    self._fell(u, (self._tops[u] < before).nonzero()[0].tolist(), dirty)
+                continue
             ids = dirty[u]
             if not ids:
                 continue
             ids = list(ids)
             rows = np.array(ids)
-            score, best = self._score[u], self._best[u]
+            score, best, tops = self._score[u], self._best[u], self._tops[u]
             top_before = {}
             for g in self._group_of[u][rows].tolist():
                 if g not in top_before:
@@ -571,25 +613,38 @@ class _RankingPlan:
             annot = self._annot[u]
             new = [annot[i] for i in ids]
             for c in self._kids[u]:
-                kid_best, kid_score = self._best[c], self._score[c]
-                new = [s + kid_score[kid_best[g]]
-                       for s, g in zip(new, self._join[c][rows].tolist())]
+                new = [s + t for s, t in zip(new, self._tops[c][self._join[c][rows]].tolist())]
             for i, s in zip(ids, new):
                 score[i] = s
             self._scores[u][rows] = new
             self.rows_rescored += len(ids)
             # Scores only fall, so a group changes only when its top row fell.
-            p = self._parents[u]
             starts = self._group_starts[u]
+            fell = []
             for g, before in top_before.items():
                 if score[best[g]] < before:
                     group = self._live[u][starts[g]:starts[g + 1]]
-                    top = best[g] = (int(group[np.argmax(self._scores[u][group])])
+                    top = best[g] = (int(group[self._scores[u][group].argmax()])
                                      if len(group) > _PYTHON_MAX_ROWS else
                                      max(group.tolist(), key=score.__getitem__))
-                    if score[top] < before and p is not None:
-                        parents, first = self._parent_rows(u)
-                        dirty[p].update(parents[first[g]:first[g + 1]])
+                    tops[g] = score[top]
+                    if score[top] < before:
+                        fell.append(g)
+            self._fell(u, fell, dirty)
+
+    def _fell(self, u: int, groups: list[int], dirty: list) -> None:
+        """Mark for `_lower` what joins the groups `groups` of edge `u`,
+        whose maximum fell: the parent rows joining them, or a parent
+        witness table whole."""
+        p = self._parents[u]
+        if not groups or p is None:
+            return
+        if p >= len(self._atoms):
+            dirty[p] = True
+            return
+        rows, first = self._parent_rows(u)
+        for g in groups:
+            dirty[p].update(rows[first[g]:first[g + 1]])
 
     def _parent_rows(self, u: int) -> tuple[list[int], list[int]]:
         """The live rows of `u`'s parent grouped by the group of `u` they
@@ -598,8 +653,8 @@ class _RankingPlan:
             rows = self._live[self._parents[u]]
             to = self._join[u][rows]
             by_group = _stable_order(to)
-            self._joined[u] = (rows[by_group].tolist(), np.searchsorted(
-                to[by_group], np.arange(len(self._group_starts[u]))).tolist())
+            self._joined[u] = (rows[by_group].tolist(), to[by_group].searchsorted(
+                np.arange(len(self._group_starts[u]))).tolist())
         return self._joined[u]
 
     def _answer(self):
@@ -609,10 +664,10 @@ class _RankingPlan:
         for u in self._order:
             p = self._parents[u]
             if p is None:
-                if not self._best[u]:
+                if not len(self._best[u]):
                     return None
                 i = self._best[u][0]
-                total += self._score[u][i]
+                total += int(self._tops[u][0])
             else:
                 i = self._best[u][self._join[u][picked[p]]]
             picked[u] = i
@@ -652,7 +707,7 @@ def _witness_table(q: ConjunctiveQuery, db: Database, atom_ids: list[int],
     by_key = _stable_order(key)
     starts = _segments(key[by_key])
     n = len(starts) - 1
-    ptr, ids = _fold(root, np.repeat(np.arange(n), np.diff(starts)), live[by_key], n, kids,
+    ptr, ids = _fold(root, np.arange(n).repeat(starts[1:] - starts[:-1]), live[by_key], n, kids,
                      groups, join, [db.offset(a.relation) + r for a, r in zip(atoms, rows)])
     return out, interface[:, by_key[starts[:-1]]], ptr, ids
 
@@ -670,7 +725,7 @@ class TropicalPlan(_RankingPlan):
     """
 
     def __init__(self, q: ConjunctiveQuery, db: Database, volume: VolumeAssignment):
-        if volume.name not in POSITIONAL_VOLUMES:
+        if getattr(volume, "ball_fn", None) is not pos_ball:
             raise EngineCompatibilityError(
                 f"value ranking supports positional volumes only, not {volume.name!r}")
         if not q.is_full:
@@ -688,7 +743,11 @@ class TropicalPlan(_RankingPlan):
         pids = [(pos - 1) * self._radix + self._codes[u][self._cols[u].index(hv)][rows]
                 for pos, hv in enumerate(self.q.head_vars, start=1)
                 if next(e for e, c in enumerate(self._cols) if hv in c) == u]
-        return np.tile(rows, len(pids)), np.concatenate(pids or [rows[:0]])
+        none = [rows[:0]]
+        return np.concatenate([rows] * len(pids) or none), np.concatenate(pids or none)
+
+    def _pids(self, points):
+        return _point_ids(self._pid, points)
 
     def _pid(self, point):
         value, pos = point
@@ -702,19 +761,8 @@ class TropicalPlan(_RankingPlan):
         return self.db.values[code], pos + 1
 
     def _picked_ids(self):
-        return [pos * self._radix + self._assignment[hv]
-                for pos, hv in enumerate(self.q.head_vars)]
-
-    def best(self, covered: Iterable | None = None):
-        hit = super().best(covered)
-        if hit is not None:
-            if covered is None:  # the part of the answer's ball the plan has covered
-                ids = self._picked_ids()
-                covered = frozenset(map(self._point, compress(ids, self._cover.is_covered(ids))))
-            check = self.volume.marginal_given_covered(covered, hit[0])
-            if check != hit[1]:  # pragma: no cover - per-position charging is exact
-                raise AssertionError(f"ranked marginal {hit[1]} but the volume says {check}")
-        return hit
+        return np.array([pos * self._radix + self._assignment[hv]
+                         for pos, hv in enumerate(self.q.head_vars)], dtype=np.int64)
 
     def next(self, selected: Iterable[Fact]):
         """Best (answer, marginal) with already-seen positions weighing 0."""
@@ -788,7 +836,13 @@ def greedy_combined(q: ConjunctiveQuery, db: Database, k: int,
     "tropical" ranks positional volumes incrementally, "provenance"
     ranks the witness-fact volume (the default) incrementally, and
     "auto" tries the ranker that the volume calls for before falling
-    back to naive.  Both rankers plan over the query's own join tree.
+    back to naive.  The volume's balls decide which ranker that is, not
+    its name: the tropical ranker serves only `pos_ball`, the balls of
+    `pos_volume` and `pos_weighted`, and the provenance ranker only no
+    volume or one whose balls `provenance_volume` built for this `q` and
+    `db`.  Every other volume runs naive, a provenance volume of another
+    query or database included.  Both rankers plan over the query's own
+    join tree.
     Every engine runs one round loop over a step's `best()` and
     `commit(answer)`: the naive engine's `_GreedyStep` or a ranker's plan,
     which keeps its covered region as point ids and commits a pick from
@@ -809,9 +863,10 @@ def greedy_combined(q: ConjunctiveQuery, db: Database, k: int,
             return hit if hit is not None and hit[1] > 0 else None
         return _greedy(k, gainful, commit)
 
-    if volume is None or volume.name == "provenance":
+    balls = getattr(volume, "ball_fn", None)
+    if volume is None or getattr(balls, "source", None) == (q, db):
         ranker = "provenance"
-    elif volume.name in POSITIONAL_VOLUMES:
+    elif balls is pos_ball:
         ranker = "tropical"
     else:
         ranker = "naive"

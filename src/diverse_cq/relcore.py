@@ -12,7 +12,7 @@ order is value order, so each relation's rows, deduplicated under set
 semantics, are kept in code order.  The loader maps raw cells straight
 to codes; `Database(schema, relations)` and `from_facts` encode their
 facts into the same columns.  Planning, ranking, acyclic evaluation,
-`in` and `fact_id` read only the columns.  A relation's facts are
+`in`, `fact_id` and `fact_ids` read only the columns.  A relation's facts are
 decoded from its codes, by one list index per value, when first asked
 for, and kept; so is the hash index `lookup` gives the backtracking
 join.  Answers, ball points and dict keys stay identity-hashed
@@ -218,9 +218,9 @@ class Database:
     rows deduplicated and in code order, which is value order.  Sizes,
     offsets and the fact count come from the arrays' shapes.
 
-    `in`, `fact_id`, planning, ranking and acyclic evaluation read only
-    the code columns.  A relation's `Fact` tuples are decoded on its
-    first `relation`, `fact` or `lookup`, or on `facts()`, and kept, as
+    `in`, `fact_id`, `fact_ids`, planning, ranking and acyclic evaluation
+    read only the code columns.  A relation's `Fact` tuples are decoded on
+    its first `relation`, `fact` or `lookup`, or on `facts()`, and kept, as
     are `lookup`'s per-column indexes.
     """
 
@@ -348,15 +348,46 @@ class Database:
             lo, hi = lo + first, lo + stop
         return lo if lo < hi else None
 
-    def fact_id(self, fact: Fact) -> int | None:
-        """The index in `facts()` of the stored fact equal to `fact`, a
-        `Fact` or a plain `(name, values)` pair, or None; decodes no fact."""
+    def _columns(self, fact) -> np.ndarray | None:
+        """The code columns of the relation `fact` names, when it is a
+        `Fact` or a plain `(name, values)` pair whose values are a tuple of
+        the relation's width; else None."""
         name, values = fact if isinstance(fact, tuple) and len(fact) == 2 else (None, None)
         codes = self._codes.get(name)
         if codes is None or not isinstance(values, tuple) or len(values) != len(codes):
             return None
-        row = self.find_row(codes, values)
-        return None if row is None else self._offsets[name] + row
+        return codes
+
+    def fact_id(self, fact: Fact) -> int | None:
+        """The index in `facts()` of the stored fact equal to `fact`, a
+        `Fact` or a plain `(name, values)` pair, or None; decodes no fact."""
+        codes = self._columns(fact)
+        row = None if codes is None else self.find_row(codes, fact[1])
+        return None if row is None else self._offsets[fact[0]] + row
+
+    def fact_ids(self, facts: Iterable) -> np.ndarray:
+        """`fact_id` of each of `facts` as one int64 array, -1 for a fact
+        not stored; decodes no fact.  Each relation's facts are found by
+        one search of their packed codes among the relation's packed rows,
+        so a call costs O(facts log rows) plus O(rows) per relation."""
+        facts = list(facts)
+        out = np.full(len(facts), -1, dtype=np.int64)
+        asked: dict[str, tuple[list, list]] = {}  # name -> (indexes in facts, their codes)
+        code = self._code.get
+        for i, fact in enumerate(facts):
+            if self._columns(fact) is not None:
+                at, cells = asked.setdefault(fact[0], ([], []))
+                at.append(i)
+                cells.extend(code(v, -1) for v in fact[1])
+        for name, (at, cells) in asked.items():
+            codes = self._codes[name]
+            probes = np.array(cells, dtype=np.int64).reshape(len(at), len(codes)).T
+            held = (probes >= 0).all(axis=0)  # a value no fact holds matches no row
+            keys, probe = _pack([codes, probes[:, held]], max(1, len(self.values)))
+            row = keys.searchsorted(probe)
+            hit = keys[np.minimum(row, len(keys) - 1)] == probe if len(keys) else row < 0
+            out[np.array(at)[held][hit]] = self._offsets[name] + row[hit]
+        return out
 
     def fact(self, i: int) -> Fact:
         """The fact whose index in `facts()` is `i`; decodes only its relation."""
@@ -379,6 +410,29 @@ class Database:
         for f in facts:
             grouped.setdefault(f.relation, []).append(f)
         return cls(schema, grouped)
+
+
+# Packed keys stay below this bound, so key arithmetic never overflows int64.
+_KEY_BOUND = 2 ** 62
+
+
+def _pack(blocks: Sequence[np.ndarray], radix: int) -> list[np.ndarray]:
+    """One int64 key per row of each code block, all blocks (columns x
+    rows, codes below `radix`) over the same variables: equal rows get
+    equal keys, and keys order as the rows do, lexicographically.  When
+    the next column could overflow, the keys so far are re-ranked densely
+    over all blocks first."""
+    keys = [np.zeros(b.shape[1], dtype=np.int64) for b in blocks]
+    span = 1  # every key is below `span`
+    for j in range(blocks[0].shape[0]):
+        if span > _KEY_BOUND // radix:
+            uniq, dense = np.unique(np.concatenate(keys), return_inverse=True)
+            keys = np.split(dense.reshape(-1).astype(np.int64),
+                            np.cumsum([len(k) for k in keys])[:-1])
+            span = len(uniq)
+        keys = [k * radix + b[j] for k, b in zip(keys, blocks)]
+        span *= radix
+    return keys
 
 
 def _decode(name: str, codes: np.ndarray, values: Sequence) -> Iterator[Fact]:

@@ -156,11 +156,16 @@ def elem_volume() -> VolumeAssignment:
     return VolumeAssignment("elem", lambda t: frozenset(t.values), CountMeasure())
 
 
+def pos_ball(t) -> frozenset:
+    """A tuple's (value, position) pairs, positions 1-based: the one ball
+    function of `pos_volume` and `pos_weighted`, by which `greedy_combined`
+    knows that the tropical ranker computes a volume's marginals."""
+    return frozenset((v, i + 1) for i, v in enumerate(t.values))
+
+
 def pos_volume() -> VolumeAssignment:
     """Ball of a tuple = its (value, position) pairs, positions 1-based."""
-    return VolumeAssignment(
-        "pos", lambda t: frozenset((v, i + 1) for i, v in enumerate(t.values)),
-        CountMeasure())
+    return VolumeAssignment("pos", pos_ball, CountMeasure())
 
 
 def elem_weighted(weights: Mapping, default=Fraction(1)) -> VolumeAssignment:
@@ -170,23 +175,23 @@ def elem_weighted(weights: Mapping, default=Fraction(1)) -> VolumeAssignment:
 
 def pos_weighted(weights: Mapping, default=Fraction(1)) -> VolumeAssignment:
     measure = WeightedMeasure(weights, default)
-    return VolumeAssignment(
-        "pos-w", lambda t: frozenset((v, i + 1) for i, v in enumerate(t.values)),
-        measure)
+    return VolumeAssignment("pos-w", pos_ball, measure)
 
 
 class ProvenanceBalls:
     """The provenance volume's ball function over an acyclic body.
 
-    Holds every answer, in value order, with its ball as a row of
-    `Database.facts()` ids of `db`: answer `j` = `answers[j]` has the fact
-    ids `ids[ptr[j]:ptr[j + 1]]`, ascending, and `row` maps it back to
-    `j`; the keys of `row` are the volume's universe.  Greedy scores the
-    rows as they are.  Calling it with an answer decodes that answer's row
-    into a frozenset of facts, once, and keeps it.
+    Holds every answer of the query `q`, in value order, with its ball as
+    a row of `Database.facts()` ids of `db`: answer `j` = `answers[j]` has
+    the fact ids `ids[ptr[j]:ptr[j + 1]]`, ascending, and `row` maps it
+    back to `j`; the keys of `row` are the volume's universe.  Greedy
+    scores the rows as they are.  Calling it with an answer decodes that
+    answer's row into a frozenset of facts, once, and keeps it.  `source`
+    is `(q, db)`.
     """
 
-    def __init__(self, answers: list, ptr: np.ndarray, ids: np.ndarray, db: Database):
+    def __init__(self, q, answers: list, ptr: np.ndarray, ids: np.ndarray, db: Database):
+        self.source = (q, db)
         self.answers = answers
         self.row = dict(zip(answers, range(len(answers))))
         self.ptr = ptr
@@ -214,10 +219,13 @@ def provenance_volume(q, db: Database) -> VolumeAssignment:
     (`engine._tree_balls`), kept as the fact-id rows of a
     `ProvenanceBalls`.  A cyclic body gets both from one backtracking pass
     over every homomorphism, up to the extension cap of `provenance_map`.
+    Either ball function carries `source = (q, db)`, by which
+    `greedy_combined` knows that the provenance ranker computes the
+    volume's marginals.
     """
     parents = gyo_join_tree(q)
     if parents is not None:
-        balls = ProvenanceBalls(*engine._tree_balls(q, parents, db), db)
+        balls = ProvenanceBalls(q, *engine._tree_balls(q, parents, db), db)
         return VolumeAssignment("provenance", balls, CountMeasure(),
                                 universe=balls.row.keys())
     prov = engine.provenance_map(q, db)
@@ -228,6 +236,7 @@ def provenance_volume(q, db: Database) -> VolumeAssignment:
         except KeyError:
             raise UniverseError(f"{t!r} is not an answer of the query") from None
 
+    ball.source = (q, db)
     return VolumeAssignment("provenance", ball, CountMeasure(), universe=frozenset(prov))
 
 

@@ -195,6 +195,14 @@ def test_diversify_combined_unplannable_td(capsys, tmp_path):
     assert "provenance ranking needs an acyclic query" in err
 
 
+def test_diversify_stops_at_the_witness_pair_cap(capsys, work, monkeypatch):
+    monkeypatch.setattr(engine, "WITNESS_PAIR_LIMIT", 1)
+    code, out, err = run(capsys, ["diversify", "--data", str(work / "d3"), "--query",
+                                  "Q(x) <- R(x,y).", "-k", "1", "--mode", "greedy-combined"])
+    assert code == 2 and out == ""
+    assert "witness tables need at least 2 (row, fact) pairs; the cap is 1" in err
+
+
 D1 = ["--data", "<d1>", "--query", IDENT]
 COMPARE = [*D1, "-k", "1", "--distance", "hamming"]
 

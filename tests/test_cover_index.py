@@ -4,7 +4,7 @@
 integer weight over one common scale, and which points are covered.  The
 oracle keeps the same state as a dict of holder sets and a set of covered
 ids, and recomputes every answer from them: the pairs a `cover` newly
-takes away, each owner's total of uncovered weight, and `is_covered`.
+takes away and each owner's total of uncovered weight.
 """
 
 import math
@@ -86,15 +86,12 @@ def test_index_matches_a_set_oracle(case, rng):
         assert sorted(zip(owners.tolist(), got)) == want
         covered.update(fresh)
         assert index.totals(OWNERS).tolist() == totals()
-        probe = list(range(-1, 14))
-        assert index.is_covered(probe).tolist() == [pid in covered for pid in probe]
     owners, got = index.cover(np.array(sorted(covered), dtype=np.int64))
     assert len(owners) == 0 and (got is None or len(got) == 0)  # covered twice: no change
     assert index.totals(OWNERS).tolist() == totals()
     index.uncover()
     covered.clear()
     assert index.totals(OWNERS).tolist() == totals()
-    assert not index.is_covered(list(holders)).any()
 
 
 def test_an_empty_index_covers_nothing():
@@ -103,4 +100,3 @@ def test_an_empty_index_covers_nothing():
     owners, weights = index.cover(np.array([0, 5], dtype=np.int64))
     assert owners.tolist() == [] and weights.tolist() == []
     assert index.totals(3).tolist() == [0, 0, 0]
-    assert index.is_covered([0, 5]).tolist() == [False, False]

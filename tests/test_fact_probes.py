@@ -1,14 +1,17 @@
-"""`in`, `fact_id` and `fact(i)` against a decoded `facts()`.
+"""`in`, `fact_id`, `fact_ids` and `fact(i)` against a decoded `facts()`.
 
 `in` and `fact_id` find a fact's row by one binary search per position
-on its relation's code columns, so a probe decodes no fact; `fact(i)`
-decodes the one relation it reads.  `ProvenancePlan.provenance_of`
-finds a witness-table row by the same search."""
+on its relation's code columns, so a probe decodes no fact; `fact_ids`
+finds many at once, by one search of packed codes per relation, and
+must agree with `fact_id` on every probe.  `fact(i)` decodes the one
+relation it reads.  `ProvenancePlan.provenance_of` finds a witness-table
+row by the same search."""
 
 import random
 import re
 from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -58,6 +61,42 @@ def test_probes_match_the_decoded_facts(rows, probes):
     for i in (-1, -len(facts) - 1, len(facts)):
         with pytest.raises(IndexError):
             db.fact(i)
+
+
+def _one_by_one(db, probes):
+    return [-1 if i is None else i for i in map(db.fact_id, probes)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(STORED, max_size=30), st.lists(PROBE, max_size=20), st.randoms())
+def test_batched_probes_match_one_probe_each(rows, probes, rng):
+    relations: dict = {}
+    for name, cells in rows:
+        relations.setdefault(name, []).append(mk(name, *cells))
+    db = Database(SCHEMA, relations)
+    facts = Database(SCHEMA, relations).facts()
+    batch = [*facts, *probes, *(f for f in probes if f in facts),
+             *((f.relation, list(f.values)) for f in facts)]
+    rng.shuffle(batch)
+    got = db.fact_ids(iter(batch))
+    assert got.dtype == np.int64 and got.tolist() == _one_by_one(db, batch)
+    assert not db._relations  # the probes decoded no fact
+    assert db.fact_ids([]).tolist() == []
+
+
+def test_batched_probes_of_a_wide_relation_and_an_empty_one():
+    # Eight columns over 300 values pack past 2^62, so the keys are re-ranked.
+    rng = random.Random(5)
+    wide = [mk("W", *(f"w{rng.randrange(300)}" for _ in range(8))) for _ in range(400)]
+    db = db_of({"M": 1, "W": 8}, wide)
+    probes = [*wide, *(mk("W", *(f"w{rng.randrange(300)}" for _ in range(8))) for _ in range(50)),
+              mk("W", *wide[0].values[:7], "zz"), mk("M", "w1")]
+    got = db.fact_ids(probes)
+    assert got.tolist() == _one_by_one(db, probes)
+    assert (got[:400] >= 0).all() and got[-2] == got[-1] == -1
+    # An unheld value packed as code -1 would land on S(a,c): b*3 - 1 == a*3 + c.
+    db = db_of({"S": 2}, [mk("S", "a", "c"), mk("S", "b", "a")])
+    assert db.fact_ids([mk("S", "b", "zz"), mk("S", "a", "c")]).tolist() == [-1, 0]
 
 
 def test_fact_rejects_ids_out_of_range():

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import diverse_cq
-from diverse_cq import (EngineCompatibilityError, EuclideanBallVolume, InputError,
+from diverse_cq import (CountMeasure, EngineCompatibilityError, EuclideanBallVolume, InputError,
                         LimitExceededError, ProvenancePlan, TropicalPlan,
                         VolumeAssignment, WeightedMeasure, brute_force_diversify,
                         cqnext_naive, elem_volume, elem_weighted, enumerate_answers,
@@ -25,6 +25,7 @@ from diverse_cq.engine import _tree_balls
 from diverse_cq.optimize import _witness_table
 from diverse_cq.query import (ConjunctiveQuery, free_connex_split, _connex_rooting, _gyo_reduce,
                               _reroot)
+from diverse_cq.volume import pos_ball
 
 from conftest import (TRIANGLE, db_of, mk, random_database, random_fact_set,
                       random_free_connex_instance, random_tree_query)
@@ -657,6 +658,36 @@ def test_combined_auto_falls_back_to_naive_for_elem(d1):
     q = parse_cq("Q(x,y) <- R(x,y).")
     res = greedy_combined(q, d1, 3, volume=elem_volume())
     assert res.total == 2
+
+
+def test_the_ranker_follows_the_balls_not_the_name():
+    db = db_of({"R": 2, "S": 2}, [mk("R", "a", "b"), mk("R", "c", "b"),
+                                  mk("S", "b", "d"), mk("S", "b", "a")])
+    q = parse_cq("Q(x,y,z) <- R(x,y), S(y,z).")
+    elem = elem_volume()
+    want = greedy_diversify(enumerate_answers(q, db).answers, 3, elem)
+    assert want.gains == (3, 1, 0)
+    for name in ("provenance", "pos", "pos-w", "elem"):
+        v = VolumeAssignment(name, elem.ball_fn, CountMeasure())
+        res = greedy_combined(q, db, 3, volume=v)
+        assert (res.selected, res.gains, res.engine) == (want.selected[:2], (3, 1), "naive")
+        for engine in ("provenance", "tropical"):
+            with pytest.raises(EngineCompatibilityError):
+                greedy_combined(q, db, 3, volume=v, engine=engine)
+    with pytest.raises(EngineCompatibilityError, match="positional volumes only, not 'pos'"):
+        TropicalPlan(q, db, VolumeAssignment("pos", elem.ball_fn, CountMeasure()))
+    # Positional balls rank under any name; the provenance ranker serves only
+    # the balls built for this query and database.
+    assert greedy_combined(q, db, 3, volume=VolumeAssignment(
+        "mine", pos_ball, CountMeasure())).engine == "tropical"
+    projected = parse_cq("Q(x,y) <- R(x,y), S(y,z).")
+    same = provenance_volume(parse_cq("Q(x,y) <- R(x,y), S(y,z)."), db)
+    assert greedy_combined(projected, db, 3, volume=same).engine == "provenance"
+    copy = db_of({"R": 2, "S": 2}, db.all_facts())
+    for v, other in ((provenance_volume(projected, copy), db), (same, copy)):
+        res = greedy_combined(projected, other, 3, volume=v)
+        assert res == greedy_combined(projected, other, 3, volume=provenance_volume(
+            projected, other), engine="naive")
 
 
 # Six primes near 10^6: weights over them scale by about 10^36, past int64.
