@@ -375,13 +375,14 @@ def _distinct(keys: np.ndarray) -> np.ndarray:
 
 
 def _tree_balls(q: ConjunctiveQuery, parents: Sequence[int | None],
-                db: Database) -> tuple[list[Fact], np.ndarray, np.ndarray]:
+                db: Database) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Every answer of `q` with its ball, the facts of every homomorphism
     that yields it, over the join tree `parents`, as arrays.
 
-    Returns (answers, ptr, ids): the answers in value order, which is
-    `Fact` order, and answer `j`'s ball as the `db.facts()` ids
-    `ids[ptr[j]:ptr[j + 1]]`, ascending, which is fact order.
+    Returns (heads, ptr, ids): the answers' head codes, one column per
+    answer in value order, which is `Fact` order, and answer `j`'s ball
+    as the `db.facts()` ids `ids[ptr[j]:ptr[j + 1]]`, ascending, which is
+    fact order.  No answer is decoded.
 
     A homomorphism extends a walk of `_walk` into each skipped subtree on
     its own, so a ball holds its walks' facts and, per skipped subtree,
@@ -398,7 +399,8 @@ def _tree_balls(q: ConjunctiveQuery, parents: Sequence[int | None],
     empty = np.zeros(0, dtype=np.int64)
     w = _walk(q, parents, db)
     if w is None:
-        return [], np.zeros(1, dtype=np.int64), empty
+        return (np.zeros((len(q.head_vars), 0), dtype=np.int64), np.zeros(1, dtype=np.int64),
+                empty)
     groups, join, depth = w.groups, w.join, w.depth
     ids = [db.offset(a.relation) + r for a, r in zip(q.atoms, w.rows)]
     hang = []  # per skipped subtree below the walk: its parent's depth, join and folds
@@ -441,7 +443,7 @@ def _tree_balls(q: ConjunctiveQuery, parents: Sequence[int | None],
         pairs = got
     ptr = np.searchsorted(pairs, np.arange(heads.shape[1] + 1) * nfacts)
     pairs %= nfacts
-    return list(_decode(q.head_name, heads, db.values)), ptr, pairs
+    return heads, ptr, pairs
 
 
 def _batches(w: _Walk, budget: Callable[[], int]) -> Iterator[list[np.ndarray]]:

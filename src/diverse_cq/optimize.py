@@ -192,8 +192,9 @@ class _GreedyStep:
 
     Answer `i` of `items`, in `Fact` order, has its ball as the row of
     point ids `pts[ptr[i]:ptr[i + 1]]`: a provenance volume's own rows of
-    `Database.facts()` ids, whose facts are decoded only when a weight is
-    looked up, else its ball points interned in order of first
+    `Database.facts()` ids, found by one search of the answers' head
+    codes (`ProvenanceBalls.rows`), whose facts are decoded only when a
+    weight is looked up, else its ball points interned in order of first
     appearance.  An answer outside the volume's universe raises its
     `UniverseError`, the smallest first.  `point_ids` maps ball points to
     those ids, -1 for a point no answer holds.
@@ -205,14 +206,17 @@ class _GreedyStep:
     """
 
     def __init__(self, answers, v: VolumeAssignment):
-        balls = v.ball_fn
-        rows = (list(map(balls.row.get, answers)) if isinstance(balls, ProvenanceBalls)
-                else [None])
-        if None not in rows and (v.universe is None or v.universe >= answers):
-            rows = np.array(sorted(rows), dtype=np.int64)
+        balls, rows = v.ball_fn, None
+        if isinstance(balls, ProvenanceBalls):
+            listed = balls.answers if answers is balls else list(answers)
+            rows = np.arange(len(listed)) if answers is balls else balls.rows(listed)
+        if rows is not None and (rows >= 0).all() and (
+                v.universe is None or v.universe is balls or v.universe >= answers):
+            by_row = rows.argsort()
+            rows = rows[by_row]
             first = balls.ptr[rows]
             sizes = balls.ptr[rows + 1] - first
-            self.items = list(map(balls.answers.__getitem__, rows.tolist()))
+            self.items = list(map(listed.__getitem__, by_row.tolist()))
             pts = balls.ids[_ranges(first, sizes)]
             point, self.point_ids = balls.db.fact, balls.db.fact_ids
         else:

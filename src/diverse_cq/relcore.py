@@ -12,10 +12,10 @@ order is value order, so each relation's rows, deduplicated under set
 semantics, are kept in code order.  The loader maps raw cells straight
 to codes; `Database(schema, relations)` and `from_facts` encode their
 facts into the same columns.  Planning, ranking, acyclic evaluation,
-`in`, `fact_id` and `fact_ids` read only the columns.  A relation's facts are
-decoded from its codes, by one list index per value, when first asked
-for, and kept; so is the hash index `lookup` gives the backtracking
-join.  Answers, ball points and dict keys stay identity-hashed
+`in`, `fact_id`, `fact_ids` and `find_rows` read only the columns.  A
+relation's facts are decoded from its codes, by one list index per
+value, when first asked for, and kept; so is the hash index `lookup`
+gives the backtracking join.  Answers, ball points and dict keys stay identity-hashed
 `DataValue`s and `Fact`s, so no Python-level code layer sits beside the
 intern pool.
 """
@@ -218,10 +218,10 @@ class Database:
     rows deduplicated and in code order, which is value order.  Sizes,
     offsets and the fact count come from the arrays' shapes.
 
-    `in`, `fact_id`, `fact_ids`, planning, ranking and acyclic evaluation
-    read only the code columns.  A relation's `Fact` tuples are decoded on
-    its first `relation`, `fact` or `lookup`, or on `facts()`, and kept, as
-    are `lookup`'s per-column indexes.
+    `in`, `fact_id`, `fact_ids`, `find_rows`, planning, ranking and
+    acyclic evaluation read only the code columns.  A relation's `Fact`
+    tuples are decoded on its first `relation`, `fact` or `lookup`, or on
+    `facts()`, and kept, as are `lookup`'s per-column indexes.
     """
 
     __slots__ = ("schema", "load_report", "values", "_code", "_codes", "_offsets",
@@ -348,6 +348,23 @@ class Database:
             lo, hi = lo + first, lo + stop
         return lo if lo < hi else None
 
+    def find_rows(self, columns: np.ndarray, probes: Sequence[tuple]) -> np.ndarray:
+        """`find_row` of each of `probes`, value tuples of the columns'
+        width, as one int64 array, -1 for no row: one search of their
+        packed codes among the packed rows of `columns`, so a call costs
+        O(probes log rows) plus O(rows)."""
+        code = self._code.get
+        cells = np.fromiter((code(v, -1) for p in probes for v in p), np.int64,
+                            count=len(columns) * len(probes))
+        cells = cells.reshape(len(probes), len(columns)).T
+        held = (cells >= 0).all(axis=0)  # a value no fact holds matches no row
+        keys, probe = _pack([columns, cells[:, held]], max(1, len(self.values)))
+        row = keys.searchsorted(probe)
+        hit = keys[np.minimum(row, len(keys) - 1)] == probe if len(keys) else row < 0
+        out = np.full(len(probes), -1, dtype=np.int64)
+        out[held.nonzero()[0][hit]] = row[hit]
+        return out
+
     def _columns(self, fact) -> np.ndarray | None:
         """The code columns of the relation `fact` names, when it is a
         `Fact` or a plain `(name, values)` pair whose values are a tuple of
@@ -368,25 +385,20 @@ class Database:
     def fact_ids(self, facts: Iterable) -> np.ndarray:
         """`fact_id` of each of `facts` as one int64 array, -1 for a fact
         not stored; decodes no fact.  Each relation's facts are found by
-        one search of their packed codes among the relation's packed rows,
-        so a call costs O(facts log rows) plus O(rows) per relation."""
+        one `find_rows` call, so a call costs O(facts log rows) plus
+        O(rows) per relation."""
         facts = list(facts)
         out = np.full(len(facts), -1, dtype=np.int64)
-        asked: dict[str, tuple[list, list]] = {}  # name -> (indexes in facts, their codes)
-        code = self._code.get
+        asked: dict[str, tuple[list, list]] = {}  # name -> (indexes in facts, their values)
         for i, fact in enumerate(facts):
             if self._columns(fact) is not None:
-                at, cells = asked.setdefault(fact[0], ([], []))
+                at, values = asked.setdefault(fact[0], ([], []))
                 at.append(i)
-                cells.extend(code(v, -1) for v in fact[1])
-        for name, (at, cells) in asked.items():
-            codes = self._codes[name]
-            probes = np.array(cells, dtype=np.int64).reshape(len(at), len(codes)).T
-            held = (probes >= 0).all(axis=0)  # a value no fact holds matches no row
-            keys, probe = _pack([codes, probes[:, held]], max(1, len(self.values)))
-            row = keys.searchsorted(probe)
-            hit = keys[np.minimum(row, len(keys) - 1)] == probe if len(keys) else row < 0
-            out[np.array(at)[held][hit]] = self._offsets[name] + row[hit]
+                values.append(fact[1])
+        for name, (at, values) in asked.items():
+            row = self.find_rows(self._codes[name], values)
+            hit = row >= 0
+            out[np.array(at)[hit]] = self._offsets[name] + row[hit]
         return out
 
     def fact(self, i: int) -> Fact:

@@ -6,9 +6,11 @@ the union of its balls.  That shape makes every diversity function here
 monotone and submodular by construction, and marginal gains are plain
 measures of set differences rather than re-evaluations.  The provenance
 volume takes its answers and balls from the evaluator in `engine`; over
-an acyclic body it keeps each ball as a row of database fact ids
-(`ProvenanceBalls`), which materialized greedy scores as they are, and
-decodes a row into a frozenset of facts only when `ball` asks for it.
+an acyclic body it keeps each answer as its head codes and each ball as
+a row of database fact ids (`ProvenanceBalls`), which materialized
+greedy finds by code and scores as they are.  It decodes a row into a
+frozenset of facts only when `ball` asks for it, and the answers into
+`Fact`s only when its universe is iterated.
 
 All discrete arithmetic is exact: a weighted measure stores its weights
 as Fractions and measures return Fractions.  Materialized greedy and the
@@ -27,6 +29,7 @@ import functools
 import json
 import math
 import numbers
+from collections.abc import Set
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -37,7 +40,7 @@ import numpy as np
 from . import engine
 from .errors import InputError, LimitExceededError, LoadError, UniverseError
 from .query import gyo_join_tree
-from .relcore import Database, Fact
+from .relcore import Database, Fact, _decode
 
 MC_SAMPLES_CAP = 10**8
 
@@ -178,31 +181,72 @@ def pos_weighted(weights: Mapping, default=Fraction(1)) -> VolumeAssignment:
     return VolumeAssignment("pos-w", pos_ball, measure)
 
 
-class ProvenanceBalls:
-    """The provenance volume's ball function over an acyclic body.
+class ProvenanceBalls(Set):
+    """The provenance volume's ball function over an acyclic body, and its
+    universe: as a set, it holds the query's answers.
 
-    Holds every answer of the query `q`, in value order, with its ball as
-    a row of `Database.facts()` ids of `db`: answer `j` = `answers[j]` has
-    the fact ids `ids[ptr[j]:ptr[j + 1]]`, ascending, and `row` maps it
-    back to `j`; the keys of `row` are the volume's universe.  Greedy
-    scores the rows as they are.  Calling it with an answer decodes that
-    answer's row into a frozenset of facts, once, and keeps it.  `source`
-    is `(q, db)`.
+    Holds every answer of the query `q` as a column of head codes, in
+    value order: answer `j` has the codes `heads[:, j]` and its ball as
+    the `Database.facts()` ids `ids[ptr[j]:ptr[j + 1]]` of `db`,
+    ascending.  `rows` finds answers' rows by one search of their codes,
+    and greedy scores the rows as they are, so no answer is decoded into
+    a `Fact` until `answers` or iteration asks for them all, on first use.
+    Calling it with an answer decodes that answer's row into a frozenset
+    of facts, once, and keeps it.  `source` is `(q, db)`.
     """
 
-    def __init__(self, q, answers: list, ptr: np.ndarray, ids: np.ndarray, db: Database):
+    def __init__(self, q, heads: np.ndarray, ptr: np.ndarray, ids: np.ndarray, db: Database):
         self.source = (q, db)
-        self.answers = answers
-        self.row = dict(zip(answers, range(len(answers))))
+        self.heads = heads
         self.ptr = ptr
         self.ids = ids
         self.db = db
+        self._answers: list | None = None
         self._decoded: dict = {}
+
+    @property
+    def answers(self) -> list[Fact]:
+        """Every answer, in value order, decoded on first use and kept."""
+        if self._answers is None:
+            self._answers = list(_decode(self.source[0].head_name, self.heads, self.db.values))
+        return self._answers
+
+    def _values(self, t):
+        """The values of `t`, a `Fact` or plain `(name, values)` pair of the
+        head relation and width, else None."""
+        name, values = t if isinstance(t, tuple) and len(t) == 2 else (None, None)
+        if (name != self.source[0].head_name or not isinstance(values, tuple)
+                or len(values) != len(self.heads)):
+            return None
+        return values
+
+    def rows(self, answers: Sequence) -> np.ndarray:
+        """Each answer's row as one int64 array, -1 for a tuple that is no
+        answer, found by one `Database.find_rows` search."""
+        values = list(map(self._values, answers))
+        fits = [v is not None for v in values]
+        out = np.full(len(values), -1, dtype=np.int64)
+        out[np.array(fits, dtype=bool)] = self.db.find_rows(
+            self.heads, [v for v in values if v is not None])
+        return out
+
+    def _row(self, t) -> int | None:
+        values = self._values(t)
+        return None if values is None else self.db.find_row(self.heads, values)
+
+    def __contains__(self, t) -> bool:
+        return t in self._decoded or self._row(t) is not None
+
+    def __iter__(self):
+        return iter(self.answers)
+
+    def __len__(self) -> int:
+        return len(self.ptr) - 1
 
     def __call__(self, t: Fact) -> frozenset:
         got = self._decoded.get(t)
         if got is None:
-            r = self.row.get(t)
+            r = self._row(t)
             if r is None:
                 raise UniverseError(f"{t!r} is not an answer of the query")
             got = self._decoded[t] = frozenset(
@@ -216,9 +260,10 @@ def provenance_volume(q, db: Database) -> VolumeAssignment:
     Materializes the answer set and its provenance once; the universe is
     exactly the query's answers, and asking for anything else is an error.
     An acyclic body gets both as arrays from its join tree
-    (`engine._tree_balls`), kept as the fact-id rows of a
-    `ProvenanceBalls`.  A cyclic body gets both from one backtracking pass
-    over every homomorphism, up to the extension cap of `provenance_map`.
+    (`engine._tree_balls`), kept as the head codes and fact-id rows of a
+    `ProvenanceBalls`, which is also the universe.  A cyclic body gets
+    both from one backtracking pass over every homomorphism, up to the
+    extension cap of `provenance_map`.
     Either ball function carries `source = (q, db)`, by which
     `greedy_combined` knows that the provenance ranker computes the
     volume's marginals.
@@ -226,8 +271,7 @@ def provenance_volume(q, db: Database) -> VolumeAssignment:
     parents = gyo_join_tree(q)
     if parents is not None:
         balls = ProvenanceBalls(q, *engine._tree_balls(q, parents, db), db)
-        return VolumeAssignment("provenance", balls, CountMeasure(),
-                                universe=balls.row.keys())
+        return VolumeAssignment("provenance", balls, CountMeasure(), universe=balls)
     prov = engine.provenance_map(q, db)
 
     def ball(t: Fact) -> frozenset:

@@ -1,9 +1,11 @@
-"""`in`, `fact_id`, `fact_ids` and `fact(i)` against a decoded `facts()`.
+"""`in`, `fact_id`, `fact_ids`, `find_rows` and `fact(i)` against a
+decoded `facts()`.
 
 `in` and `fact_id` find a fact's row by one binary search per position
 on its relation's code columns, so a probe decodes no fact; `fact_ids`
-finds many at once, by one search of packed codes per relation, and
-must agree with `fact_id` on every probe.  `fact(i)` decodes the one
+finds many at once, by one `find_rows` search of packed codes per
+relation, and must agree with `fact_id` on every probe, as `find_rows`
+must with `find_row`.  `fact(i)` decodes the one
 relation it reads.  `ProvenancePlan.provenance_of` finds a witness-table
 row by the same search."""
 
@@ -97,6 +99,23 @@ def test_batched_probes_of_a_wide_relation_and_an_empty_one():
     # An unheld value packed as code -1 would land on S(a,c): b*3 - 1 == a*3 + c.
     db = db_of({"S": 2}, [mk("S", "a", "c"), mk("S", "b", "a")])
     assert db.fact_ids([mk("S", "b", "zz"), mk("S", "a", "c")]).tolist() == [-1, 0]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(STORED, max_size=30), st.lists(PROBE, max_size=20))
+def test_find_rows_matches_one_find_row_each(rows, probes):
+    relations: dict = {}
+    for name, cells in rows:
+        relations.setdefault(name, []).append(mk(name, *cells))
+    db = Database(SCHEMA, relations)
+    facts = Database(SCHEMA, relations).facts()
+    for name, arity in SCHEMA.arities.items():
+        asked = [tuple(p[1]) for p in [*facts, *probes] if p[0] == name and len(p[1]) == arity]
+        columns = db.codes(name)
+        got = db.find_rows(columns, asked)
+        want = [-1 if r is None else r for r in (db.find_row(columns, v) for v in asked)]
+        assert got.dtype == np.int64 and got.tolist() == want
+    assert not db._relations  # the probes decoded no fact
 
 
 def test_fact_rejects_ids_out_of_range():

@@ -387,10 +387,11 @@ def walked_witness_table(q, db, atom_ids):
     component = ConjunctiveQuery(q.head_name, out, atoms)
     root = next(j for j, a in enumerate(atoms) if set(out) <= set(a.vars))
     parents = _reroot(gyo_join_tree(component), root)
-    answers, ptr, ids = _tree_balls(component, parents, db)
+    heads, ptr, ids = _tree_balls(component, parents, db)
     facts = db.facts()
-    return out, {answer.values: frozenset(facts[i] for i in ids[ptr[j]:ptr[j + 1]].tolist())
-                 for j, answer in enumerate(answers)}
+    return out, {tuple(db.values[c] for c in heads[:, j].tolist()):
+                 frozenset(facts[i] for i in ids[ptr[j]:ptr[j + 1]].tolist())
+                 for j in range(heads.shape[1])}
 
 
 def decoded_witness_table(db, table):

@@ -4,18 +4,22 @@ On an acyclic body the provenance volume keeps every answer's ball as a
 row of `Database.facts()` ids, built with array operations over the join
 tree.  Decoded, the rows must be `provenance_map`'s balls, answer for
 answer, on random bodies: free-connex or not, with self-joins and
-repeated variables.  On paths with many walks per answer, the batched
+repeated variables.  Answers are kept as head codes: `rows` and the
+universe's `in` find them without decoding any, and neither does
+materialized greedy.  On paths with many walks per answer, the batched
 build must also peak below the per-answer frozenset walk it replaced.
 """
 
+import random
 import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 
-from diverse_cq import (Fact, UniverseError, engine, enumerate_answers, gyo_join_tree,
-                        intern, parse_cq, provenance_map, provenance_volume)
+from diverse_cq import (CountMeasure, Fact, UniverseError, VolumeAssignment, engine,
+                        enumerate_answers, greedy_diversify, gyo_join_tree, intern, parse_cq,
+                        provenance_map, provenance_volume)
 from diverse_cq.volume import ProvenanceBalls
 
 from conftest import db_of, mk
@@ -43,6 +47,41 @@ def test_fact_id_rows_decode_to_the_provenance_map(case):
         assert frozenset(facts[i] for i in row) == exhaustive[t]
         assert v.ball(t) == exhaustive[t]
         assert v.ball(t) is v.ball(t)  # decoded once, then kept
+
+
+@settings(max_examples=150, deadline=None)
+@given(projected_instances())
+@example(NOT_FREE_CONNEX)
+def test_rows_find_answers_by_their_codes_and_decode_none(case):
+    q, db = case
+    v = provenance_volume(q, db)
+    balls = v.ball_fn
+    ordered = sorted(provenance_map(q, db))
+    stranger = intern("zz")  # held by no fact
+    misses = [*(Fact("Other", t.values) for t in ordered[:2]),
+              *(Fact(q.head_name, (*t.values, stranger)) for t in ordered[:2]),
+              Fact(q.head_name, (stranger,) * len(q.head_vars))]
+    probes = [*ordered, *((t.relation, t.values) for t in ordered), *misses]
+    random.Random(len(probes)).shuffle(probes)
+    want = [ordered.index(t) if t in ordered else -1 for t in probes]
+    assert balls.rows(probes).tolist() == want
+    assert balls.rows([(t.relation, list(t.values)) for t in ordered]).tolist() == \
+        [-1] * len(ordered)  # values as a list are no answer
+    assert [t in v.universe for t in probes] == [w >= 0 for w in want]
+    assert len(v.universe) == len(ordered)
+    assert balls._answers is None  # found by code, none decoded
+    assert list(v.universe) == ordered
+
+
+def test_materialized_greedy_decodes_no_answer_of_the_volume():
+    q, db = _dense_path(3, 5, "v0,v3")
+    exhaustive = provenance_map(q, db)
+    for lazy in (False, True):
+        v = provenance_volume(q, db)
+        got = greedy_diversify(enumerate_answers(q, db).answers, 6, v, lazy=lazy)
+        assert v.ball_fn._answers is None
+        assert got == greedy_diversify(exhaustive, 6, VolumeAssignment(
+            "provenance", exhaustive.__getitem__, CountMeasure()), lazy=lazy)
 
 
 def test_a_non_answer_raises_the_universe_error(d1, q1):
