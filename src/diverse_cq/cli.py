@@ -22,12 +22,12 @@ from pathlib import Path
 from .baselines import (ExplicitMatrixDistance, HammingDistance, TreeLeafDistance,
                         UltrametricTree, WEITZMAN_CAP, delta_min, delta_sum, weitzman,
                         weitzman_ultrametric, ultrametric_to_volume)
-from .engine import enumerate_answers, iter_answers
+from .engine import enumerate_answers, in_value_order, iter_answers
 from .errors import DiverseCQError, InputError
 from .optimize import (BRUTE_FORCE_CAP, ENGINES, brute_force_diversify,
                        greedy_by_objective, greedy_combined, greedy_diversify)
 from .query import ConjunctiveQuery, parse_cq
-from .relcore import Database, Fact, Schema, fact_key, fraction_text, intern, load_database
+from .relcore import Database, Fact, Schema, fraction_text, intern, load_database
 from .volume import (EuclideanBallVolume, MultiAttributeWeights, elem_volume,
                      elem_weighted, multiattribute_from_volume, pos_volume,
                      pos_weighted, provenance_volume, volume_from_multiattribute)
@@ -192,11 +192,13 @@ def _build_volume(args, q, db, inputs: dict):
 
 
 def _volume_and_answers(args, q, db, inputs: dict, phases):
-    """The volume and the ordered answers, evaluating the query once."""
+    """The volume and the answer set, evaluating the query once: the
+    provenance volume's universe, else `enumerate_answers`' set, which
+    an acyclic body keeps as head codes until the answers are iterated."""
     vol = phases.run("volume", lambda: _build_volume(args, q, db, inputs))
     if args.volume == "provenance":
-        return vol, sorted(vol.universe, key=fact_key)
-    return vol, phases.run("evaluate", lambda: enumerate_answers(q, db)).ordered()
+        return vol, vol.universe
+    return vol, phases.run("evaluate", lambda: enumerate_answers(q, db)).answers
 
 
 # ---------------------------------------------------------------------------
@@ -344,6 +346,7 @@ def cmd_compare(args, argv: list[str]) -> int:
     db = phases.run("load", lambda: _load_db(args, inputs))
     q = _load_query(args, db, inputs)
     vol, answers = _volume_and_answers(args, q, db, inputs, phases)
+    answers = in_value_order(answers)
     dist = _load_distance(args, answers, inputs)
     k = args.k
 
@@ -478,6 +481,7 @@ def cmd_convert(args, argv: list[str]) -> int:
     db = phases.run("load", lambda: _load_db(args, inputs))
     q = _load_query(args, db, inputs)
     vol, answers = _volume_and_answers(args, q, db, inputs, phases)
+    answers = in_value_order(answers)
     maw = phases.run("convert", lambda: multiattribute_from_volume(vol, answers))
     check = phases.run("check", lambda: _subset_check(
         answers, maw.diversity, vol.diversity))

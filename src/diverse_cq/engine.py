@@ -11,10 +11,12 @@ live rows, groups and joins from it as well.  One walk expander,
 `_batches`, then follows each chosen row's joins from the root, a batch
 of walks at a time, as columns of row ids; rooted at the connex subtree
 of a free-connex head, the walk is linear in input plus output.  It
-serves the answers, decoded from the walks' head codes, and the
-provenance balls, each answer's witness facts as a sorted row of fact
-ids, with every skipped subtree's facts from one top-down array pass,
-`_fold`, which also builds the provenance ranker's witness tables.
+serves the answers, as the walks' distinct head codes in value order
+(`enumerate_answers` keeps them so, as a `CodedAnswers`, and decodes
+them only when they are iterated; `iter_answers` streams them decoded),
+and the provenance balls, each answer's witness facts as a sorted row
+of fact ids, with every skipped subtree's facts from one top-down array
+pass, `_fold`, which also builds the provenance ranker's witness tables.
 
 Cyclic bodies fall back to the backtracking join, which is also the
 semantics oracle every other path is tested against.  It orders atoms
@@ -24,8 +26,9 @@ and deduplicates head projections.
 
 from __future__ import annotations
 
+from collections.abc import Set
 from dataclasses import dataclass
-from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
+from typing import AbstractSet, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -41,14 +44,89 @@ PROVENANCE_EXTENSION_LIMIT = 10 ** 7
 WITNESS_PAIR_LIMIT = 10 ** 7
 
 
+class CodedAnswers(Set):
+    """A query's distinct answers, kept as head codes, not as `Fact`s.
+
+    Answer `j` of the head relation `name` has the codes `heads[:, j]`
+    into `db.values`; the columns are distinct and in value order, which
+    is `Fact` order.  `len` and `in` read the codes alone, `in` by one
+    `Database.find_row`, and so does `rows`, which finds many answers at
+    once.  Iteration decodes every answer once, in value order, and keeps
+    them; `decode` decodes only the rows it is given.  As a set it equals,
+    and hashes like, the frozenset of its answers.
+    """
+
+    def __init__(self, name: str, heads: np.ndarray, db: Database):
+        self.name = name
+        self.heads = heads
+        self.db = db
+        self._answers: list | None = None
+
+    def __len__(self) -> int:
+        return self.heads.shape[1]
+
+    def __iter__(self) -> Iterator[Fact]:
+        if self._answers is None:
+            self._answers = list(_decode(self.name, self.heads, self.db.values))
+        return iter(self._answers)
+
+    def __contains__(self, t) -> bool:
+        return self._row(t) is not None
+
+    def __hash__(self) -> int:
+        return hash(frozenset(self))
+
+    def _values(self, t) -> tuple | None:
+        """The values of `t`, a `Fact` or plain `(name, values)` pair of the
+        head relation and width, else None."""
+        name, values = t if isinstance(t, tuple) and len(t) == 2 else (None, None)
+        if name != self.name or not isinstance(values, tuple) or len(values) != len(self.heads):
+            return None
+        return values
+
+    def _row(self, t) -> int | None:
+        values = self._values(t)
+        return None if values is None else self.db.find_row(self.heads, values)
+
+    def rows(self, answers: Iterable) -> np.ndarray:
+        """The row of each of `answers` as one int64 array, -1 for a tuple
+        that is no answer.  The answers of a `CodedAnswers` over the same database
+        and head are found by one search of their packed codes, and none is
+        decoded; any others by one `Database.find_rows` over their values."""
+        if (isinstance(answers, CodedAnswers) and answers.db is self.db
+                and answers.name == self.name and len(answers.heads) == len(self.heads)):
+            keys, probe = _pack([self.heads, answers.heads], max(1, len(self.db.values)))
+            return _find(keys, probe)
+        values = list(map(self._values, answers))
+        fits = np.array([v is not None for v in values], dtype=bool)
+        out = np.full(len(values), -1, dtype=np.int64)
+        out[fits] = self.db.find_rows(self.heads, [v for v in values if v is not None])
+        return out
+
+    def decode(self, rows: Sequence[int]) -> list[Fact]:
+        """The answers of `rows`, in the order given, decoded by one `_decode`."""
+        return list(_decode(self.name, self.heads[:, rows], self.db.values))
+
+
+def in_value_order(answers: AbstractSet) -> list[Fact]:
+    """`answers` sorted lexicographically by value sequence: a
+    `CodedAnswers` in its own order, decoded once, else by `fact_key`."""
+    if isinstance(answers, CodedAnswers):
+        return list(answers)
+    return sorted(answers, key=fact_key)
+
+
 @dataclass(frozen=True)
 class AnswerSet:
+    """A query's answers: a `CodedAnswers` over an acyclic body, which
+    decodes them only when they are iterated, else a frozenset."""
+
     query: ConjunctiveQuery
-    answers: frozenset
+    answers: AbstractSet
 
     def ordered(self) -> list[Fact]:
         """Answers sorted lexicographically by value sequence."""
-        return sorted(self.answers, key=fact_key)
+        return in_value_order(self.answers)
 
     def __len__(self):
         return len(self.answers)
@@ -144,8 +222,13 @@ def iter_answers(q: ConjunctiveQuery, db: Database) -> Iterator[Fact]:
 
 
 def enumerate_answers(q: ConjunctiveQuery, db: Database) -> AnswerSet:
-    """Full answer set under set semantics."""
-    return AnswerSet(q, frozenset(iter_answers(q, db)))
+    """Full answer set under set semantics.  An acyclic body's answers are
+    the head codes `_tree_heads` finds, kept as a `CodedAnswers`, and no
+    answer is decoded; a cyclic body's are the frozenset of `iter_answers`."""
+    parents = gyo_join_tree(q)
+    if parents is None:
+        return AnswerSet(q, frozenset(iter_answers(q, db)))
+    return AnswerSet(q, CodedAnswers(q.head_name, _tree_heads(q, parents, db), db))
 
 
 class _Groups(NamedTuple):
@@ -365,6 +448,41 @@ def _tree_answers(q: ConjunctiveQuery, parents: Sequence[int | None],
 # 1.5x (d = 6) to 4.9x (d = 16) that of a walk building one frozenset per
 # answer; batched, it is 0.3-0.4x.
 _WALK_BATCH = 1 << 10
+
+
+def _tree_heads(q: ConjunctiveQuery, parents: Sequence[int | None],
+                db: Database) -> np.ndarray:
+    """Every distinct answer of `q` over the join tree `parents`, as head
+    codes: one column per answer, in value order, which is `Fact` order.
+    No answer is decoded.
+
+    The walks' head codes are gathered a batch at a time.  Once the new
+    columns outnumber the distinct ones found before them, all of them are
+    packed into one key each and deduplicated by `np.unique`, which also
+    sorts them into value order; so a query with many walks per answer
+    holds about twice its answers' codes plus one batch, and the merges
+    cost O(walks log walks) in all.
+    """
+    radix = max(1, len(db.values))
+    held = np.zeros((len(q.head_vars), 0), dtype=np.int64)
+    w = _walk(q, parents, db)
+    if w is None:
+        return held
+    fresh: list = []
+    count = 0
+    for cols in _batches(w, lambda: _WALK_BATCH):
+        fresh.append(_head_codes(w, cols))
+        count += fresh[-1].shape[1]
+        if count > held.shape[1]:
+            held, fresh, count = _distinct_columns([held, *fresh], radix), [], 0
+    return _distinct_columns([held, *fresh], radix) if fresh else held
+
+
+def _distinct_columns(blocks: Sequence[np.ndarray], radix: int) -> np.ndarray:
+    """The distinct columns of the code blocks, codes below `radix`, in
+    value order."""
+    codes = np.concatenate(blocks, axis=1)
+    return codes[:, np.unique(_pack([codes], radix)[0], return_index=True)[1]]
 
 
 def _distinct(keys: np.ndarray) -> np.ndarray:

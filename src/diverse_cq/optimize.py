@@ -35,10 +35,11 @@ from __future__ import annotations
 
 import heapq
 import math
+from collections.abc import Set
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, repeat
-from typing import Callable, Iterable, Sequence
+from typing import AbstractSet, Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -141,7 +142,8 @@ class _CoverIndex:
     it is covered: the bookkeeping of every discrete greedy round.
 
     Built from parallel arrays of point ids and their owners, `weight_of`
-    (None when every point weighs 1) and `point`, id -> point.  It keeps
+    (None when every point weighs 1) and `points`, which maps an array of
+    ids to their points, in one call.  It keeps
     the (point, owner) pairs sorted by point, as `_pids` and `owners`.  A
     weight is read once per point and scaled by `scale`, the lcm of all
     denominators, to the int `weight` of each pair; `dtype` is int64
@@ -149,7 +151,7 @@ class _CoverIndex:
     """
 
     def __init__(self, pids: np.ndarray, owners: np.ndarray, weight_of: Callable | None,
-                 point: Callable):
+                 points: Callable):
         by_point = _stable_order(pids)
         # The pairs' ids, then one above them all, so that every search lands.
         self._pids = np.concatenate((pids[by_point], [np.iinfo(np.int64).max]))
@@ -158,8 +160,7 @@ class _CoverIndex:
         self.weight, self.scale, self.dtype = None, 1, np.int64
         if weight_of is not None:
             start = _segments(self._pids[:-1])  # one run per point
-            scaled, self.scale = scaled_weights(
-                weight_of, map(point, self._pids[start[:-1]].tolist()))
+            scaled, self.scale = scaled_weights(weight_of, points(self._pids[start[:-1]]))
             scaled = list(scaled.values())  # in point order
             self.dtype = object if sum(scaled) >= 2 ** 62 else np.int64
             self.weight = np.array(scaled, dtype=self.dtype).repeat(start[1:] - start[:-1])
@@ -190,14 +191,19 @@ class _CoverIndex:
 class _GreedyStep:
     """The one materialized greedy step, over a discrete volume's answers.
 
-    Answer `i` of `items`, in `Fact` order, has its ball as the row of
-    point ids `pts[ptr[i]:ptr[i + 1]]`: a provenance volume's own rows of
-    `Database.facts()` ids, found by one search of the answers' head
-    codes (`ProvenanceBalls.rows`), whose facts are decoded only when a
-    weight is looked up, else its ball points interned in order of first
-    appearance.  An answer outside the volume's universe raises its
-    `UniverseError`, the smallest first.  `point_ids` maps ball points to
-    those ids, -1 for a point no answer holds.
+    Answer `i`, in `Fact` order, has its ball as the row of point ids
+    `pts[ptr[i]:ptr[i + 1]]`.  Under a provenance volume over an acyclic
+    body these are the volume's own rows of `Database.facts()` ids, found
+    by `ProvenanceBalls.rows`: one search of packed head codes when the
+    answers are a `CodedAnswers` over the same query and database, as
+    `enumerate_answers` and the volume's universe are.  No answer is
+    decoded then but the picked ones, by one `decode` call, and a weight
+    is read only through `Database.facts_at`.  Otherwise the answers are
+    sorted by `fact_key` and their balls' points interned in order of
+    first appearance; an answer outside the volume's universe raises its
+    `UniverseError`, the smallest first.  `decode` maps answer indexes to
+    their `Fact`s, and `point_ids` maps ball points to ids, -1 for a point
+    no answer holds.
     `gains` holds every answer's weight of uncovered points, over `scale`,
     and `cover` lowers only the answers holding a newly covered point.
     `commit` covers an answer's ball and sets its gain to -1, below every
@@ -205,35 +211,35 @@ class _GreedyStep:
     the first maximum of the gains, the smallest answer on ties.
     """
 
-    def __init__(self, answers, v: VolumeAssignment):
+    def __init__(self, answers: AbstractSet, v: VolumeAssignment):
         balls, rows = v.ball_fn, None
         if isinstance(balls, ProvenanceBalls):
-            listed = balls.answers if answers is balls else list(answers)
-            rows = np.arange(len(listed)) if answers is balls else balls.rows(listed)
+            rows = balls.rows(answers)
         if rows is not None and (rows >= 0).all() and (
                 v.universe is None or v.universe is balls or v.universe >= answers):
-            by_row = rows.argsort()
-            rows = rows[by_row]
+            rows.sort()  # value order
             first = balls.ptr[rows]
             sizes = balls.ptr[rows + 1] - first
-            self.items = list(map(listed.__getitem__, by_row.tolist()))
             pts = balls.ids[_ranges(first, sizes)]
-            point, self.point_ids = balls.db.fact, balls.db.fact_ids
+            self.decode = lambda picks: balls.decode(rows[list(picks)])
+            points, self.point_ids = balls.db.facts_at, balls.db.fact_ids
         else:
-            self.items = sorted(answers, key=fact_key)
-            regions = [v.ball(t) for t in self.items]
+            items = sorted(answers, key=fact_key)
+            regions = [v.ball(t) for t in items]
             sizes = list(map(len, regions))
             point_id: dict = {}
             pts = np.fromiter((point_id.setdefault(p, len(point_id)) for r in regions for p in r),
                               dtype=np.int64, count=sum(sizes))
-            point = list(point_id).__getitem__
-            self.point_ids = lambda points: _point_ids(point_id.get, points)
+            self.decode = lambda picks: [items[i] for i in picks]
+            held = list(point_id)
+            points = lambda ids: list(map(held.__getitem__, ids.tolist()))
+            self.point_ids = lambda asked: _point_ids(point_id.get, asked)
         self._ptr, self._pts = np.concatenate(([0], np.cumsum(sizes, dtype=np.int64))), pts
-        self._index = _CoverIndex(pts, np.repeat(np.arange(len(self.items)), sizes),
+        self._index = _CoverIndex(pts, np.repeat(np.arange(len(sizes)), sizes),
                                   None if v.measure.kind == "count" else v.measure.weight_of,
-                                  point)
+                                  points)
         self.scale = self._index.scale
-        self.gains = self._index.totals(len(self.items))
+        self.gains = self._index.totals(len(sizes))
 
     def cover(self, pids: np.ndarray) -> None:
         """Cover the points `pids`, lowering the gains of their holders."""
@@ -255,8 +261,7 @@ class _GreedyStep:
         return i, int(self.gains[i])
 
     def result(self, picks: Sequence[int], gains: Sequence[int], engine=None) -> DiverseResult:
-        return _make_result([self.items[i] for i in picks],
-                            [Fraction(g, self.scale) for g in gains], engine)
+        return _make_result(self.decode(picks), [Fraction(g, self.scale) for g in gains], engine)
 
 
 def greedy_diversify(answers: Iterable[Fact], k: int, v: VolumeAssignment,
@@ -275,7 +280,7 @@ def greedy_diversify(answers: Iterable[Fact], k: int, v: VolumeAssignment,
     """
     if lazy and not v.is_discrete:
         raise InputError("lazy greedy needs a discrete volume")
-    pool = set(answers)
+    pool = answers if isinstance(answers, Set) else set(answers)
     m = min(k, len(pool))
     if m <= 0:
         return _make_result((), ())
@@ -367,7 +372,7 @@ def cqnext_naive(q: ConjunctiveQuery, db: Database, selected: Iterable[Fact],
     step = _GreedyStep(answers, v)
     step.cover(step.point_ids(v.covered(selected)))
     hit = step.best()
-    return None if hit is None else (step.items[hit[0]], Fraction(hit[1], step.scale))
+    return None if hit is None else (step.decode([hit[0]])[0], Fraction(hit[1], step.scale))
 
 
 class _RankingPlan:
@@ -382,7 +387,7 @@ class _RankingPlan:
     the database's int64 code columns.  The volume decides only which
     ground points a row charges, as integer point ids: by default its
     witness facts, by their index in `Database.facts()`, and
-    `TropicalPlan` overrides `_charge`, `_pids`, `_point` and `_picked_ids`.
+    `TropicalPlan` overrides `_charge`, `_pids`, `_points` and `_picked_ids`.
 
     The best answer falls out of one max-plus dynamic program.  A row is
     live when it joins some live row of every child edge; liveness never
@@ -469,8 +474,9 @@ class _RankingPlan:
         """The ids of ground points, -1 for a point no row can charge."""
         return self.db.fact_ids(points)
 
-    def _point(self, pid: int):
-        return self.db.fact(pid)
+    def _points(self, pids: np.ndarray) -> list:
+        """The ground points of the ids `pids`, in one call."""
+        return self.db.facts_at(pids)
 
     def _index(self) -> None:
         """Liveness, groups, joins and the cover index."""
@@ -491,7 +497,7 @@ class _RankingPlan:
         self._cover = _CoverIndex(
             np.concatenate([pids for _, pids in charged]),
             np.concatenate([self._base[u] + rows for u, (rows, _) in enumerate(charged)]),
-            self._weight_of, self._point)
+            self._weight_of, self._points)
         self._annot: list = [None] * len(groups)  # an atom edge's list, a table's array
         self._score: list = [None] * len(groups)  # per atom edge, a list
         self._scores: list = [None] * len(groups)  # `_score` as arrays
@@ -760,9 +766,9 @@ class TropicalPlan(_RankingPlan):
             return None
         return (pos - 1) * self._radix + code
 
-    def _point(self, pid):
-        pos, code = divmod(pid, self._radix)
-        return self.db.values[code], pos + 1
+    def _points(self, pids):
+        pos, code = np.divmod(pids, self._radix)
+        return list(zip(map(self.db.values.__getitem__, code.tolist()), (pos + 1).tolist()))
 
     def _picked_ids(self):
         return np.array([pos * self._radix + self._assignment[hv]
@@ -823,7 +829,7 @@ class ProvenancePlan(_RankingPlan):
         if None in rows or any(f not in self.db for f in facts):
             raise InputError(f"{answer!r} is not an answer of the query")
         for (_, _, ptr, ids), row in zip(self._tables, rows):
-            facts.update(map(self.db.fact, ids[ptr[row]:ptr[row + 1]].tolist()))
+            facts.update(self.db.facts_at(ids[ptr[row]:ptr[row + 1]]))
         return frozenset(facts)
 
 

@@ -15,7 +15,8 @@ facts into the same columns.  Planning, ranking, acyclic evaluation,
 `in`, `fact_id`, `fact_ids` and `find_rows` read only the columns.  A
 relation's facts are decoded from its codes, by one list index per
 value, when first asked for, and kept; so is the hash index `lookup`
-gives the backtracking join.  Answers, ball points and dict keys stay identity-hashed
+gives the backtracking join.  `fact` and `facts_at` decode only the rows
+they are asked for.  Answers, ball points and dict keys stay identity-hashed
 `DataValue`s and `Fact`s, so no Python-level code layer sits beside the
 intern pool.
 """
@@ -24,7 +25,6 @@ from __future__ import annotations
 
 import csv
 import re
-from bisect import bisect_right
 from collections import namedtuple
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
@@ -219,9 +219,10 @@ class Database:
     offsets and the fact count come from the arrays' shapes.
 
     `in`, `fact_id`, `fact_ids`, `find_rows`, planning, ranking and
-    acyclic evaluation read only the code columns.  A relation's `Fact`
-    tuples are decoded on its first `relation`, `fact` or `lookup`, or on
-    `facts()`, and kept, as are `lookup`'s per-column indexes.
+    acyclic evaluation read only the code columns; `fact` and `facts_at`
+    decode only the rows asked for.  A relation's `Fact` tuples are
+    decoded on its first `relation` or `lookup`, or on `facts()`, and
+    kept, as are `lookup`'s per-column indexes.
     """
 
     __slots__ = ("schema", "load_report", "values", "_code", "_codes", "_offsets",
@@ -402,11 +403,26 @@ class Database:
         return out
 
     def fact(self, i: int) -> Fact:
-        """The fact whose index in `facts()` is `i`; decodes only its relation."""
-        if not 0 <= i < self._starts[-1]:
-            raise IndexError(f"fact id {i} is not in range({self._starts[-1]})")
-        name = self._names[bisect_right(self._starts, i) - 1]
-        return self.relation(name)[i - self._offsets[name]]
+        """The fact whose index in `facts()` is `i`; decodes only its row."""
+        return self.facts_at([i])[0]
+
+    def facts_at(self, ids) -> list[Fact]:
+        """The facts whose indexes in `facts()` are `ids`, in the order
+        asked: one `_decode` of the asked rows per relation they fall in,
+        so no relation is decoded whole."""
+        ids = np.asarray(ids, dtype=np.int64).reshape(-1)
+        wrong = (ids < 0) | (ids >= self._starts[-1])
+        if wrong.any():
+            raise IndexError(f"fact id {ids[wrong][0]} is not in range({self._starts[-1]})")
+        of = np.searchsorted(self._starts, ids, "right") - 1  # each id's relation
+        out: list = [None] * len(ids)
+        for r in np.unique(of).tolist():
+            at = (of == r).nonzero()[0]
+            name = self._names[r]
+            rows = self._codes[name][:, ids[at] - self._starts[r]]
+            for i, f in zip(at.tolist(), _decode(name, rows, self.values)):
+                out[i] = f
+        return out
 
     def facts(self) -> tuple[Fact, ...]:
         """Every fact, relations in name order and each in sorted order;

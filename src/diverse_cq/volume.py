@@ -6,11 +6,11 @@ the union of its balls.  That shape makes every diversity function here
 monotone and submodular by construction, and marginal gains are plain
 measures of set differences rather than re-evaluations.  The provenance
 volume takes its answers and balls from the evaluator in `engine`; over
-an acyclic body it keeps each answer as its head codes and each ball as
-a row of database fact ids (`ProvenanceBalls`), which materialized
-greedy finds by code and scores as they are.  It decodes a row into a
-frozenset of facts only when `ball` asks for it, and the answers into
-`Fact`s only when its universe is iterated.
+an acyclic body it keeps its answers as head codes, as `enumerate_answers`
+does, and each ball as a row of database fact ids (`ProvenanceBalls`),
+which materialized greedy finds by code and scores as they are.  It
+decodes a row into a frozenset of facts only when `ball` asks for it,
+and the answers into `Fact`s only when its universe is iterated.
 
 All discrete arithmetic is exact: a weighted measure stores its weights
 as Fractions and measures return Fractions.  Materialized greedy and the
@@ -29,7 +29,6 @@ import functools
 import json
 import math
 import numbers
-from collections.abc import Set
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -40,7 +39,7 @@ import numpy as np
 from . import engine
 from .errors import InputError, LimitExceededError, LoadError, UniverseError
 from .query import gyo_join_tree
-from .relcore import Database, Fact, _decode
+from .relcore import Database, Fact
 
 MC_SAMPLES_CAP = 10**8
 
@@ -181,67 +180,30 @@ def pos_weighted(weights: Mapping, default=Fraction(1)) -> VolumeAssignment:
     return VolumeAssignment("pos-w", pos_ball, measure)
 
 
-class ProvenanceBalls(Set):
+class ProvenanceBalls(engine.CodedAnswers):
     """The provenance volume's ball function over an acyclic body, and its
-    universe: as a set, it holds the query's answers.
+    universe: as a set, it holds the query's answers as head codes, in
+    value order, as any `CodedAnswers` does.
 
-    Holds every answer of the query `q` as a column of head codes, in
-    value order: answer `j` has the codes `heads[:, j]` and its ball as
-    the `Database.facts()` ids `ids[ptr[j]:ptr[j + 1]]` of `db`,
-    ascending.  `rows` finds answers' rows by one search of their codes,
-    and greedy scores the rows as they are, so no answer is decoded into
-    a `Fact` until `answers` or iteration asks for them all, on first use.
-    Calling it with an answer decodes that answer's row into a frozenset
-    of facts, once, and keeps it.  `source` is `(q, db)`.
+    Answer `j`, the codes `heads[:, j]`, has its ball as the
+    `Database.facts()` ids `ids[ptr[j]:ptr[j + 1]]` of `db`, ascending.
+    Greedy finds answers' rows with `rows` and scores the rows as they
+    are.  Calling it with an answer decodes that answer's row into a
+    frozenset of facts, once, and keeps it; `in` finds a kept answer
+    without a search.  `source` is `(q, db)`.
     """
 
     def __init__(self, q, heads: np.ndarray, ptr: np.ndarray, ids: np.ndarray, db: Database):
+        super().__init__(q.head_name, heads, db)
         self.source = (q, db)
-        self.heads = heads
         self.ptr = ptr
         self.ids = ids
-        self.db = db
-        self._answers: list | None = None
         self._decoded: dict = {}
 
-    @property
-    def answers(self) -> list[Fact]:
-        """Every answer, in value order, decoded on first use and kept."""
-        if self._answers is None:
-            self._answers = list(_decode(self.source[0].head_name, self.heads, self.db.values))
-        return self._answers
-
-    def _values(self, t):
-        """The values of `t`, a `Fact` or plain `(name, values)` pair of the
-        head relation and width, else None."""
-        name, values = t if isinstance(t, tuple) and len(t) == 2 else (None, None)
-        if (name != self.source[0].head_name or not isinstance(values, tuple)
-                or len(values) != len(self.heads)):
-            return None
-        return values
-
-    def rows(self, answers: Sequence) -> np.ndarray:
-        """Each answer's row as one int64 array, -1 for a tuple that is no
-        answer, found by one `Database.find_rows` search."""
-        values = list(map(self._values, answers))
-        fits = [v is not None for v in values]
-        out = np.full(len(values), -1, dtype=np.int64)
-        out[np.array(fits, dtype=bool)] = self.db.find_rows(
-            self.heads, [v for v in values if v is not None])
-        return out
-
-    def _row(self, t) -> int | None:
-        values = self._values(t)
-        return None if values is None else self.db.find_row(self.heads, values)
-
     def __contains__(self, t) -> bool:
-        return t in self._decoded or self._row(t) is not None
-
-    def __iter__(self):
-        return iter(self.answers)
-
-    def __len__(self) -> int:
-        return len(self.ptr) - 1
+        # `VolumeAssignment.ball` asks before every call: a decoded ball answers
+        # without a search, which exact mode's many `diversity` calls need.
+        return t in self._decoded or super().__contains__(t)
 
     def __call__(self, t: Fact) -> frozenset:
         got = self._decoded.get(t)
@@ -250,7 +212,7 @@ class ProvenanceBalls(Set):
             if r is None:
                 raise UniverseError(f"{t!r} is not an answer of the query")
             got = self._decoded[t] = frozenset(
-                map(self.db.fact, self.ids[self.ptr[r]:self.ptr[r + 1]].tolist()))
+                self.db.facts_at(self.ids[self.ptr[r]:self.ptr[r + 1]]))
         return got
 
 

@@ -296,21 +296,20 @@ def test_flags_no_step_reads_exit_2(capsys, work, argv, message):
 
 
 def count_evaluations(monkeypatch) -> list:
-    """Record each evaluation of a query: an answer enumeration, or the
-    join-tree pass that builds the provenance volume's balls with them."""
+    """Record each evaluation of a query: an acyclic body's join-tree pass
+    that finds the answers' head codes, or the one that builds the
+    provenance volume's balls with them, and a streamed enumeration, which
+    every cyclic body's evaluation runs."""
     calls = []
-    enumerate_, balls = engine.iter_answers, engine._tree_balls
 
-    def counting_enumerate(q, db):
-        calls.append(q)
-        return enumerate_(q, db)
+    def counting(run):
+        def count(q, *args):
+            calls.append(q)
+            return run(q, *args)
+        return count
 
-    def counting_balls(q, parents, db):
-        calls.append(q)
-        return balls(q, parents, db)
-
-    monkeypatch.setattr(engine, "iter_answers", counting_enumerate)
-    monkeypatch.setattr(engine, "_tree_balls", counting_balls)
+    for name in ("iter_answers", "_tree_heads", "_tree_balls"):
+        monkeypatch.setattr(engine, name, counting(getattr(engine, name)))
     return calls
 
 
@@ -340,6 +339,28 @@ def test_compare_and_convert_evaluate_the_query_once(capsys, work, monkeypatch, 
     calls = count_evaluations(monkeypatch)
     report(capsys, [*argv, "--data", str(work / "d1"), "--query", query])
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("dump", [False, True])
+def test_eval_decodes_answers_only_to_dump_them(capsys, work, monkeypatch, dump):
+    loaded, evaluated = [], []
+    load_database, enumerate_answers = cli.load_database, cli.enumerate_answers
+
+    def load(path):
+        loaded.append(load_database(path))
+        return loaded[-1]
+
+    def evaluate(q, db):
+        evaluated.append(enumerate_answers(q, db))
+        return evaluated[-1]
+
+    monkeypatch.setattr(cli, "load_database", load)
+    monkeypatch.setattr(cli, "enumerate_answers", evaluate)
+    doc = report(capsys, ["eval", "--data", str(work / "wide"), "--query", IDENT,
+                          *(["--dump"] if dump else [])])
+    assert doc["payload"]["count"] == 17
+    assert not loaded[0]._relations  # the evaluation read the code columns only
+    assert (evaluated[0].answers._answers is not None) is dump
 
 
 def test_diversify_bad_flags_exit_2(capsys, work):

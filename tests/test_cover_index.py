@@ -32,6 +32,10 @@ def point(pid):
     return ("p", pid)
 
 
+def points(pids):
+    return [point(pid) for pid in pids.tolist()]
+
+
 @st.composite
 def cases(draw):
     pairs = sorted(draw(st.sets(st.tuples(IDS, st.integers(0, OWNERS - 1)), max_size=30)))
@@ -48,15 +52,19 @@ def cases(draw):
 def test_index_matches_a_set_oracle(case, rng):
     pairs, weights, covers = case
     rng.shuffle(pairs)  # the index sorts the pairs by point itself
-    reads = []
+    reads, batches = [], []
 
     def weight_of(p):
         reads.append(p)
         return weights[p]
 
+    def batch(pids):
+        batches.append(pids.tolist())
+        return points(pids)
+
     index = _CoverIndex(np.array([pid for pid, _ in pairs], dtype=np.int64),
                         np.array([owner for _, owner in pairs], dtype=np.int64),
-                        None if weights is None else weight_of, point)
+                        None if weights is None else weight_of, batch)
     holders: dict = {}
     for pid, owner in pairs:
         holders.setdefault(pid, set()).add(owner)
@@ -65,6 +73,7 @@ def test_index_matches_a_set_oracle(case, rng):
         assert index.weight is None and index.dtype is np.int64
     else:
         assert sorted(reads) == sorted(map(point, holders))  # one read per held point
+        assert batches == [sorted(holders)]  # all points in one call
         scale = math.lcm(*(weights[point(pid)].denominator for pid in holders))
         scaled = {pid: int(weights[point(pid)] * scale) for pid in holders}
         assert index.dtype is (object if sum(scaled.values()) >= 2 ** 62 else np.int64)
@@ -96,7 +105,7 @@ def test_index_matches_a_set_oracle(case, rng):
 
 def test_an_empty_index_covers_nothing():
     index = _CoverIndex(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64),
-                        lambda p: Fraction(1, 3), point)
+                        lambda p: Fraction(1, 3), points)
     owners, weights = index.cover(np.array([0, 5], dtype=np.int64))
     assert owners.tolist() == [] and weights.tolist() == []
     assert index.totals(3).tolist() == [0, 0, 0]

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 
-from diverse_cq import (CountMeasure, Fact, UniverseError, VolumeAssignment, engine,
+from diverse_cq import (CountMeasure, Database, Fact, UniverseError, VolumeAssignment, engine,
                         enumerate_answers, greedy_diversify, gyo_join_tree, intern, parse_cq,
                         provenance_map, provenance_volume)
 from diverse_cq.volume import ProvenanceBalls
@@ -38,10 +38,10 @@ def test_fact_id_rows_decode_to_the_provenance_map(case):
     balls = v.ball_fn
     assert isinstance(balls, ProvenanceBalls)
     exhaustive = provenance_map(q, db)
-    assert balls.answers == sorted(exhaustive) == enumerate_answers(q, db).ordered()
+    assert list(balls) == sorted(exhaustive) == enumerate_answers(q, db).ordered()
     assert v.universe == frozenset(exhaustive)
     facts = db.facts()
-    for j, t in enumerate(balls.answers):
+    for j, t in enumerate(balls):
         row = balls.ids[balls.ptr[j]:balls.ptr[j + 1]].tolist()
         assert row == sorted(set(row))  # ascending fact ids: fact order, no repeats
         assert frozenset(facts[i] for i in row) == exhaustive[t]
@@ -187,6 +187,25 @@ def test_later_batches_insert_answers_in_value_order():
     v = provenance_volume(q, db)
     balls = v.ball_fn
     exhaustive = provenance_map(q, db)
-    assert balls.answers == sorted(exhaustive)
+    assert list(balls) == sorted(exhaustive)
     assert _rows_are_ascending(balls)
     assert {t: v.ball(t) for t in v.universe} == exhaustive
+
+
+def test_a_decoded_ball_is_in_the_universe_without_a_search(d1, q1, monkeypatch):
+    # `VolumeAssignment.ball` asks `in` before every call, so exact mode's
+    # many `diversity` calls must not search the codes again for each.
+    v = provenance_volume(q1, d1)
+    answer = mk("Q1", "a", "a")
+    ball = v.ball(answer)
+    searches = []
+    find_row = Database.find_row
+
+    def counting(self, columns, values):
+        searches.append(values)
+        return find_row(self, columns, values)
+
+    monkeypatch.setattr(Database, "find_row", counting)
+    assert v.ball(answer) is ball and answer in v.universe
+    assert searches == []
+    assert mk("Q1", "b", "b") in v.universe and len(searches) == 1

@@ -74,7 +74,7 @@ def test_commit_rounds_match_public_best(ranker, seed, kind):
         if got is None:
             break
         answer = got[0]
-        assert {committed._point(p) for p in committed._picked_ids()} == ball(answer)
+        assert set(committed._points(committed._picked_ids())) == ball(answer)
         committed.commit(answer)
         covered |= ball(answer)
         assert committed.rows_rescored == public.rows_rescored
