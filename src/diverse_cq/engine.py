@@ -49,11 +49,12 @@ class CodedAnswers(Set):
 
     Answer `j` of the head relation `name` has the codes `heads[:, j]`
     into `db.values`; the columns are distinct and in value order, which
-    is `Fact` order.  `len` and `in` read the codes alone, `in` by one
-    `Database.find_row`, and so does `rows`, which finds many answers at
-    once.  Iteration decodes every answer once, in value order, and keeps
-    them; `decode` decodes only the rows it is given.  As a set it equals,
-    and hashes like, the frozenset of its answers.
+    is `Fact` order.  `len` reads the codes alone, and so does `rows`,
+    which finds many answers at once.  Iteration decodes every answer
+    once, in value order, and keeps them, with their frozenset; `decode`
+    decodes only the rows it is given.  `in` probes that frozenset once it
+    is kept, and searches the codes by one `Database.find_row` before.
+    As a set it equals, and hashes like, the frozenset of its answers.
     """
 
     def __init__(self, name: str, heads: np.ndarray, db: Database):
@@ -61,6 +62,7 @@ class CodedAnswers(Set):
         self.heads = heads
         self.db = db
         self._answers: list | None = None
+        self._members: frozenset | None = None
 
     def __len__(self) -> int:
         return self.heads.shape[1]
@@ -68,10 +70,13 @@ class CodedAnswers(Set):
     def __iter__(self) -> Iterator[Fact]:
         if self._answers is None:
             self._answers = list(_decode(self.name, self.heads, self.db.values))
+            self._members = frozenset(self._answers)
         return iter(self._answers)
 
     def __contains__(self, t) -> bool:
-        return self._row(t) is not None
+        if self._members is None:
+            return self._row(t) is not None
+        return self._values(t) is not None and t in self._members
 
     def __hash__(self) -> int:
         return hash(frozenset(self))

@@ -43,11 +43,11 @@ from typing import AbstractSet, Callable, Iterable, Sequence
 
 import numpy as np
 
-from .engine import (enumerate_answers, _atom_rows, _fold, _ranges, _reduce, _segments,
-                     _stable_order)
+from .engine import (enumerate_answers, in_value_order, _atom_rows, _fold, _ranges, _reduce,
+                     _segments, _stable_order)
 from .errors import EngineCompatibilityError, InputError, LimitExceededError
 from .query import ConjunctiveQuery, free_connex_split, gyo_join_tree, _gyo_reduce
-from .relcore import Database, Fact, _pack, fact_key
+from .relcore import Database, Fact, _pack
 from .volume import (ProvenanceBalls, VolumeAssignment, pos_ball, provenance_volume,
                      scaled_weights)
 
@@ -112,6 +112,13 @@ def _greedy(k: int, best: Callable, commit: Callable):
     return picks, gains
 
 
+def _distinct_in_order(answers: Iterable) -> list:
+    """`answers` without repeats, in value order: `in_value_order` of a set,
+    which takes a `CodedAnswers` in its own order, and of any other
+    iterable once it is deduplicated."""
+    return in_value_order(answers if isinstance(answers, Set) else set(answers))
+
+
 def brute_force_diversify(answers: Iterable[Fact], k: int, v: VolumeAssignment,
                           max_subsets: int = BRUTE_FORCE_CAP) -> DiverseResult:
     """Exact optimum by subset enumeration; first lexicographic maximizer.
@@ -119,7 +126,7 @@ def brute_force_diversify(answers: Iterable[Fact], k: int, v: VolumeAssignment,
     Monotonicity means some best subset has size min(k, n), so only that
     layer is scanned.  The subset count is checked before any work.
     """
-    items = sorted(set(answers), key=fact_key)
+    items = _distinct_in_order(answers)
     m = min(k, len(items))
     if m <= 0:
         return _make_result((), ())
@@ -199,11 +206,11 @@ class _GreedyStep:
     `enumerate_answers` and the volume's universe are.  No answer is
     decoded then but the picked ones, by one `decode` call, and a weight
     is read only through `Database.facts_at`.  Otherwise the answers are
-    sorted by `fact_key` and their balls' points interned in order of
-    first appearance; an answer outside the volume's universe raises its
-    `UniverseError`, the smallest first.  `decode` maps answer indexes to
-    their `Fact`s, and `point_ids` maps ball points to ids, -1 for a point
-    no answer holds.
+    taken in value order (`in_value_order`) and their balls' points
+    interned in order of first appearance; an answer outside the volume's
+    universe raises its `UniverseError`, the smallest first.  `decode`
+    maps answer indexes to their `Fact`s, and `point_ids` maps ball points
+    to ids, -1 for a point no answer holds.
     `gains` holds every answer's weight of uncovered points, over `scale`,
     and `cover` lowers only the answers holding a newly covered point.
     `commit` covers an answer's ball and sets its gain to -1, below every
@@ -224,7 +231,7 @@ class _GreedyStep:
             self.decode = lambda picks: balls.decode(rows[list(picks)])
             points, self.point_ids = balls.db.facts_at, balls.db.fact_ids
         else:
-            items = sorted(answers, key=fact_key)
+            items = in_value_order(answers)
             regions = [v.ball(t) for t in items]
             sizes = list(map(len, regions))
             point_id: dict = {}
@@ -323,13 +330,14 @@ def _objective_greedy(answers: Iterable, k: int, scores: Callable) -> DiverseRes
 
     `scores(picks, candidates)` gives the objective of picks plus each
     candidate; each round takes the first maximum, by strict `>`, over
-    the candidates in `fact_key` order.  The argmax is on the objective
-    itself, not on a difference of two evaluations.  `gains` are the
-    differences between consecutive rounds and `total` is the objective
-    of the final selection as scored in its round.  Makes min(k, n) picks
-    and assumes no monotonicity.
+    the candidates in value order, a `CodedAnswers` in its own order and
+    any other iterable deduplicated and sorted.  The argmax is on the
+    objective itself, not on a difference of two evaluations.  `gains`
+    are the differences between consecutive rounds and `total` is the
+    objective of the final selection as scored in its round.  Makes
+    min(k, n) picks and assumes no monotonicity.
     """
-    remaining = sorted(set(answers), key=fact_key)
+    remaining = _distinct_in_order(answers)
     picks, values = _greedy(
         min(k, len(remaining)),
         lambda picks: _argmax(zip(remaining, scores(picks, remaining))),
@@ -358,7 +366,7 @@ def cqnext_naive(q: ConjunctiveQuery, db: Database, selected: Iterable[Fact],
     `selected` may repeat an answer or hold any tuple the volume has a
     ball for.  A discrete volume runs one `_GreedyStep` round with those
     balls covered; a volume that is not discrete takes the first maximum
-    of its round scorer's diversities, in `fact_key` order, as
+    of its round scorer's diversities, in value order, as
     `_objective_greedy` does.  Returns None when there is no answer.
     This is the oracle the incremental rankers are checked against.
     """
@@ -366,7 +374,7 @@ def cqnext_naive(q: ConjunctiveQuery, db: Database, selected: Iterable[Fact],
     selected = list(selected)
     if not v.is_discrete:
         base = v.diversity(selected)
-        ordered = sorted(answers, key=fact_key)
+        ordered = in_value_order(answers)
         hit = _argmax(zip(ordered, _round_scorer(v)(selected, ordered)))
         return None if hit is None else (hit[0], hit[1] - base)
     step = _GreedyStep(answers, v)

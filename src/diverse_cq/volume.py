@@ -20,7 +20,9 @@ ids: `scaled_weights` reads point weights through
 denominators, and each converts back to Fractions at its result.  The
 only floating-point path is the Monte-Carlo estimator for Euclidean ball
 unions; greedy scores each of its rounds in one pass over the same slab
-test, `EuclideanBallVolume.round_diversities`.
+test, `EuclideanBallVolume.round_diversities`, and a ball alone, as in
+greedy's first round, is counted from a table of the draw's points near
+the unit sphere, cached with the draw.
 """
 
 from __future__ import annotations
@@ -203,7 +205,7 @@ class ProvenanceBalls(engine.CodedAnswers):
     def __contains__(self, t) -> bool:
         # `VolumeAssignment.ball` asks before every call: a decoded ball answers
         # without a search, which exact mode's many `diversity` calls need.
-        return t in self._decoded or super().__contains__(t)
+        return (self._values(t) is not None and t in self._decoded) or super().__contains__(t)
 
     def __call__(self, t: Fact) -> frozenset:
         got = self._decoded.get(t)
@@ -312,11 +314,42 @@ def _cached_unit_draw(seed: int, samples: int, dim: int) -> np.ndarray:
     """`rng.random((samples, dim))` with its rows sorted by their first
     coordinate, stored one axis per row as a read-only (dim, samples)
     array.  Greedy asks for the same one-batch draw on every call, so it
-    is drawn and sorted once."""
+    is drawn and sorted once; `_cached_shell` reads it too."""
     unit = np.random.default_rng(seed).random((samples, dim))
     draw = np.take(unit.T, np.argsort(unit[:, 0]), axis=1)
     draw.flags.writeable = False
     return draw
+
+
+_SHELL = 2.0 ** -10
+
+
+@functools.lru_cache(maxsize=1)
+def _cached_shell(seed: int, samples: int, dim: int) -> tuple[int, np.ndarray, np.ndarray]:
+    """Where the cached draw lies against the unit ball of its cube.
+
+    A point `u` of `_cached_unit_draw(seed, samples, dim)` has
+    rho(u) = sum_j (2 u_j - 1)**2, added up axis by axis in floats.
+    Returns how many points have rho < 1 - _SHELL, then the ids of the
+    points with |rho - 1| <= _SHELL and their rho - 1, both by ascending
+    rho, read-only.  That shell is at most about 0.15% of the draw, so the
+    table stays small; building it holds two samples-long buffers."""
+    unit = _cached_unit_draw(seed, samples, dim)
+    rho = np.zeros(samples)
+    term = np.empty(samples)
+    for axis in unit:
+        np.multiply(axis, 2.0, out=term)
+        term -= 1.0
+        term *= term
+        rho += term
+    rho -= 1.0  # exact near the shell, where rho lies in [1/2, 2]
+    below = int(np.count_nonzero(rho < -_SHELL))
+    ids = np.flatnonzero(np.abs(rho, out=term) <= _SHELL)
+    order = np.argsort(rho[ids], kind="stable")
+    ids = ids[order]
+    offsets = rho[ids]
+    ids.flags.writeable = offsets.flags.writeable = False
+    return below, ids, offsets
 
 
 def _unit_draws(seed: int, samples: int, dim: int):
@@ -398,6 +431,74 @@ def _union_hits(unit: np.ndarray, is_sorted: bool, lo: np.ndarray, width: np.nda
     return [base] + [base + n for n in added]
 
 
+def _shell_reach(m: float, r: float, d: int) -> float:
+    """Half-width, around 1, of the band of rho that `_lone_ball_hits`
+    tests point by point.  Take the one ball of radius r around a center
+    c with m = max_j |c_j|, over the box `_boxes` gives it (lo = c - r,
+    width = (c + r) - lo).  A draw point u whose computed rho(u) lies
+    below 1 - reach passes `_in_ball`, and one above 1 + reach fails it,
+    while the reach is at most _SHELL and r*r is a normal float.
+
+    Each float operation is exact up to a factor (1 + t), |t| <= eps =
+    2**-53.  A sum that is subnormal is exact, and a subnormal product is
+    off by at most 2**-1075, which is at most eps*r*r.  On axis j, write
+    v = u_j and t = r(2v - 1), the exact offset of the mapped point from
+    c_j, so that the exact squared distance is r*r*rho(u):
+
+    - lo = c_j - r + a and c_j + r rounds to c_j + r + b, with |a| and |b|
+      at most eps(m + r), so |a(1 - v) + b*v| <= eps(m + r);
+    - width = 2r + b - a + g with |g| <= 2eps*r, and |g*v| <= 2eps*r;
+    - width*v, at most 2r, is off by at most 2eps*r;
+    - lo + width*v, at most m + r in size, by at most eps(m + r);
+    - x - c_j, at most r in size, by at most eps*r.
+
+    So the computed difference is t + e_j with |e_j| <= e*r, where
+    e = eps(2m/r + 7), up to a factor (1 + 8eps) from second-order terms.
+    By Cauchy-Schwarz sum_j |t| <= r*sqrt(d*rho), so the squared
+    differences add up to r*r*(rho +- (2e*sqrt(d*rho) + d*e*e)).  Squaring
+    and adding the d terms, in any order (numpy's pairwise row sum
+    included), moves that by at most d*eps times itself, plus d*eps*r*r
+    for subnormal squares.  r*r rounds by at most eps*r*r.  The computed
+    rho, the squares of the exact 2v - 1 added in order, is within
+    d*eps*rho of the exact one.  Both sides of the test grow with rho, so
+    the bound at rho <= 1 + _SHELL decides every point outside the band
+    once, to first order in eps,
+
+        reach >= 2e*sqrt(d*(1 + _SHELL)) + d*e*e + (3d + 1)*eps.
+
+    The reach below adds (d + 1)*eps for the second-order terms in eps.
+    Its factor (1 + _SHELL) covers d*e*e, which is at most _SHELL/4 of
+    2e*sqrt(d) while the reach is at most _SHELL, the (1 + 8eps), and the
+    rounding of this function's own arithmetic."""
+    eps = 2.0 ** -53
+    e = eps * (2 * m / r + 7)
+    return (1 + _SHELL) * (2 * e * math.sqrt(d * (1 + _SHELL)) + (4 * d + 2) * eps)
+
+
+def _lone_ball_hits(c: np.ndarray, r: float, lo: np.ndarray, width: np.ndarray,
+                    seed: int, samples: int) -> int | None:
+    """How many points of the draw, mapped to the box `lo`, `width` of the
+    one ball of radius r around c, lie in it: the points of the cached
+    shell table below 1 - `_shell_reach`, found by one search, plus those
+    of the shell within the reach that pass the slab path's own float
+    test.  None when the table cannot decide: a reach beyond the table's
+    _SHELL, a radius whose square is not a normal float, a draw above one
+    batch (it is not cached), or one dimension (swept exactly)."""
+    d = len(c)
+    if d == 1 or samples > _BATCH or not 2.0 ** -1022 <= r * r < math.inf:
+        return None
+    reach = _shell_reach(float(np.abs(c).max()), r, d)
+    if not reach <= _SHELL:
+        return None
+    below, ids, offsets = _cached_shell(seed, samples, d)
+    a = int(offsets.searchsorted(-reach, side="left"))
+    b = int(offsets.searchsorted(reach, side="right"))
+    unit = _cached_unit_draw(seed, samples, d)[:, ids[a:b]]
+    first = lo[0] + width[0] * unit[0]
+    inside = _in_ball(_box_points(unit, first, lo, width, 0, b - a), c, r)
+    return below + a + int(np.count_nonzero(inside))
+
+
 def _boxes(low: np.ndarray, high: np.ndarray, r: float):
     """Corner, widths and volume of the box from `low - r` to `high + r`,
     one per row of `low` and `high`; a volume that overflows is an input
@@ -422,12 +523,19 @@ def mc_ball_union_volume(balls: ContinuousBallSet, samples: int, seed: int = 0) 
     then tested only against the slab of points whose first coordinate
     lies within the radius of its own, found by binary search, and the
     hits are OR-ed into one mask: a call costs O(samples + sum of slab
-    sizes * d).  A larger draw is drawn again on every call in batches of
-    2**18 that are not sorted, and every center is tested against every
-    point, in O(samples * centers * d).  Memory is O(2**18 * d) either
-    way.  Each squared distance is added up in the order numpy's
-    `.sum(axis=-1)` uses, so the estimate is the same float as a
-    nearest-center test over `Generator.uniform` points.  A sample count
+    sizes * d).  A lone ball, balls with one distinct center, costs
+    O(log samples + shell * d) instead: its box maps the draw point u to
+    the ball exactly when rho(u) = sum_j (2 u_j - 1)**2 <= 1, so the
+    points with rho below 1 - `_shell_reach` are counted by one search of
+    the shell table cached with the draw (`_cached_shell`), and only the
+    shell points within that reach take the float test; centers too far
+    out for the table, a radius whose square is not a normal float, and
+    larger draws take the slab path.  A larger draw is drawn again on
+    every call in batches of 2**18 that are not sorted, and every center
+    is tested against every point, in O(samples * centers * d).  Memory
+    is O(2**18 * d) either way.  Each squared distance is added up in the
+    order numpy's `.sum(axis=-1)` uses, so the estimate is the same float
+    as a nearest-center test over `Generator.uniform` points.  A sample count
     above MC_SAMPLES_CAP is a LimitExceededError; a union length or
     bounding-box volume that overflows a float is an input error.
     """
@@ -442,9 +550,12 @@ def mc_ball_union_volume(balls: ContinuousBallSet, samples: int, seed: int = 0) 
         return MCEstimate(length, 0.0)
     centers = np.asarray(balls.centers, dtype=float)
     lo, width, box = _boxes(centers.min(axis=0), centers.max(axis=0), r)
-    hits = 0
-    for unit, is_sorted in _unit_draws(seed, samples, balls.dimension):
-        hits += _union_hits(unit, is_sorted, lo, width, centers, centers[:0], r)[0]
+    hits = None
+    if (centers == centers[0]).all():
+        hits = _lone_ball_hits(centers[0], r, lo, width, seed, samples)
+    if hits is None:
+        hits = sum(_union_hits(unit, is_sorted, lo, width, centers, centers[:0], r)[0]
+                   for unit, is_sorted in _unit_draws(seed, samples, balls.dimension))
     p = hits / samples
     box = float(box)
     value = box * p
@@ -508,11 +619,13 @@ class EuclideanBallVolume:
         """`[self.diversity(list(picks) + [t]) for t in candidates]`, the
         same floats and errors, in one pass over the draw: the candidates'
         boxes come from one array min/max/prod, and `_union_hits` scores
-        the candidates of each distinct box.  A round costs about one
-        estimate over the picks per box plus one slab test per candidate,
-        and holds one mask of the draw at a time.  A draw above 2**18
-        samples runs this once per batch; one dimension keeps the exact
-        interval sweep, per candidate."""
+        the candidates of each distinct box.  A box of one distinct
+        center, as every box of a round without picks is, is counted from
+        the shell table as `mc_ball_union_volume` counts a lone ball.  Any
+        other box costs about one estimate over the picks plus one slab
+        test per candidate, and holds one mask of the draw at a time.  A
+        draw above 2**18 samples runs this once per batch; one dimension
+        keeps the exact interval sweep, per candidate."""
         picks = list(picks)
         if not candidates:
             return []
@@ -531,8 +644,19 @@ class EuclideanBallVolume:
         for i, key in enumerate(map(bytes, np.concatenate([low, high], axis=1))):
             by_box.setdefault(key, []).append(i)
         hits = [0] * len(cands)
+        boxes = []
+        for same in by_box.values():
+            g = same[0]
+            lone = None
+            if (held == cands[g]).all():  # each of the box's candidates is its one center
+                lone = _lone_ball_hits(cands[g], r, lo[g], width[g], self.seed, self.samples)
+            if lone is None:
+                boxes.append(same)
+            else:
+                for i in same:
+                    hits[i] = lone
         for unit, is_sorted in _unit_draws(self.seed, self.samples, cands.shape[1]):
-            for same in by_box.values():
+            for same in boxes:
                 g = same[0]
                 got = _union_hits(unit, is_sorted, lo[g], width[g], held, cands[same], r)
                 for i, h in zip(same, got[1:]):

@@ -2,7 +2,8 @@
 
 `enumerate_answers` keeps an acyclic body's answers as head codes, a
 `CodedAnswers`: `len` and `in` read the codes, iteration decodes every
-answer once in value order, and the set equals and hashes like the
+answer once in value order, and keeps them with their frozenset, which
+answers `in` from then on, and the set equals and hashes like the
 frozenset of its answers.  On random bodies (free-connex or not, with
 self-joins, repeated variables, Boolean and empty heads, and empty
 results) it must hold the backtracking join's answers, and greedy over
@@ -13,13 +14,16 @@ every built-in discrete volume.
 import itertools
 import random
 from fractions import Fraction
+from unittest import mock
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from diverse_cq import (CountMeasure, Fact, VolumeAssignment, WeightedMeasure, elem_volume,
-                        elem_weighted, enumerate_answers, greedy_diversify, intern,
-                        parse_cq, pos_volume, pos_weighted, provenance_volume)
+from diverse_cq import (CountMeasure, Database, EuclideanBallVolume, Fact, VolumeAssignment,
+                        WeightedMeasure, brute_force_diversify, cqnext_naive, elem_volume,
+                        elem_weighted, enumerate_answers, greedy_by_objective, greedy_diversify,
+                        intern, parse_cq, pos_volume, pos_weighted, provenance_volume)
+from diverse_cq import engine
 from diverse_cq.engine import CodedAnswers
 
 from conftest import db_of, mk
@@ -71,6 +75,30 @@ def test_coded_answers_are_the_backtracking_answers(case):
     assert hash(coded) == hash(want)
     assert list(coded) == got.ordered() == sorted(want)
     assert coded.rows(got.ordered()).tolist() == list(range(len(want)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(projected_instances())
+@example(NOT_FREE_CONNEX)
+@example(EMPTY_RESULT)
+@example(BOOLEAN)
+@example(REPEATED_HEAD)
+def test_an_iterated_coded_set_answers_in_without_a_search(case):
+    q, db = case
+    coded = enumerate_answers(q, db).answers
+    want = oracle_answers(q, db)
+    assert list(coded) == sorted(want)  # decodes every answer, once
+    with mock.patch.object(Database, "find_row", side_effect=AssertionError("searched")):
+        for t in probes(q, db, want):
+            hashable = isinstance(t[1], tuple)
+            assert (t in coded) is (hashable and t in want), t
+    assert coded == want and hash(coded) == hash(want)
+    # the provenance volume's universe, with some balls decoded, reads the same
+    v = provenance_volume(q, db)
+    for t in sorted(want)[:2]:
+        v.ball(t)
+    for t in probes(q, db, want):
+        assert (t in v.universe) is (isinstance(t[1], tuple) and t in want), t
 
 
 def volumes(q, db, rng):
@@ -155,3 +183,22 @@ def test_answers_of_another_database_are_found_by_their_values(case):
     for lazy in (False, True):
         assert greedy_diversify(got.answers, 3, v, lazy=lazy) == \
             greedy_diversify(got.ordered(), 3, v, lazy=lazy)
+
+
+def test_set_function_entry_points_take_a_coded_set_in_its_own_order():
+    q, db = REPEATED_HEAD
+    coded = enumerate_answers(q, db).answers
+    ordered = sorted(oracle_answers(q, db))
+    v = pos_volume()
+    want = (brute_force_diversify(ordered, 2, v), greedy_by_objective(ordered, 2, v.diversity))
+    # an iterable that is no set, repeats included, is deduplicated first
+    assert brute_force_diversify(iter(ordered * 2), 2, v) == want[0]
+    assert greedy_by_objective(iter(ordered * 2), 2, v.diversity) == want[1]
+    points = parse_cq("Q(x,y) <- P(x,y).")
+    spots = db_of({"P": 2}, [mk("P", "1", "2"), mk("P", "3", "1"), mk("P", "2", "2")])
+    ball = EuclideanBallVolume(1.5, samples=500)
+    nearest = cqnext_naive(points, spots, [], ball)
+    with mock.patch.object(engine, "fact_key", side_effect=AssertionError("sorted")):
+        assert (brute_force_diversify(coded, 2, v), greedy_by_objective(coded, 2, v.diversity)) \
+            == want
+        assert cqnext_naive(points, spots, [], ball) == nearest
