@@ -17,6 +17,9 @@ them only when they are iterated; `iter_answers` streams them decoded),
 and the provenance balls, each answer's witness facts as a sorted row
 of fact ids, with every skipped subtree's facts from one top-down array
 pass, `_fold`, which also builds the provenance ranker's witness tables.
+A skipped subtree that every answer joins in one group is kept as its
+fold, once per group, and referenced by the answers (`_Balls`), not
+copied into their rows.
 
 Cyclic bodies fall back to the backtracking join, which is also the
 semantics oracle every other path is tested against.  It orders atoms
@@ -276,10 +279,20 @@ def _ranges(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
 
 
 def _stable_order(keys: np.ndarray) -> np.ndarray:
-    """`np.argsort(keys, kind="stable")` for non-negative keys, in linear
-    time when they fit in 16 bits: numpy radix-sorts those."""
+    """`np.argsort(keys, kind="stable")` for non-negative int keys, in
+    linear time when they fit in 16 bits: numpy radix-sorts those.  Larger
+    keys are packed with their positions, `key * n + i`, when that stays
+    below 2^62, and sorted by value, which costs a fraction of an argsort;
+    the positions are then read back off the sorted packs."""
     if len(keys) and keys.max() < 2 ** 16:
         return keys.astype(np.uint16).argsort(kind="stable")
+    n = len(keys)
+    if n and int(keys.max()) * n < 2 ** 62:
+        packed = keys.astype(np.int64, copy=False) * n
+        packed += np.arange(n)
+        packed.sort()
+        packed %= n
+        return packed
     return keys.argsort(kind="stable")
 
 
@@ -497,33 +510,60 @@ def _distinct(keys: np.ndarray) -> np.ndarray:
     return keys[np.concatenate(([True], keys[1:] != keys[:-1]))] if len(keys) else keys
 
 
-def _tree_balls(q: ConjunctiveQuery, parents: Sequence[int | None],
-                db: Database) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Every answer of `q` with its ball, the facts of every homomorphism
-    that yields it, over the join tree `parents`, as arrays.
+class _SharedFold(NamedTuple):
+    """A skipped subtree's facts, kept once per group of its top node:
+    answer `j` joins the group `group[j]`, whose facts are the
+    `Database.facts()` ids `ids[ptr[g]:ptr[g + 1]]`."""
 
-    Returns (heads, ptr, ids): the answers' head codes, one column per
-    answer in value order, which is `Fact` order, and answer `j`'s ball
-    as the `db.facts()` ids `ids[ptr[j]:ptr[j + 1]]`, ascending, which is
-    fact order.  No answer is decoded.
+    group: np.ndarray
+    ptr: np.ndarray
+    ids: np.ndarray
+
+
+class _Balls(NamedTuple):
+    """Every answer's ball, factorised: answer `j`, the head codes
+    `heads[:, j]`, has its own facts `ids[ptr[j]:ptr[j + 1]]`, ascending,
+    and the group it joins of each `_SharedFold` in `shared`.  The parts
+    are disjoint, and the ball is their union."""
+
+    heads: np.ndarray
+    ptr: np.ndarray
+    ids: np.ndarray
+    shared: tuple
+
+
+def _tree_balls(q: ConjunctiveQuery, parents: Sequence[int | None], db: Database) -> _Balls:
+    """Every answer of `q` with its ball, the facts of every homomorphism
+    that yields it, over the join tree `parents`, as a `_Balls`: the
+    answers' head codes, one column per answer in value order, which is
+    `Fact` order, and each answer's own row of `db.facts()` ids,
+    ascending, which is fact order, plus the shared folds it joins.  No
+    answer is decoded.
 
     A homomorphism extends a walk of `_walk` into each skipped subtree on
     its own, so a ball holds its walks' facts and, per skipped subtree,
-    the facts of every extension of the group the walk joins, which one
+    the facts of every extension of each group the walk joins, which one
     `_fold` gathers per subtree.  Each walk's answer is found by its
-    packed head codes.  (answer, fact id) pairs are packed into one int64
-    and deduplicated by sort and compare; a skipped subtree's facts are
-    added once per distinct (answer, group) pair.  Each batch's new pairs
-    are merged into the sorted pairs before it, so a query with many walks
-    per answer never holds all of its walks at once (see `_WALK_BATCH`).
-    Answers are kept numbered in value order: a batch's new answers are
-    inserted among the earlier ones, whose pairs move up past them.
+    packed head codes.  (answer, fact id) pairs and (answer, group) pairs
+    are packed into one int64 each and deduplicated by sort and compare.
+    Each batch's new pairs are merged into the sorted pairs before it, so
+    a query with many walks per answer never holds all of its walks at
+    once (see `_WALK_BATCH`).  Answers are kept numbered in value order: a
+    batch's new answers are inserted among the earlier ones, whose pairs
+    move up past them.
+
+    A subtree's fold is shared, not copied into the rows, when every
+    answer joins one group of it, as it does when the subtree joins its
+    parent on head variables alone, and the body is self-join-free, so
+    that no fact is both in it and elsewhere in a ball.  Any other
+    subtree's facts are added to the rows once per distinct (answer,
+    group) pair, by `_add_folds`, under WITNESS_PAIR_LIMIT.
     """
     empty = np.zeros(0, dtype=np.int64)
     w = _walk(q, parents, db)
     if w is None:
-        return (np.zeros((len(q.head_vars), 0), dtype=np.int64), np.zeros(1, dtype=np.int64),
-                empty)
+        return _Balls(np.zeros((len(q.head_vars), 0), dtype=np.int64),
+                      np.zeros(1, dtype=np.int64), empty, ())
     groups, join, depth = w.groups, w.join, w.depth
     ids = [db.offset(a.relation) + r for a, r in zip(q.atoms, w.rows)]
     hang = []  # per skipped subtree below the walk: its parent's depth, join and folds
@@ -536,9 +576,10 @@ def _tree_balls(q: ConjunctiveQuery, parents: Sequence[int | None],
 
     radix, nfacts = max(1, len(db.values)), max(1, db.fact_count())
     heads = np.zeros((len(w.head), 0), dtype=np.int64)  # per answer, value order: head codes
-    # answer * nfacts + fact id, ascending and distinct; the product of two
-    # counts of objects held in memory stays far below 2^63
+    # answer * nfacts + fact id of a walked node, ascending and distinct; the
+    # product of two counts of objects held in memory stays far below 2^63
     pairs = empty
+    joined = [empty] * len(hang)  # per skipped subtree: answer * groups + group, likewise
     for cols in _batches(w, lambda: max(_WALK_BATCH, len(pairs) // 4)):
         found = _head_codes(w, cols)
         known, seen = _pack([heads, found], radix)  # `known` ascends, as `heads` do
@@ -549,24 +590,78 @@ def _tree_balls(q: ConjunctiveQuery, parents: Sequence[int | None],
         where = np.searchsorted(known, keys[new])
         heads = np.insert(heads, where, found[:, by_seen[new]], axis=1)
         # An older answer moves up past the new answers below it.
-        pairs += np.searchsorted(keys[new], known)[pairs // nfacts] * nfacts
+        shift = np.searchsorted(keys[new], known)
         answer = np.searchsorted(np.insert(known, where, keys[new]), seen)
-        got = [answer * nfacts + ids[u][cols[d]] for u, d in depth.items()]
-        for d, to, fold_ptr, fold in hang:
+        pairs += shift[pairs // nfacts] * nfacts
+        pairs = _merge(pairs, _distinct(np.concatenate(
+            [answer * nfacts + ids[u][cols[d]] for u, d in depth.items()])))
+        for s, (d, to, fold_ptr, _) in enumerate(hang):
             m = max(1, len(fold_ptr) - 1)
-            a, g = np.divmod(_distinct(answer * m + to[cols[d]]), m)
-            first = fold_ptr[g]
-            sizes = fold_ptr[g + 1] - first
-            got.append(np.repeat(a, sizes) * nfacts + fold[_ranges(first, sizes)])
-        got = np.concatenate(got)  # frees the parts before the sort
-        got = _distinct(got)
-        if len(pairs):
-            got = got[_find(pairs, got) < 0]
-            got = np.insert(pairs, np.searchsorted(pairs, got), got)
-        pairs = got
+            held = joined[s]
+            held += shift[held // m] * m
+            joined[s] = _merge(held, _distinct(answer * m + to[cols[d]]))
+    shared = []
+    selfjoin = len({a.relation for a in q.atoms}) < len(q.atoms)
+    for (_, _, fold_ptr, fold), got in zip(hang, joined):
+        a, g = np.divmod(got, max(1, len(fold_ptr) - 1))
+        if len(got) == heads.shape[1] and not selfjoin:  # one group per answer
+            shared.append(_SharedFold(g, fold_ptr, fold))
+        else:
+            pairs = _add_folds(pairs, a, fold_ptr[g], fold_ptr[g + 1], fold, nfacts)
     ptr = np.searchsorted(pairs, np.arange(heads.shape[1] + 1) * nfacts)
     pairs %= nfacts
-    return heads, ptr, pairs
+    return _Balls(heads, ptr, pairs, tuple(shared))
+
+
+def _merge(held: np.ndarray, got: np.ndarray) -> np.ndarray:
+    """The ascending, distinct `held` and `got` merged into one such array."""
+    if not len(held):
+        return got
+    got = got[_find(held, got) < 0]
+    return np.insert(held, np.searchsorted(held, got), got)
+
+
+def _add_folds(pairs: np.ndarray, answer: np.ndarray, first: np.ndarray, end: np.ndarray,
+               fold: np.ndarray, nfacts: int) -> np.ndarray:
+    """`pairs`, packed as in `_tree_balls`, with `fold[first[i]:end[i]]`
+    added to the row of `answer[i]` for every i, a batch of about a quarter
+    of `pairs` at a time, or one group's fold when that is more.  Each
+    batch's new pairs are counted with those held by `_witness_pairs`
+    before they are merged in."""
+    sizes = end - first
+    cumulative = sizes.cumsum()
+    at = 0
+    while at < len(answer):
+        spent = cumulative[at - 1] if at else 0
+        budget = spent + max(_WALK_BATCH, len(pairs) // 4)
+        stop = max(at + 1, int(np.searchsorted(cumulative, budget, "right")))
+        got = _distinct(answer[at:stop].repeat(sizes[at:stop]) * nfacts
+                        + fold[_ranges(first[at:stop], sizes[at:stop])])
+        got = got[_find(pairs, got) < 0]
+        _witness_pairs(len(pairs) + len(got))
+        pairs = np.insert(pairs, np.searchsorted(pairs, got), got)
+        at = stop
+    return pairs
+
+
+def _ball_rows(balls: _Balls, nfacts: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every answer's whole ball as one row, `(ptr, ids)`: answer `j` has
+    the fact ids `ids[ptr[j]:ptr[j + 1]]`, ascending; facts are below
+    `nfacts`.  The rows' size is checked by `_witness_pairs` before they
+    are allocated."""
+    if not balls.shared:
+        return balls.ptr, balls.ids
+    answers = np.arange(len(balls.ptr) - 1)
+    sizes = [np.diff(balls.ptr)] + [np.diff(s.ptr)[s.group] for s in balls.shared]
+    total = sum(sizes)
+    _witness_pairs(int(total.sum()))
+    starts = [balls.ptr[:-1]] + [s.ptr[s.group] for s in balls.shared]
+    rows = [balls.ids] + [s.ids for s in balls.shared]
+    keys = np.concatenate([answers.repeat(z) * nfacts + r[_ranges(f, z)]
+                           for z, f, r in zip(sizes, starts, rows)])
+    keys.sort()
+    keys %= nfacts
+    return np.concatenate(([0], total.cumsum())), keys
 
 
 def _batches(w: _Walk, budget: Callable[[], int]) -> Iterator[list[np.ndarray]]:

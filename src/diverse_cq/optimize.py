@@ -6,7 +6,10 @@ greedy round does one piece of bookkeeping, kept by `_CoverIndex`:
 covering a ground point takes its weight, an int over one common scale,
 off the owners holding it, and only those owners are scored again.
 `greedy_diversify`, `greedy_combined`'s naive engine and `cqnext_naive`
-run one step over the answers, `_GreedyStep`, whose owners are answers.
+run one step over the answers, `_GreedyStep`, whose owners are parts of
+answers' balls: each answer's own row and, under the provenance volume,
+each hanging subtree's fold that several answers share; an answer's gain
+is the sum of its parts'.
 The rankers avoid materialization altogether.  Whenever an answer's
 marginal is a sum over the edges of a join tree, "which answer gains
 the most" is one max-plus dynamic program over that tree, and one plan,
@@ -198,24 +201,31 @@ class _CoverIndex:
 class _GreedyStep:
     """The one materialized greedy step, over a discrete volume's answers.
 
-    Answer `i`, in `Fact` order, has its ball as the row of point ids
-    `pts[ptr[i]:ptr[i + 1]]`.  Under a provenance volume over an acyclic
-    body these are the volume's own rows of `Database.facts()` ids, found
-    by `ProvenanceBalls.rows`: one search of packed head codes when the
-    answers are a `CodedAnswers` over the same query and database, as
-    `enumerate_answers` and the volume's universe are.  No answer is
-    decoded then but the picked ones, by one `decode` call, and a weight
-    is read only through `Database.facts_at`.  Otherwise the answers are
-    taken in value order (`in_value_order`) and their balls' points
+    Answer `i`, in `Fact` order, has its ball as the union of disjoint
+    parts, rows of point ids: part `i`, its own, and the parts `refs[:, i]`,
+    each shared by every answer holding it; part `p` is `pts[ptr[p]:ptr[p + 1]]`.
+    Under a provenance volume over an acyclic body these are the volume's
+    own rows and shared subtree folds of `Database.facts()` ids, given by
+    `ProvenanceBalls.parts` for the answers found by `ProvenanceBalls.rows`:
+    one search of packed head codes when the answers are a `CodedAnswers`
+    over the same query and database, as `enumerate_answers` and the
+    volume's universe are.  No answer is decoded then but the picked ones,
+    by one `decode` call, and a weight is read only through
+    `Database.facts_at`.  Otherwise the answers are taken in value order
+    (`in_value_order`), each ball is one part, and their points are
     interned in order of first appearance; an answer outside the volume's
     universe raises its `UniverseError`, the smallest first.  `decode`
     maps answer indexes to their `Fact`s, and `point_ids` maps ball points
     to ids, -1 for a point no answer holds.
-    `gains` holds every answer's weight of uncovered points, over `scale`,
-    and `cover` lowers only the answers holding a newly covered point.
-    `commit` covers an answer's ball and sets its gain to -1, below every
-    candidate's, so a picked answer leaves the candidates.  `best` takes
-    the first maximum of the gains, the smallest answer on ties.
+    The cover index's owners are the parts.  `gains` holds every answer's
+    weight of uncovered points, over `scale`: its own part's plus its
+    shared parts'.  `cover` lowers the parts holding a newly covered point
+    by one `bincount` and refreshes `gains` from them in place, so the
+    lazy heap of `greedy_diversify` reads the same array.  `commit` covers
+    an answer's parts and sets its gain to -1, below every candidate's, so
+    a picked answer leaves the candidates; its parts are covered whole, so
+    no later cover lowers it.  `best` takes the first maximum of the gains,
+    the smallest answer on ties.
     """
 
     def __init__(self, answers: AbstractSet, v: VolumeAssignment):
@@ -225,9 +235,7 @@ class _GreedyStep:
         if rows is not None and (rows >= 0).all() and (
                 v.universe is None or v.universe is balls or v.universe >= answers):
             rows.sort()  # value order
-            first = balls.ptr[rows]
-            sizes = balls.ptr[rows + 1] - first
-            pts = balls.ids[_ranges(first, sizes)]
+            ptr, pts, self._refs = balls.parts(rows)
             self.decode = lambda picks: balls.decode(rows[list(picks)])
             points, self.point_ids = balls.db.facts_at, balls.db.fact_ids
         else:
@@ -237,27 +245,41 @@ class _GreedyStep:
             point_id: dict = {}
             pts = np.fromiter((point_id.setdefault(p, len(point_id)) for r in regions for p in r),
                               dtype=np.int64, count=sum(sizes))
+            ptr = np.concatenate(([0], np.cumsum(sizes, dtype=np.int64)))
+            self._refs = np.zeros((0, len(items)), dtype=np.int64)
             self.decode = lambda picks: [items[i] for i in picks]
             held = list(point_id)
             points = lambda ids: list(map(held.__getitem__, ids.tolist()))
             self.point_ids = lambda asked: _point_ids(point_id.get, asked)
-        self._ptr, self._pts = np.concatenate(([0], np.cumsum(sizes, dtype=np.int64))), pts
-        self._index = _CoverIndex(pts, np.repeat(np.arange(len(sizes)), sizes),
+        self._ptr, self._pts = ptr, pts
+        self._index = _CoverIndex(pts, np.repeat(np.arange(len(ptr) - 1), np.diff(ptr)),
                                   None if v.measure.kind == "count" else v.measure.weight_of,
                                   points)
         self.scale = self._index.scale
-        self.gains = self._index.totals(len(sizes))
+        self.gains = self._per_answer(self._index.totals(len(ptr) - 1))
+
+    def _per_answer(self, per_part: np.ndarray) -> np.ndarray:
+        """Per answer, the sum of `per_part` over its parts, summed into
+        the answers' own entries of `per_part`, a view of which it returns."""
+        out = per_part[:self._refs.shape[1]]
+        for refs in self._refs:
+            out += per_part[refs]
+        return out
 
     def cover(self, pids: np.ndarray) -> None:
         """Cover the points `pids`, lowering the gains of their holders."""
         who, weight = self._index.cover(pids)
         if weight is None:
-            np.subtract(self.gains, np.bincount(who, minlength=len(self.gains)), out=self.gains)
+            lost = np.bincount(who, minlength=len(self._ptr) - 1)
         else:
-            np.subtract.at(self.gains, who, weight)
+            lost = np.zeros(len(self._ptr) - 1, dtype=self._index.dtype)
+            np.add.at(lost, who, weight)
+        np.subtract(self.gains, self._per_answer(lost), out=self.gains)
 
     def commit(self, i: int) -> None:
-        self.cover(self._pts[self._ptr[i]:self._ptr[i + 1]])
+        parts = np.concatenate(([i], self._refs[:, i]))
+        first = self._ptr[parts]
+        self.cover(self._pts[_ranges(first, self._ptr[parts + 1] - first)])
         self.gains[i] = -1
 
     def best(self, picks=None):

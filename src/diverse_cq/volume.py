@@ -7,10 +7,13 @@ monotone and submodular by construction, and marginal gains are plain
 measures of set differences rather than re-evaluations.  The provenance
 volume takes its answers and balls from the evaluator in `engine`; over
 an acyclic body it keeps its answers as head codes, as `enumerate_answers`
-does, and each ball as a row of database fact ids (`ProvenanceBalls`),
-which materialized greedy finds by code and scores as they are.  It
-decodes a row into a frozenset of facts only when `ball` asks for it,
-and the answers into `Fact`s only when its universe is iterated.
+does, and each ball factorised (`ProvenanceBalls`): the answer's own row
+of database fact ids, plus the fold of every hanging subtree it joins,
+kept once per group of that subtree and shared by its answers.
+Materialized greedy finds the answers by code and scores the rows and
+folds as they are.  It decodes a ball into a frozenset of facts only
+when `ball` asks for it, and the answers into `Fact`s only when its
+universe is iterated.
 
 All discrete arithmetic is exact: a weighted measure stores its weights
 as Fractions and measures return Fractions.  Materialized greedy and the
@@ -187,20 +190,58 @@ class ProvenanceBalls(engine.CodedAnswers):
     universe: as a set, it holds the query's answers as head codes, in
     value order, as any `CodedAnswers` does.
 
-    Answer `j`, the codes `heads[:, j]`, has its ball as the
-    `Database.facts()` ids `ids[ptr[j]:ptr[j + 1]]` of `db`, ascending.
-    Greedy finds answers' rows with `rows` and scores the rows as they
-    are.  Calling it with an answer decodes that answer's row into a
-    frozenset of facts, once, and keeps it; `in` finds a kept answer
+    Answer `j`, the codes `heads[:, j]`, has its ball factorised, as
+    `engine._tree_balls` builds it: its own row of `Database.facts()` ids
+    of `db` and one group of each of its shared folds, the folds of skipped
+    subtrees, which every answer joining that group references instead of
+    holding a copy; `balls` is the `engine._Balls` that holds them.  The parts
+    are disjoint and the ball is their union.  Greedy finds answers' rows
+    with `rows` and scores the parts as they are (`parts`).  `ptr` and
+    `ids` are every answer's whole ball as one ascending row,
+    `ids[ptr[j]:ptr[j + 1]]`, built on first access, under the witness
+    pair cap.  Calling it with an answer decodes that answer's union into
+    a frozenset of facts, once, and keeps it; `in` finds a kept answer
     without a search.  `source` is `(q, db)`.
     """
 
-    def __init__(self, q, heads: np.ndarray, ptr: np.ndarray, ids: np.ndarray, db: Database):
-        super().__init__(q.head_name, heads, db)
+    def __init__(self, q, balls: engine._Balls, db: Database):
+        super().__init__(q.head_name, balls.heads, db)
         self.source = (q, db)
-        self.ptr = ptr
-        self.ids = ids
+        self.balls = balls
         self._decoded: dict = {}
+
+    @functools.cached_property
+    def _whole(self) -> tuple[np.ndarray, np.ndarray]:
+        return engine._ball_rows(self.balls, max(1, self.db.fact_count()))
+
+    @property
+    def ptr(self) -> np.ndarray:
+        return self._whole[0]
+
+    @property
+    def ids(self) -> np.ndarray:
+        return self._whole[1]
+
+    def parts(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The balls of the answers `rows` as disjoint parts: first each
+        answer's own row, in the order of `rows`, then once each group of a
+        shared fold that one of them joins.  Returns `(ptr, ids, refs)`:
+        part `p` has the fact ids `ids[ptr[p]:ptr[p + 1]]`, and answer
+        `rows[i]`'s ball is the union of part `i` and the parts `refs[:, i]`,
+        one per shared fold."""
+        sources = [(self.balls.ptr, self.balls.ids, rows)]  # (ptr, ids, taken rows) per part kind
+        refs = np.zeros((len(self.balls.shared), len(rows)), dtype=np.int64)
+        count = len(rows)
+        for s, fold in enumerate(self.balls.shared):
+            groups, refs[s] = np.unique(fold.group[rows], return_inverse=True)
+            refs[s] += count
+            count += len(groups)
+            sources.append((fold.ptr, fold.ids, groups))
+        firsts = [ptr[at] for ptr, _, at in sources]
+        sizes = [ptr[at + 1] - first for (ptr, _, at), first in zip(sources, firsts)]
+        ids = np.concatenate([ids[engine._ranges(first, size)]
+                              for (_, ids, _), first, size in zip(sources, firsts, sizes)])
+        return np.concatenate(([0], np.concatenate(sizes).cumsum())), ids, refs
 
     def __contains__(self, t) -> bool:
         # `VolumeAssignment.ball` asks before every call: a decoded ball answers
@@ -213,8 +254,8 @@ class ProvenanceBalls(engine.CodedAnswers):
             r = self._row(t)
             if r is None:
                 raise UniverseError(f"{t!r} is not an answer of the query")
-            got = self._decoded[t] = frozenset(
-                self.db.facts_at(self.ids[self.ptr[r]:self.ptr[r + 1]]))
+            _, ids, _ = self.parts(np.array([r]))
+            got = self._decoded[t] = frozenset(self.db.facts_at(np.sort(ids)))
         return got
 
 
@@ -224,8 +265,9 @@ def provenance_volume(q, db: Database) -> VolumeAssignment:
     Materializes the answer set and its provenance once; the universe is
     exactly the query's answers, and asking for anything else is an error.
     An acyclic body gets both as arrays from its join tree
-    (`engine._tree_balls`), kept as the head codes and fact-id rows of a
-    `ProvenanceBalls`, which is also the universe.  A cyclic body gets
+    (`engine._tree_balls`), kept as the head codes, own fact-id rows and
+    shared subtree folds of a `ProvenanceBalls`, which is also the
+    universe; no ball is copied out whole.  A cyclic body gets
     both from one backtracking pass over every homomorphism, up to the
     extension cap of `provenance_map`.
     Either ball function carries `source = (q, db)`, by which
@@ -234,7 +276,7 @@ def provenance_volume(q, db: Database) -> VolumeAssignment:
     """
     parents = gyo_join_tree(q)
     if parents is not None:
-        balls = ProvenanceBalls(q, *engine._tree_balls(q, parents, db), db)
+        balls = ProvenanceBalls(q, engine._tree_balls(q, parents, db), db)
         return VolumeAssignment("provenance", balls, CountMeasure(), universe=balls)
     prov = engine.provenance_map(q, db)
 

@@ -203,6 +203,19 @@ def test_diversify_stops_at_the_witness_pair_cap(capsys, work, monkeypatch):
     assert "witness tables need at least 2 (row, fact) pairs; the cap is 1" in err
 
 
+def test_self_join_provenance_balls_stop_at_the_witness_pair_cap(capsys, work, monkeypatch):
+    # A self-join body shares no subtree's fold: both skipped subtrees' facts
+    # go into the answers' rows, 9 (answer, fact) pairs in all, each fold 3.
+    argv = ["diversify", "--data", str(work / "d1"), "--query",
+            "Q(y,z) <- R(x,y), R(y,z), R(z,w).", "-k", "2", "--volume", "provenance"]
+    monkeypatch.setattr(engine, "WITNESS_PAIR_LIMIT", 9)
+    assert run(capsys, argv)[0] == 0
+    monkeypatch.setattr(engine, "WITNESS_PAIR_LIMIT", 8)
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == ""
+    assert "witness tables need at least 9 (row, fact) pairs; the cap is 8" in err
+
+
 D1 = ["--data", "<d1>", "--query", IDENT]
 COMPARE = [*D1, "-k", "1", "--distance", "hamming"]
 

@@ -21,7 +21,7 @@ from diverse_cq import (CountMeasure, EngineCompatibilityError, EuclideanBallVol
                         gyo_join_tree, intern, parse_cq, pos_volume, pos_weighted,
                         provenance_map, provenance_volume)
 
-from diverse_cq.engine import _tree_balls
+from diverse_cq.engine import _ball_rows, _tree_balls
 from diverse_cq.optimize import _witness_table
 from diverse_cq.query import (ConjunctiveQuery, free_connex_split, _connex_rooting, _gyo_reduce,
                               _reroot)
@@ -380,14 +380,17 @@ def test_incremental_provenance_plan_matches_fresh_plan(seed, moves):
 
 def walked_witness_table(q, db, atom_ids):
     """Reference for `_witness_table`: the evaluator's provenance balls
-    (`_tree_balls`) over the component's own GYO tree, re-rooted at its
+    (`_tree_balls`, each own row and shared fold joined into one row by
+    `_ball_rows`) over the component's own GYO tree, re-rooted at its
     first atom that covers the interface, one per interface tuple."""
     atoms = tuple(q.atoms[i] for i in atom_ids)
     out = tuple(sorted({v for a in atoms for v in a.vars} & frozenset(q.head_vars)))
     component = ConjunctiveQuery(q.head_name, out, atoms)
     root = next(j for j, a in enumerate(atoms) if set(out) <= set(a.vars))
     parents = _reroot(gyo_join_tree(component), root)
-    heads, ptr, ids = _tree_balls(component, parents, db)
+    balls = _tree_balls(component, parents, db)
+    heads = balls.heads
+    ptr, ids = _ball_rows(balls, max(1, db.fact_count()))
     facts = db.facts()
     return out, {tuple(db.values[c] for c in heads[:, j].tolist()):
                  frozenset(facts[i] for i in ids[ptr[j]:ptr[j + 1]].tolist())
