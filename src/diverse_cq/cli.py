@@ -599,8 +599,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--engine", choices=ENGINES,
                    help="next-answer oracle for greedy-combined (default auto)")
     p.add_argument("--lazy", action="store_true", default=None,
-                   help="lazy gain re-evaluation for greedy (same selection "
-                        "as plain greedy)")
+                   help="accepted for compatibility: runs the same exact-gain "
+                        "greedy step as plain greedy (to be removed)")
     p.add_argument("--max-subsets", type=_count,
                    help=f"exact-mode subset cap (default {BRUTE_FORCE_CAP})")
     p.set_defaults(fn=cmd_diversify)

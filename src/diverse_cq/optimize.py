@@ -36,7 +36,6 @@ answer and commits it.
 
 from __future__ import annotations
 
-import heapq
 import math
 from collections.abc import Set
 from dataclasses import dataclass
@@ -220,8 +219,8 @@ class _GreedyStep:
     The cover index's owners are the parts.  `gains` holds every answer's
     weight of uncovered points, over `scale`: its own part's plus its
     shared parts'.  `cover` lowers the parts holding a newly covered point
-    by one `bincount` and refreshes `gains` from them in place, so the
-    lazy heap of `greedy_diversify` reads the same array.  `commit` covers
+    by one `bincount` and refreshes `gains` from them in place, so every
+    gain stays exact and no round needs an upper bound.  `commit` covers
     an answer's parts and sets its gain to -1, below every candidate's, so
     a picked answer leaves the candidates; its parts are covered whole, so
     no later cover lowers it.  `best` takes the first maximum of the gains,
@@ -298,14 +297,14 @@ def greedy_diversify(answers: Iterable[Fact], k: int, v: VolumeAssignment,
     """Greedy argmax of the marginal gain, smallest answer on ties.
 
     Always makes min(k, n) picks, zero gains included, so a picked answer
-    leaves the candidates.  Runs `_GreedyStep`: plain greedy takes the
-    first maximum of its gains.  With `lazy`, a heap of stored gains,
-    upper bounds by submodularity, is read instead: its top is picked
-    once its stored gain is still current, and a stale top is re-read
-    from the array and sifted down; the selection is identical to the
-    plain scan, round for round.  A volume that is not discrete (the
-    Euclidean estimate) rejects `lazy` and runs `_objective_greedy` over
-    its round scorer, one `round_diversities` call per round.
+    leaves the candidates.  A discrete volume runs `_GreedyStep`, taking
+    the first maximum of its exact gains each round.  `lazy` runs that
+    same step: with every gain already exact, a heap of stale upper
+    bounds would skip no work.  The keyword is kept only as an accepted
+    spelling until ROADMAP items 3 and 16 remove it.  A volume that is
+    not discrete (the Euclidean estimate) rejects `lazy` and runs
+    `_objective_greedy` over its round scorer, one `round_diversities`
+    call per round.
     """
     if lazy and not v.is_discrete:
         raise InputError("lazy greedy needs a discrete volume")
@@ -317,25 +316,10 @@ def greedy_diversify(answers: Iterable[Fact], k: int, v: VolumeAssignment,
         return _objective_greedy(pool, m, _round_scorer(v))
 
     step = _GreedyStep(pool, v)
-    gains, best = step.gains, step.best
-    if lazy:
-        heap = list(zip((-gains).tolist(), range(len(gains))))
-        heapq.heapify(heap)
-
-        def best(picks):
-            while heap:
-                neg, i = heap[0]
-                now = int(gains[i])
-                if now == -neg:  # current, and every other stored gain bounds its own
-                    heapq.heappop(heap)
-                    return i, now
-                heapq.heapreplace(heap, (-now, i))
-            return None
-
-    picks, gains_of = _greedy(m, best, step.commit)
-    if any(b > a for a, b in zip(gains_of, gains_of[1:])):  # pragma: no cover
+    picks, gains = _greedy(m, step.best, step.commit)
+    if any(b > a for a, b in zip(gains, gains[1:])):  # pragma: no cover
         raise AssertionError("greedy gains increased; objective is not submodular")
-    return step.result(picks, gains_of)
+    return step.result(picks, gains)
 
 
 def _per_candidate(objective: Callable) -> Callable:

@@ -11,16 +11,19 @@ gains and total, round for round.
 
 import heapq
 from fractions import Fraction
+from unittest import mock
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from diverse_cq import (Fact, VolumeAssignment, WeightedMeasure, CountMeasure, elem_volume,
                         elem_weighted, enumerate_answers, greedy_diversify, intern, pos_volume,
-                        pos_weighted, provenance_volume)
+                        parse_cq, pos_weighted, provenance_volume)
 from diverse_cq.optimize import _greedy, _make_result
 from diverse_cq.volume import scaled_weights
 
+from conftest import db_of, mk
 from test_engine import NOT_FREE_CONNEX, projected_instances
 
 
@@ -143,3 +146,47 @@ def test_array_step_matches_frozenset_greedy_on_provenance(case, k, data):
     weighted = VolumeAssignment("provenance", base.ball_fn, WeightedMeasure(weights, default),
                                 universe=base.universe)
     _agrees(answers, weighted, k)
+
+
+# A free-connex head over R with S and T hanging below it, so provenance
+# balls share subtree folds and several answers tie.
+HANGING = (parse_cq("Q(x,y) <- R(x,y), S(y,z), T(z,w)."),
+           db_of({"R": 2, "S": 2, "T": 2},
+                 [mk("R", "a", "b"), mk("R", "a", "c"), mk("R", "b", "b"), mk("R", "c", "c"),
+                  mk("R", "d", "b"), mk("R", "e", "d"), mk("S", "b", "1"), mk("S", "b", "2"),
+                  mk("S", "c", "2"), mk("S", "c", "3"), mk("S", "d", "1"), mk("T", "1", "x"),
+                  mk("T", "2", "x"), mk("T", "2", "y"), mk("T", "3", "z")]))
+
+
+def _raise(*args):
+    raise AssertionError("lazy greedy touched the heap")
+
+
+@pytest.mark.parametrize("name,weights", [
+    ("elem", None), ("pos", None), ("provenance", None),
+    *((name, weights) for name in ("elem-w", "pos-w", "provenance")
+      for weights in ("fraction", "past-2^62", "unit"))])
+def test_lazy_greedy_runs_the_argmax_step_without_a_heap(name, weights):
+    """`lazy=True` never touches a heap and picks what plain greedy and
+    the frozenset oracle's heap pick, for k = 1, 3 and above the answer
+    count; `weights` None keeps the volume's count measure."""
+    q, db = HANGING
+    answers = enumerate_answers(q, db).answers
+    ordered = sorted(answers)
+    base = {"elem": elem_volume, "pos": pos_volume, "elem-w": elem_volume,
+            "pos-w": pos_volume}.get(name, lambda: provenance_volume(q, db))()
+    if weights is not None:
+        points = sorted(set().union(*map(base.ball, ordered)), key=repr)
+        weight = {"fraction": lambda i: Fraction(i % 4 + 1, (1, 3, 7)[i % 3]),
+                  "past-2^62": lambda i: Fraction(2 ** 62 + i, 1 + i % 2),
+                  "unit": lambda i: Fraction(1)}[weights]
+        base = VolumeAssignment(name, base.ball_fn,
+                                WeightedMeasure({p: weight(i) for i, p in enumerate(points)},
+                                                Fraction(1)),
+                                universe=base.universe)
+    for k in (1, 3, len(ordered) + 2):
+        with mock.patch.multiple(heapq, heapify=_raise, heappop=_raise, heapreplace=_raise):
+            got = greedy_diversify(answers, k, base, lazy=True)
+        assert got == greedy_diversify(answers, k, base)
+        assert got == frozenset_greedy(ordered, k, base, lazy=True)
+        assert len(got.selected) == min(k, len(ordered))
